@@ -58,6 +58,16 @@ def _fields_arg(text: str) -> tuple[FieldSpec, ...]:
     return tuple(_field_arg(tok) for tok in text.split(","))
 
 
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixprod",
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-n", type=int, default=3)
     p_sweep.add_argument("--max-m", type=int, default=3)
     p_sweep.add_argument("--fields", type=_fields_arg, default=(FieldSpec.rationals(),))
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_jobs_arg, default=1)
     p_sweep.add_argument("--skip-witnesses", action="store_true")
     add_output_flags(p_sweep)
 
@@ -292,7 +302,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
     ideal = realize_spec(spec)
     dual = alexander_dual(ideal)
-    primes = minimal_primes(ideal)
+    primes = minimal_primes(ideal, dual=dual)
     amb = spec.ambient
     doc = _base_doc(spec, None)
     del doc["field"]

@@ -305,10 +305,16 @@ def alexander_dual(
     return MonomialIdeal.from_masks(a.ambient, current)
 
 
-def minimal_primes(a: MonomialIdeal) -> list[frozenset[int]]:
+def minimal_primes(
+    a: MonomialIdeal, dual: MonomialIdeal | None = None
+) -> list[frozenset[int]]:
     """Variable sets of the minimal primes: supports of the dual's minimal
-    generators over the full ambient vertex set."""
-    dual = alexander_dual(a)
+    generators over the full ambient vertex set. Pass `dual` when
+    alexander_dual(a) is already at hand."""
+    if dual is None:
+        dual = alexander_dual(a)
+    else:
+        _check_same_ambient(a, dual)
     return sorted((g.support for g in dual.gens), key=lambda s: (len(s), sorted(s)))
 
 

@@ -13,8 +13,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .core import MonomialIdeal, mask_to_vars, vars_to_mask
-from .errors import UnsupportedIdeal, VerticesOutsideComplex, VoidComplex
+from .core import MonomialIdeal, alexander_dual, mask_to_vars, vars_to_mask
+from .errors import (
+    AmbientMismatch,
+    UnsupportedIdeal,
+    VerticesOutsideComplex,
+    VoidComplex,
+)
 
 
 def _is_prime(p: int) -> bool:
@@ -128,23 +133,31 @@ def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
-def stanley_reisner(a: MonomialIdeal) -> SimplicialComplex:
+def stanley_reisner(
+    a: MonomialIdeal, dual: MonomialIdeal | None = None
+) -> SimplicialComplex:
     """Complex whose faces are the variable sets supporting no generator.
 
-    The zero ideal gives the full simplex; an ideal containing every
-    variable gives {<empty>}; the unit ideal is rejected (its complex
-    would be void, which homology excludes).
+    Its facets are the complements of the minimal primes of a, which are
+    the supports of the generators of the Alexander dual: no subset walk
+    is made. Pass `dual` when alexander_dual(a) is already at hand; by
+    duality the complex of the dual then has the complements of a's own
+    generators as facets. hochster_betti restricts the complex to the
+    (n+1)(m+1) orbit representatives of a block-symmetric ideal and to all
+    2^(n+m) vertex subsets of any other. The zero ideal gives the full
+    simplex; an ideal containing every variable gives {<empty>}; the unit
+    ideal is rejected (its complex would be void, which homology excludes).
     """
     if a.is_unit:
         raise UnsupportedIdeal("the unit ideal has no Stanley-Reisner complex here")
     full = a.ambient.full_mask
-    gens = a.gen_masks()
-    if not gens:
+    if a.is_zero:
         return SimplicialComplex(full, (full,))
-    faces = [
-        s for s in range(full + 1) if not any(g & ~s == 0 for g in gens)
-    ]
-    return SimplicialComplex(full, _maximal(faces))
+    if dual is None:
+        dual = alexander_dual(a)
+    elif dual.ambient != a.ambient:
+        raise AmbientMismatch("the dual lives in a different ambient")
+    return SimplicialComplex(full, tuple(sorted(full ^ g for g in dual.gen_masks())))
 
 
 def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:

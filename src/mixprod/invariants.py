@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MonomialIdeal, Ambient, alexander_dual, krull_dim
+from .core import MonomialIdeal, Ambient, alexander_dual
 from .errors import TeraiMismatch, UnsupportedIdeal
 from .homology import (
     FieldSpec,
@@ -37,18 +37,74 @@ class BettiTable:
         return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
 
 
-def hochster_betti(a: MonomialIdeal, field: FieldSpec) -> BettiTable:
+def _block_symmetric(a: MonomialIdeal) -> bool:
+    """True iff the generator set is closed under every adjacent
+    transposition inside the x-block and inside the y-block (x_n and y_1
+    are never swapped). These generate S_n x S_m, so the ideal, its
+    Stanley-Reisner complex and its Betti numbers are then invariant under
+    every permutation of the variables within each block."""
+    gens = set(a.gen_masks())
+    n, nv = a.ambient.n, a.ambient.nvars
+    for i in range(nv - 1):
+        if i == n - 1:
+            continue
+        swap = 0b11 << i
+        for g in gens:
+            if (g >> i ^ g >> (i + 1)) & 1 and g ^ swap not in gens:
+                return False
+    return True
+
+
+def _subsets_by_size(bits: int, shift: int) -> list[list[int]]:
+    """Masks of the subsets of `bits` consecutive variables starting at bit
+    `shift`, grouped by size; each group starts with its lowest variables."""
+    groups: list[list[int]] = [[] for _ in range(bits + 1)]
+    for s in range(1 << bits):
+        groups[s.bit_count()].append(s << shift)
+    return groups
+
+
+def hochster_betti(
+    a: MonomialIdeal, field: FieldSpec, dual: MonomialIdeal | None = None
+) -> BettiTable:
     """beta_{i,W}(S/I) = h~_{|W|-i-1}(Delta|_W; field) over every subset W
     of the variables, aggregated to total degree j = |W|.
 
-    Enumerates all 2^(n+m) subsets directly; restrictions whose facets
-    share a vertex are cones, hence contractible, and are skipped.
+    The complex's facets are the complements of the dual's generators
+    (see stanley_reisner); pass `dual` when alexander_dual(a) is known.
+    oracle_report passes the ideal and its dual each other, so both of its
+    complexes come from generator complements. A block-symmetric ideal
+    (see _block_symmetric) has beta_{i,W} depending only on
+    (|W & X|, |W & Y|), so only the (n+1)(m+1) representatives
+    W_{a,b} = {x_1..x_a, y_1..y_b} are restricted, and each value counts
+    once for every member of its orbit, C(n,a)*C(m,b) times in all, in
+    the multigraded table and in the totals. Any other ideal walks all
+    2^(n+m) subsets. Restrictions whose facets share a vertex are cones,
+    hence contractible, and are skipped.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
-    delta = stanley_reisner(a)
+    delta = stanley_reisner(a, dual)
+    amb = a.ambient
+    if _block_symmetric(a):
+        xs, ys = _subsets_by_size(amb.n, 0), _subsets_by_size(amb.m, amb.n)
+        walk = [x[0] | y[0] for x in xs for y in ys]
+
+        def orbit(w: int) -> list[int]:
+            return [
+                x | y
+                for x in xs[(w & amb.x_mask).bit_count()]
+                for y in ys[(w & amb.y_mask).bit_count()]
+            ]
+
+    else:
+        walk = range(amb.full_mask + 1)
+
+        def orbit(w: int) -> list[int]:
+            return [w]
+
     multigraded: dict[tuple[int, int], int] = {}
-    for w in range(a.ambient.full_mask + 1):
+    for w in walk:
         dw = restrict(delta, w)
         common = dw.facets[0]
         for f in dw.facets[1:]:
@@ -58,7 +114,8 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec) -> BettiTable:
         jdeg = w.bit_count()
         for ihom, r in reduced_homology_ranks(dw, field).items():
             if r:
-                multigraded[(jdeg - 1 - ihom, w)] = r
+                for v in orbit(w):
+                    multigraded[(jdeg - 1 - ihom, v)] = r
     entries: dict[tuple[int, int], int] = {}
     for (i, w), r in multigraded.items():
         key = (i, w.bit_count())
@@ -90,17 +147,20 @@ class InvariantReport:
 
 def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     """Invariants from the combinatorial route: dimension from the minimal
-    primes, pd and regularity from the Betti table, depth by
-    Auslander-Buchsbaum. The regularity is re-derived as pd(S/I*) over the
-    full vertex set and the two values are asserted equal (Terai)."""
+    primes (the supports of the Alexander dual's generators), pd and
+    regularity from the Betti table, depth by Auslander-Buchsbaum. The
+    regularity is re-derived as pd(S/I*) over the full vertex set and the
+    two values are asserted equal (Terai). The dual is computed once and
+    serves the dimension and both Stanley-Reisner complexes."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars
-    dim = krull_dim(a)
-    pd, reg_quotient = betti_stats(hochster_betti(a, field))
-    reg_ideal = reg_quotient + 1
     dual = alexander_dual(a)
-    dual_pd, _ = betti_stats(hochster_betti(dual, field))
+    dim = nv - min(g.degree for g in dual.gens)
+    pd, reg_quotient = betti_stats(hochster_betti(a, field, dual=dual))
+    reg_ideal = reg_quotient + 1
+    # the dual of the dual is a itself
+    dual_pd, _ = betti_stats(hochster_betti(dual, field, dual=a))
     if dual_pd != reg_ideal:
         raise TeraiMismatch(
             f"reg({a}) = {reg_ideal} but pd of the dual quotient is {dual_pd}"

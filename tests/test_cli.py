@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import mixprod.cli
+import mixprod.core
+from mixprod import alexander_dual
 from mixprod.cli import main
 
 
@@ -184,6 +187,19 @@ class TestDual:
         assert doc["dual_gens"] == [["x1"], ["y1"]]
         assert doc["minimal_primes"] == [["x1"], ["y1"]]
 
+    def test_dual_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return alexander_dual(*args, **kwargs)
+
+        monkeypatch.setattr(mixprod.cli, "alexander_dual", counting)
+        monkeypatch.setattr(mixprod.core, "alexander_dual", counting)
+        code, _, _ = run(capsys, "dual", "--n", "2", "--m", "2", "--terms", "1,2+2,1")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_veronese_table(self, capsys):
         code, out, _ = run(capsys, "dual", "--n", "3", "--m", "0", "--terms", "2,0")
         assert code == 0
@@ -216,3 +232,10 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["invariants", "--n", "2", "--terms", "1,0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--max-n", "1", "--max-m", "1", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

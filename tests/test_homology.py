@@ -12,6 +12,7 @@ from mixprod import (
     GF3,
     RATIONALS,
     Ambient,
+    AmbientMismatch,
     FieldSpec,
     MonomialIdeal,
     SimplicialComplex,
@@ -19,6 +20,7 @@ from mixprod import (
     UnsupportedIdeal,
     VerticesOutsideComplex,
     VoidComplex,
+    alexander_dual,
     reduced_homology_ranks,
     restrict,
     stanley_reisner,
@@ -99,6 +101,30 @@ class TestStanleyReisner:
         for mask in range(amb.full_mask + 1):
             in_ideal = any(g.mask & ~mask == 0 for g in a.gens)
             assert d.has_face(SqFreeMonomial(amb, mask).support) == (not in_ideal)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 6).flatmap(
+        lambda nv: st.tuples(
+            st.integers(0, nv).map(lambda n: Ambient(n, nv - n)),
+            st.lists(st.integers(1, (1 << nv) - 1), min_size=1, max_size=6),
+        )
+    ))
+    def test_facets_are_maximal_nonmembers(self, drawn):
+        amb, masks = drawn
+        a = MonomialIdeal.from_masks(amb, masks)
+        dual = alexander_dual(a)
+        for ideal, known_dual in ((a, dual), (dual, a)):
+            gens = ideal.gen_masks()
+            faces = [s for s in range(amb.full_mask + 1) if not any(g & ~s == 0 for g in gens)]
+            facets = tuple(f for f in faces if not any(f != g and f & ~g == 0 for g in faces))
+            assert stanley_reisner(ideal).facets == facets
+            assert stanley_reisner(ideal, known_dual).facets == facets
+
+    def test_dual_from_another_ambient_rejected(self):
+        a = veronese_ideal(Ambient(2, 1), "x", 1)
+        other = veronese_ideal(Ambient(1, 2), "x", 1)
+        with pytest.raises(AmbientMismatch):
+            stanley_reisner(a, other)
 
 
 class TestRestrict:

@@ -4,7 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import mixprod.core
+import mixprod.homology
+import mixprod.invariants
 from mixprod import (
     GF2,
     GF3,
@@ -12,14 +17,18 @@ from mixprod import (
     Ambient,
     MixedProductSpec,
     MonomialIdeal,
+    SimplicialComplex,
     SqFreeMonomial,
     UnsupportedIdeal,
     alexander_dual,
     betti_stats,
+    canonicalize_spec,
     has_linear_resolution,
     hochster_betti,
     oracle_report,
     realize_spec,
+    reduced_homology_ranks,
+    restrict,
     veronese_ideal,
 )
 
@@ -287,3 +296,100 @@ class TestTopBetti:
                 a = realize_spec(MixedProductSpec(Ambient(n, m), ((1, 1),)))
                 b = hochster_betti(a, RATIONALS)
                 assert any(i == n + m - 1 for i, _ in b.entries)
+
+
+# --- orbit-compressed walk ---------------------------------------------------
+# hochster_betti restricts one representative per S_n x S_m orbit when the
+# ideal is block-symmetric. Its tables are checked against the independent
+# oracle above and against a full 2^N walk written here from restrict and
+# reduced_homology_ranks, on a complex enumerated here face by face.
+
+
+def full_walk_multigraded(a, field):
+    """(i, W) -> beta_{i,W}(S/I) from every subset W of the variables."""
+    amb = a.ambient
+    gens = a.gen_masks()
+    faces = [s for s in range(amb.full_mask + 1) if not any(g & ~s == 0 for g in gens)]
+    facets = tuple(f for f in faces if not any(f != g and f & ~g == 0 for g in faces))
+    delta = SimplicialComplex(amb.full_mask, facets)
+    out = {}
+    for w in range(amb.full_mask + 1):
+        for ihom, r in reduced_homology_ranks(restrict(delta, w), field).items():
+            if r:
+                out[(w.bit_count() - 1 - ihom, w)] = r
+    return out
+
+
+@st.composite
+def canonical_specs(draw):
+    nvars = draw(st.integers(1, 7))
+    n = draw(st.integers(0, nvars))
+    m = nvars - n
+    terms = draw(
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, m)), min_size=1, max_size=3)
+    )
+    spec = canonicalize_spec(MixedProductSpec(Ambient(n, m), tuple(terms)))
+    assume(not spec.is_unit)
+    return spec
+
+
+@pytest.fixture
+def restrict_calls(monkeypatch):
+    """Counts the restrictions hochster_betti makes."""
+    calls = []
+
+    def counting(d, w):
+        calls.append(w)
+        return restrict(d, w)
+
+    monkeypatch.setattr(mixprod.invariants, "restrict", counting)
+    return calls
+
+
+class TestOrbitWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(canonical_specs(), st.sampled_from([RATIONALS, GF2, GF3]))
+    def test_matches_independent_oracle_and_full_walk(self, spec, field):
+        a = realize_spec(spec)
+        got = hochster_betti(a, field)
+        assert got.entries == brute_hochster_q(spec.ambient.nvars, supports_of(a))
+        assert got.multigraded == full_walk_multigraded(a, field)
+
+    @pytest.mark.parametrize(
+        "n, m, gens, symmetric",
+        [
+            (2, 2, ("x1y1",), False),  # one mixed monomial
+            (2, 2, ("x1y1", "x2y1"), False),  # symmetric in the x-block only
+            (2, 2, ("x2", "y1"), False),  # symmetric only under x_n <-> y_1
+            (2, 2, ("x1", "x2", "y1y2"), True),
+            (3, 0, ("x1x2", "x1x3", "x2x3"), True),
+            (3, 0, ("x1x2",), False),
+            (0, 3, ("y1y2", "y1y3", "y2y3"), True),
+            (0, 3, ("y1", "y2y3"), False),
+        ],
+    )
+    def test_symmetry_gate(self, restrict_calls, n, m, gens, symmetric):
+        a = ideal(Ambient(n, m), *gens)
+        got = hochster_betti(a, GF2)
+        expected_walk = (n + 1) * (m + 1) if symmetric else 2 ** (n + m)
+        assert len(restrict_calls) == expected_walk
+        assert got.entries == brute_hochster_q(n + m, supports_of(a))
+        assert got.multigraded == full_walk_multigraded(a, GF2)
+
+    def test_one_alexander_dual_per_report(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return alexander_dual(*args, **kwargs)
+
+        for module in (mixprod.core, mixprod.homology, mixprod.invariants):
+            monkeypatch.setattr(module, "alexander_dual", counting)
+        for n, m, terms in [(2, 2, ((1, 2), (2, 1))), (3, 1, ((1, 1),)), (2, 0, ((1, 0),))]:
+            a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
+            calls.clear()
+            oracle_report(a, GF2)
+            assert calls == [a]
+        calls.clear()
+        oracle_report(ideal(Ambient(2, 2), "x1y1", "x2"), GF2)
+        assert len(calls) == 1

@@ -21,7 +21,7 @@ from .core import (
     realize_spec,
 )
 from .errors import MixprodError
-from .harness import SweepConfig, run_sweep
+from .harness import SweepConfig, run_sweep, spec_to_json
 from .homology import FieldSpec
 from .invariants import BettiTable, InvariantReport, hochster_betti, oracle_report
 from .mixed import (
@@ -138,12 +138,8 @@ def _report_block(rep: InvariantReport, case: str) -> dict:
     }
 
 
-def _base_doc(spec: MixedProductSpec, fld: FieldSpec | None) -> dict:
-    return {
-        "ambient": {"n": spec.ambient.n, "m": spec.ambient.m},
-        "ideal": [list(t) for t in spec.terms],
-        "field": str(fld) if fld is not None else None,
-    }
+def _base_doc(spec: MixedProductSpec, fld: FieldSpec) -> dict:
+    return {**spec_to_json(spec), "field": str(fld)}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -249,8 +245,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
-    doc = _base_doc(spec, None)
-    del doc["field"]
+    doc = spec_to_json(spec)
     ok = True
     if len(spec.terms) == 2:
         w = syzygy_witness(spec)
@@ -304,8 +299,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     dual = alexander_dual(ideal)
     primes = minimal_primes(ideal, dual=dual)
     amb = spec.ambient
-    doc = _base_doc(spec, None)
-    del doc["field"]
+    doc = spec_to_json(spec)
     doc["dual_gens"] = [sorted(amb.variable_name(i) for i in g.support) for g in dual.gens]
     doc["minimal_primes"] = [sorted(amb.variable_name(i) for i in p) for p in primes]
     if args.format == "json":
@@ -334,10 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except MixprodError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (MixprodError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

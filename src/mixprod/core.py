@@ -266,10 +266,7 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 def ideal_intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection; for square-free ideals the generators are the
     minimalized pairwise lcms, i.e. support unions."""
-    _check_same_ambient(a, b)
-    return MonomialIdeal.from_masks(
-        a.ambient, (ga | gb for ga in a.gen_masks() for gb in b.gen_masks())
-    )
+    return ideal_product(a, b)
 
 
 def contains_monomial(a: MonomialIdeal, u: SqFreeMonomial) -> bool:

@@ -40,13 +40,30 @@ class SweepConfig:
             )
 
 
+def spec_to_json(spec: MixedProductSpec) -> dict:
+    """JSON form of a description: its ambient and its term list."""
+    return {
+        "ambient": {"n": spec.ambient.n, "m": spec.ambient.m},
+        "ideal": [list(t) for t in spec.terms],
+    }
+
+
+def spec_from_json(entry: dict) -> MixedProductSpec:
+    """Inverse of spec_to_json; other keys of the entry are ignored."""
+    amb = Ambient(entry["ambient"]["n"], entry["ambient"]["m"])
+    return MixedProductSpec(amb, tuple((k, l) for k, l in entry["ideal"]))
+
+
 @dataclass(frozen=True)
 class Mismatch:
+    """One disagreement between the routes. Invariant "error" means a route
+    raised: formula_value is None and oracle_value is "<Type>: <message>"."""
+
     spec: MixedProductSpec
     field: FieldSpec
     invariant: str
-    formula_value: int | bool
-    oracle_value: int | bool
+    formula_value: int | bool | None
+    oracle_value: int | bool | str
 
 
 @dataclass(frozen=True)
@@ -78,8 +95,7 @@ class SweepReport:
             "cases_run": self.cases_run,
             "mismatches": [
                 {
-                    "ambient": {"n": mm.spec.ambient.n, "m": mm.spec.ambient.m},
-                    "ideal": [list(t) for t in mm.spec.terms],
+                    **spec_to_json(mm.spec),
                     "field": str(mm.field),
                     "invariant": mm.invariant,
                     "formula": mm.formula_value,
@@ -88,11 +104,7 @@ class SweepReport:
                 for mm in self.mismatches
             ],
             "witness_failures": [
-                {
-                    "ambient": {"n": wf.spec.ambient.n, "m": wf.spec.ambient.m},
-                    "ideal": [list(t) for t in wf.spec.terms],
-                    "kind": wf.kind,
-                }
+                {**spec_to_json(wf.spec), "kind": wf.kind}
                 for wf in self.witness_failures
             ],
             "elapsed_seconds": self.elapsed_seconds,
@@ -106,14 +118,9 @@ class SweepReport:
             fields=tuple(FieldSpec.parse(f) for f in d["config"]["fields"]),
             include_witness_checks=d["config"]["include_witness_checks"],
         )
-
-        def spec_of(entry: dict) -> MixedProductSpec:
-            amb = Ambient(entry["ambient"]["n"], entry["ambient"]["m"])
-            return MixedProductSpec(amb, tuple((k, l) for k, l in entry["ideal"]))
-
         mms = tuple(
             Mismatch(
-                spec=spec_of(e),
+                spec=spec_from_json(e),
                 field=FieldSpec.parse(e["field"]),
                 invariant=e["invariant"],
                 formula_value=e["formula"],
@@ -122,7 +129,7 @@ class SweepReport:
             for e in d["mismatches"]
         )
         wfs = tuple(
-            WitnessFailure(spec=spec_of(e), kind=e["kind"]) for e in d["witness_failures"]
+            WitnessFailure(spec=spec_from_json(e), kind=e["kind"]) for e in d["witness_failures"]
         )
         return cls(cfg, d["cases_run"], mms, wfs, d["elapsed_seconds"])
 
@@ -158,8 +165,14 @@ def enumerate_specs(max_n: int, max_m: int) -> list[MixedProductSpec]:
 def _evaluate_case(
     spec: MixedProductSpec, fld: FieldSpec
 ) -> list[Mismatch]:
-    formula = formula_report(spec)
-    oracle = oracle_report(realize_spec(spec), fld)
+    """Compare the two routes on one case. An exception raised by either
+    route becomes a single "error" mismatch, so one bad case cannot abort
+    the sweep."""
+    try:
+        formula = formula_report(spec)
+        oracle = oracle_report(realize_spec(spec), fld)
+    except Exception as e:
+        return [Mismatch(spec, fld, "error", None, f"{type(e).__name__}: {e}")]
     out = []
     for name in COMPARED:
         fv, ov = getattr(formula, name), getattr(oracle, name)
@@ -178,7 +191,8 @@ def _check_witnesses(spec: MixedProductSpec) -> list[WitnessFailure]:
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     """Compare formula_report against oracle_report on every enumerated
-    description and field. Failures are collected, not raised. Work units
+    description and field. Failures, exceptions included, are collected,
+    not raised. Work units
     are independent (spec, field) pairs; with jobs > 1 they are fanned out
     to worker processes and merged back in enumeration order, so the
     report does not depend on scheduling."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .core import MonomialIdeal, alexander_dual, mask_to_vars, vars_to_mask
+from .core import MonomialIdeal, _minimalize, alexander_dual, mask_to_vars, vars_to_mask
 from .errors import (
     AmbientMismatch,
     UnsupportedIdeal,
@@ -124,15 +124,6 @@ class SimplicialComplex:
         return sorted(seen)
 
 
-def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
-    uniq = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-    kept: list[int] = []
-    for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
-
-
 def stanley_reisner(
     a: MonomialIdeal, dual: MonomialIdeal | None = None
 ) -> SimplicialComplex:
@@ -165,9 +156,9 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
     wmask = w if isinstance(w, int) else vars_to_mask(w)
     if wmask & ~d.vertices:
         raise VerticesOutsideComplex("restriction vertices outside the complex")
-    if d.is_void:
-        return SimplicialComplex(wmask, ())
-    return SimplicialComplex(wmask, _maximal(f & wmask for f in d.facets))
+    # maximal sets among f & w are the complements in w of the minimal w & ~f
+    missing = _minimalize(wmask & ~f for f in d.facets)
+    return SimplicialComplex(wmask, tuple(sorted(wmask ^ g for g in missing)))
 
 
 # --- exact rank computations -------------------------------------------------
@@ -260,23 +251,20 @@ def _matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
 # --- reduced homology --------------------------------------------------------
 
 
-def _boundary_ranks(faces: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
-    """For each homological degree i >= 0 with nonempty chain groups on both
-    sides, the pair (i, rank of the boundary map C_i -> C_{i-1})."""
+@lru_cache(maxsize=None)
+def _homology_of_faces(faces: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
+    """Reduced homology ranks keyed by the face list itself (cacheable:
+    restrictions repeat heavily across Hochster sweeps). The faces come
+    sorted and closed under subsets, so every dimension from -1 to the top
+    has a bucket, and each bucket is sorted."""
     by_dim: dict[int, list[int]] = {}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    for d in by_dim:
-        by_dim[d].sort()
     top = max(by_dim)
     field = FieldSpec(char)
-    out = []
-    for i in range(0, top + 1):
-        lower = by_dim.get(i - 1, [])
-        upper = by_dim.get(i, [])
-        if not lower or not upper:
-            out.append((i, 0))
-            continue
+    ranks: dict[int, int] = {}  # i -> rank of the boundary map C_i -> C_{i-1}
+    for i in range(top + 1):
+        lower, upper = by_dim[i - 1], by_dim[i]
         index = {f: r for r, f in enumerate(lower)}
         mat = [[0] * len(upper) for _ in lower]
         for col, f in enumerate(upper):
@@ -287,25 +275,11 @@ def _boundary_ranks(faces: tuple[int, ...], char: int) -> tuple[tuple[int, int],
                 mat[index[f ^ low]][col] = sign
                 sign = -sign
                 rest ^= low
-        out.append((i, _matrix_rank(mat, field)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _homology_of_faces(faces: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
-    """Reduced homology ranks keyed by the face list itself (cacheable:
-    restrictions repeat heavily across Hochster sweeps)."""
-    by_dim: dict[int, int] = {}
-    for f in faces:
-        d = f.bit_count() - 1
-        by_dim[d] = by_dim.get(d, 0) + 1
-    top = max(by_dim)
-    ranks = dict(_boundary_ranks(faces, char))
-    out = []
-    for i in range(-1, top + 1):
-        ci = by_dim.get(i, 0)
-        out.append((i, ci - ranks.get(i, 0) - ranks.get(i + 1, 0)))
-    return tuple(out)
+        ranks[i] = _matrix_rank(mat, field)
+    return tuple(
+        (i, len(by_dim[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))
+        for i in range(-1, top + 1)
+    )
 
 
 def _canonical_faces(d: SimplicialComplex) -> tuple[int, ...]:

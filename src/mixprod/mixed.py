@@ -1,15 +1,19 @@
 """Closed-form invariants of canonical mixed product descriptions, and the
 explicit syzygy / Koszul-cycle witnesses behind the two hard bounds.
 
-Every formula is an explicit case dispatch over the canonical shapes
+All closed forms come from one case dispatch, `_closed_forms`, with one row
+per canonical shape:
 
     (k,0) | (0,r) | (q,r)                      single term
     (0,r)+(s,0) | (q,r)+(s,0) | (q,r)+(s,t)    two terms, q < s, t < r
 
-with k,q,t >= 1 inside a shape. Degenerate degrees are routed to their own
-branch (I_0 = J_0 = S collapses the term), never substituted into the
+with k,q,t >= 1 inside a shape. Each row gives the dimension, depth and
+regularity together with the Cohen-Macaulay verdict and the branch that
+decided it; reg_formula, dim_formula, depth_formula, cm_classify and
+formula_report only read that row. Degenerate degrees are routed to their
+own row (I_0 = J_0 = S collapses the term), never substituted into the
 general two-term formulas. The mirrored shape (0,r)+(s,t) with t >= 1 is
-handled by swapping the blocks and reusing the (q,r)+(s,0) branch.
+handled by swapping the blocks and reading the (q,r)+(s,0) row.
 """
 
 from __future__ import annotations
@@ -39,21 +43,38 @@ class CmCase(str, enum.Enum):
     TWO_PRODUCTS = "two_products"  # I_qJ_r + I_sJ_t, q,t >= 1
 
 
-class _Shape(NamedTuple):
-    kind: str  # "single" | "double"
-    q: int
-    r: int
-    s: int
-    t: int
+class _ClosedForms(NamedTuple):
+    dim: int
+    depth: int
+    reg: int
+    cm: bool
+    case: CmCase
 
 
-def _shape(spec: MixedProductSpec) -> _Shape:
+def _closed_forms(spec: MixedProductSpec) -> _ClosedForms:
+    """Every closed form of one canonical description, one row per shape."""
     require_canonical(spec)
+    n, m = spec.ambient.n, spec.ambient.m
     if len(spec.terms) == 1:
-        (k, l) = spec.terms[0]
-        return _Shape("single", k, l, 0, 0)
+        ((k, l),) = spec.terms
+        if l == 0:
+            return _ClosedForms(m + k - 1, m + k - 1, k, True, CmCase.VERONESE)
+        if k == 0:
+            return _ClosedForms(n + l - 1, n + l - 1, l, True, CmCase.VERONESE)
+        dim = n + m - min(n - k + 1, m - l + 1)
+        return _ClosedForms(dim, k + l - 1, k + l, k == n and l == m, CmCase.PRODUCT)
     (q, r), (s, t) = spec.terms
-    return _Shape("double", q, r, s, t)
+    if q == 0 and t == 0:
+        return _ClosedForms(r + s - 2, r + s - 2, r + s - 1, True, CmCase.DISJOINT_SUM)
+    if t == 0:
+        dim = n + m - min(n - q + 1, n + m - (r + s) + 2)
+        cm = s == q + 1 and r == m
+        return _ClosedForms(dim, q + r - 1, r + s - 1, cm, CmCase.PRODUCT_PLUS_VERONESE)
+    if q == 0:
+        return _closed_forms(swap_blocks(spec))
+    dim = n + m - min(n - q + 1, m - t + 1, n + m - (r + s) + 2)
+    cm = r == m and s == n and t == m - 1 and q == n - 1
+    return _ClosedForms(dim, min(q + r, s + t) - 1, r + s - 1, cm, CmCase.TWO_PRODUCTS)
 
 
 def reg_formula(spec: MixedProductSpec) -> int:
@@ -64,90 +85,38 @@ def reg_formula(spec: MixedProductSpec) -> int:
     I_s+J_r and I_qJ_r+I_s boundaries, where it agrees with the dedicated
     sum formula; the exhaustive sweep pins this extension down.
     """
-    sh = _shape(spec)
-    if sh.kind == "single":
-        if sh.r == 0:
-            return sh.q
-        if sh.q == 0:
-            return sh.r
-        return sh.q + sh.r
-    return sh.r + sh.s - 1
+    return _closed_forms(spec).reg
 
 
 def dim_formula(spec: MixedProductSpec) -> int:
     """Krull dimension of the quotient ring."""
-    n, m = spec.ambient.n, spec.ambient.m
-    sh = _shape(spec)
-    if sh.kind == "single":
-        if sh.r == 0:
-            return m + sh.q - 1
-        if sh.q == 0:
-            return n + sh.r - 1
-        return n + m - min(n - sh.q + 1, m - sh.r + 1)
-    q, r, s, t = sh.q, sh.r, sh.s, sh.t
-    if q == 0 and t == 0:
-        return r + s - 2
-    if t == 0:
-        return n + m - min(n - q + 1, n + m - (r + s) + 2)
-    if q == 0:
-        return dim_formula(swap_blocks(spec))
-    return n + m - min(n - q + 1, m - t + 1, n + m - (r + s) + 2)
+    return _closed_forms(spec).dim
 
 
 def depth_formula(spec: MixedProductSpec) -> int:
     """Depth of the quotient ring."""
-    n, m = spec.ambient.n, spec.ambient.m
-    sh = _shape(spec)
-    if sh.kind == "single":
-        if sh.r == 0:
-            return m + sh.q - 1
-        if sh.q == 0:
-            return n + sh.r - 1
-        return sh.q + sh.r - 1
-    q, r, s, t = sh.q, sh.r, sh.s, sh.t
-    if q == 0 and t == 0:
-        return r + s - 2
-    if t == 0:
-        return q + r - 1
-    if q == 0:
-        return depth_formula(swap_blocks(spec))
-    return min(q + r, s + t) - 1
+    return _closed_forms(spec).depth
 
 
 def cm_classify(spec: MixedProductSpec) -> tuple[bool, CmCase]:
     """Cohen-Macaulay test by classification, with the branch that fired."""
-    n, m = spec.ambient.n, spec.ambient.m
-    sh = _shape(spec)
-    if sh.kind == "single":
-        if sh.r == 0 or sh.q == 0:
-            return True, CmCase.VERONESE
-        return (sh.q == n and sh.r == m), CmCase.PRODUCT
-    q, r, s, t = sh.q, sh.r, sh.s, sh.t
-    if q == 0 and t == 0:
-        return True, CmCase.DISJOINT_SUM
-    if t == 0:
-        return (s == q + 1 and r == m), CmCase.PRODUCT_PLUS_VERONESE
-    if q == 0:
-        return cm_classify(swap_blocks(spec))
-    return (r == m and s == n and t == m - 1 and q == n - 1), CmCase.TWO_PRODUCTS
+    forms = _closed_forms(spec)
+    return forms.cm, forms.case
 
 
 def formula_report(spec: MixedProductSpec) -> InvariantReport:
     """Bundle of the closed forms; pd comes from depth by
     Auslander-Buchsbaum and height from the dimension."""
     nv = spec.ambient.nvars
-    dim = dim_formula(spec)
-    depth = depth_formula(spec)
-    reg_ideal = reg_formula(spec)
-    cm, _ = cm_classify(spec)
+    forms = _closed_forms(spec)
     return InvariantReport(
-        dim=dim,
-        depth=depth,
-        pd=nv - depth,
-        reg_of_ideal=reg_ideal,
-        reg_of_quotient=reg_ideal - 1,
-        cm=cm,
-        height=nv - dim,
+        dim=forms.dim,
+        depth=forms.depth,
+        pd=nv - forms.depth,
+        reg_of_ideal=forms.reg,
+        reg_of_quotient=forms.reg - 1,
+        cm=forms.cm,
+        height=nv - forms.dim,
         method="formula",
         field=None,
     )
@@ -169,11 +138,11 @@ class SyzygyWitness:
 def syzygy_witness(spec: MixedProductSpec) -> SyzygyWitness:
     """The lexicographically first choice: u = x_1..x_q y_1..y_r,
     v = x_1..x_s y_1..y_t, with cofactors x_{q+1}..x_s and y_{t+1}..y_r."""
-    sh = _shape(spec)
-    if sh.kind != "double":
+    require_canonical(spec)
+    if len(spec.terms) != 2:
         raise UnsupportedShape(f"{spec} has no two-term syzygy witness")
     amb = spec.ambient
-    q, r, s, t = sh.q, sh.r, sh.s, sh.t
+    (q, r), (s, t) = spec.terms
     x = lambda i: i
     y = lambda j: amb.n + j
     u = SqFreeMonomial.from_indices(

@@ -6,7 +6,8 @@ import pytest
 
 import mixprod.cli
 import mixprod.core
-from mixprod import alexander_dual
+import mixprod.harness
+from mixprod import TeraiMismatch, alexander_dual
 from mixprod.cli import main
 
 
@@ -134,6 +135,21 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["mismatches"] == []
+
+
+    def test_exception_in_a_case_exits_one(self, capsys, monkeypatch):
+        real = mixprod.harness.oracle_report
+
+        def oracle(ideal, field):
+            if (ideal.ambient.n, ideal.ambient.m) == (1, 1):
+                raise TeraiMismatch("injected")
+            return real(ideal, field)
+
+        monkeypatch.setattr(mixprod.harness, "oracle_report", oracle)
+        code, out, _ = run(capsys, "sweep", "--max-n", "1", "--max-m", "1")
+        assert code == 1
+        assert "mismatches:        4" in out
+        assert "TeraiMismatch: injected" in out
 
 
 class TestWitness:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import mixprod.harness
 from mixprod import (
     GF2,
     RATIONALS,
@@ -14,10 +15,12 @@ from mixprod import (
     Mismatch,
     SweepConfig,
     SweepReport,
+    TeraiMismatch,
     WitnessFailure,
     enumerate_specs,
     run_sweep,
 )
+from mixprod.harness import _evaluate_case
 
 
 class TestEnumerate:
@@ -129,3 +132,59 @@ class TestReportSerialization:
         restored = SweepReport.from_json_dict(json.loads(blob))
         assert restored == report
         assert not restored.passed
+
+
+def _fail_on_1x1(monkeypatch):
+    """Make the oracle raise TeraiMismatch on every ideal of the 1x1 ambient."""
+    real = mixprod.harness.oracle_report
+
+    def oracle(ideal, field):
+        if (ideal.ambient.n, ideal.ambient.m) == (1, 1):
+            raise TeraiMismatch("injected")
+        return real(ideal, field)
+
+    monkeypatch.setattr(mixprod.harness, "oracle_report", oracle)
+
+
+class TestErrorsAsData:
+    def test_injected_exception_is_one_error_per_case(self, monkeypatch):
+        _fail_on_1x1(monkeypatch)
+        cfg = SweepConfig(max_n=2, max_m=2, fields=(RATIONALS, GF2))
+        report = run_sweep(cfg)
+        hit = [s for s in enumerate_specs(2, 2) if s.ambient == Ambient(1, 1)]
+        assert len(hit) == 4
+        assert report.mismatches == tuple(
+            Mismatch(s, f, "error", None, "TeraiMismatch: injected")
+            for s in hit
+            for f in (RATIONALS, GF2)
+        )
+        assert report.cases_run == 2 * len(enumerate_specs(2, 2))
+        assert not report.passed
+
+    def test_error_report_round_trips(self, monkeypatch):
+        _fail_on_1x1(monkeypatch)
+        report = run_sweep(SweepConfig(max_n=1, max_m=1, fields=(GF2,)))
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        assert doc["mismatches"][0] == {
+            "ambient": {"n": 1, "m": 1},
+            "ideal": [[0, 1]],
+            "field": "gf2",
+            "invariant": "error",
+            "formula": None,
+            "oracle": "TeraiMismatch: injected",
+        }
+        restored = SweepReport.from_json_dict(doc)
+        assert restored == report
+        assert not restored.passed
+
+    def test_formula_route_exception_is_recorded(self):
+        spec = MixedProductSpec(Ambient(2, 0), ((1, 0), (2, 0)))  # not canonical
+        (mm,) = _evaluate_case(spec, RATIONALS)
+        assert (mm.invariant, mm.formula_value) == ("error", None)
+        assert mm.oracle_value.startswith("UnsupportedShape: ")
+
+    def test_clean_run_adds_no_key(self):
+        doc = run_sweep(SweepConfig(max_n=1, max_m=1)).to_json_dict()
+        assert list(doc) == [
+            "config", "cases_run", "mismatches", "witness_failures", "elapsed_seconds",
+        ]

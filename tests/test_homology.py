@@ -227,6 +227,14 @@ class TestHomologyProperties:
             support |= f
         assert restrict(d, support).facets == d.facets
 
+    @settings(max_examples=80)
+    @given(small_complexes(), st.integers(0, 31))
+    def test_restrict_keeps_the_maximal_traces(self, d, w):
+        w &= d.vertices
+        traces = {f & w for f in d.facets}
+        maximal = [t for t in traces if not any(u != t and t & ~u == 0 for u in traces)]
+        assert restrict(d, w).facets == tuple(sorted(maximal))
+
 
 class TestComplexValidation:
     def test_facets_must_be_antichain(self):

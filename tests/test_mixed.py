@@ -3,6 +3,7 @@
 import pytest
 
 from mixprod import (
+    AMBIENT_CAP,
     GF2,
     Ambient,
     CmCase,
@@ -47,6 +48,18 @@ def all_canonical_specs(max_n, max_m):
                     for r in range(1, m + 1):
                         for t in range(r):
                             yield spec(n, m, (q, r), (s, t))
+
+
+def canonical_specs_in(n, m):
+    """Every canonical description over the one ambient (n, m)."""
+    singles = [spec(n, m, (k, l)) for k in range(n + 1) for l in range(m + 1) if k or l]
+    return singles + [
+        spec(n, m, (q, r), (s, t))
+        for s in range(1, n + 1)
+        for q in range(s)
+        for r in range(1, m + 1)
+        for t in range(r)
+    ]
 
 
 class TestRegFormula:
@@ -194,6 +207,24 @@ class TestFormulaProperties:
         for s in all_canonical_specs(4, 4):
             if len(s.terms) == 2:
                 assert reg_formula(s) == syzygy_witness(s).internal_degree - 1
+
+    def test_table_properties_up_to_the_cap(self):
+        specs = [
+            s
+            for n in range(AMBIENT_CAP + 1)
+            for m in range(AMBIENT_CAP + 1 - n)
+            for s in canonical_specs_in(n, m)
+        ]
+        assert len(specs) == 43452
+        for s in specs:
+            dim, depth, reg = dim_formula(s), depth_formula(s), reg_formula(s)
+            cm, _ = cm_classify(s)
+            assert cm == (depth == dim)
+            assert depth <= dim
+            sw = formula_report(swap_blocks(s))
+            assert (sw.dim, sw.depth, sw.reg_of_ideal, sw.cm) == (dim, depth, reg, cm)
+            if len(s.terms) == 2:
+                assert reg == syzygy_witness(s).internal_degree - 1
 
 
 class TestSyzygyWitness:

@@ -20,7 +20,7 @@ from .core import (
     minimal_primes,
     realize_spec,
 )
-from .errors import MixprodError
+from .errors import MixprodError, UnsupportedShape
 from .harness import SweepConfig, run_sweep, spec_to_json
 from .homology import FieldSpec
 from .invariants import BettiTable, InvariantReport, hochster_betti, oracle_report
@@ -125,7 +125,7 @@ def _make_spec(args: argparse.Namespace) -> MixedProductSpec:
     return canonicalize_spec(MixedProductSpec(ambient, args.terms))
 
 
-def _report_block(rep: InvariantReport, case: str) -> dict:
+def _report_block(rep: InvariantReport, case: str | None) -> dict:
     return {
         "dim": rep.dim,
         "depth": rep.depth,
@@ -181,13 +181,17 @@ def _invariants_table(doc: dict) -> str:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
     doc = _base_doc(spec, args.field)
-    _, case = cm_classify(spec)
+    try:
+        case = cm_classify(spec)[1].value
+    except UnsupportedShape:
+        # the oracle alone needs no formula; its block then has no case
+        if args.method != "oracle":
+            raise
+        case = None
     if args.method in ("formula", "both"):
-        doc["formula"] = _report_block(formula_report(spec), case.value)
+        doc["formula"] = _report_block(formula_report(spec), case)
     if args.method in ("oracle", "both"):
-        doc["oracle"] = _report_block(
-            oracle_report(realize_spec(spec), args.field), case.value
-        )
+        doc["oracle"] = _report_block(oracle_report(realize_spec(spec), args.field), case)
     mismatch = (
         args.method == "both"
         and doc["formula"] != doc["oracle"]

@@ -57,13 +57,14 @@ def spec_from_json(entry: dict) -> MixedProductSpec:
 @dataclass(frozen=True)
 class Mismatch:
     """One disagreement between the routes. Invariant "error" means a route
-    raised: formula_value is None and oracle_value is "<Type>: <message>"."""
+    raised: the value of each route that raised is "<Type>: <message>", and
+    that of a route that did not is None."""
 
     spec: MixedProductSpec
     field: FieldSpec
     invariant: str
-    formula_value: int | bool | None
-    oracle_value: int | bool | str
+    formula_value: int | bool | str | None
+    oracle_value: int | bool | str | None
 
 
 @dataclass(frozen=True)
@@ -165,14 +166,20 @@ def enumerate_specs(max_n: int, max_m: int) -> list[MixedProductSpec]:
 def _evaluate_case(
     spec: MixedProductSpec, fld: FieldSpec
 ) -> list[Mismatch]:
-    """Compare the two routes on one case. An exception raised by either
-    route becomes a single "error" mismatch, so one bad case cannot abort
-    the sweep."""
+    """Compare the two routes on one case. Exceptions raised by the routes
+    become a single "error" mismatch that names the route that raised, so
+    one bad case cannot abort the sweep."""
+    formula_error = oracle_error = None
     try:
         formula = formula_report(spec)
+    except Exception as e:
+        formula_error = f"{type(e).__name__}: {e}"
+    try:
         oracle = oracle_report(realize_spec(spec), fld)
     except Exception as e:
-        return [Mismatch(spec, fld, "error", None, f"{type(e).__name__}: {e}")]
+        oracle_error = f"{type(e).__name__}: {e}"
+    if formula_error or oracle_error:
+        return [Mismatch(spec, fld, "error", formula_error, oracle_error)]
     out = []
     for name in COMPARED:
         fv, ov = getattr(formula, name), getattr(oracle, name)
@@ -198,24 +205,19 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     report does not depend on scheduling."""
     start = time.perf_counter()
     specs = enumerate_specs(cfg.max_n, cfg.max_m)
-    units = [(spec, fld) for spec in specs for fld in cfg.fields]
-    mismatches: list[Mismatch] = []
-    if jobs > 1 and units:
+    unit_specs = [spec for spec in specs for _ in cfg.fields]
+    unit_fields = list(cfg.fields) * len(specs)
+    if jobs > 1 and unit_specs:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for found in pool.map(_evaluate_star, units, chunksize=8):
-                mismatches.extend(found)
+            found = list(pool.map(_evaluate_case, unit_specs, unit_fields, chunksize=8))
     else:
-        for spec, fld in units:
-            mismatches.extend(_evaluate_case(spec, fld))
+        found = list(map(_evaluate_case, unit_specs, unit_fields))
+    mismatches = [mm for case in found for mm in case]
     witness_failures: list[WitnessFailure] = []
     if cfg.include_witness_checks:
         for spec in specs:
             witness_failures.extend(_check_witnesses(spec))
-        seen_ambients = []
-        for spec in specs:
-            if spec.ambient not in seen_ambients:
-                seen_ambients.append(spec.ambient)
-        for amb in seen_ambients:
+        for amb in dict.fromkeys(spec.ambient for spec in specs):
             if amb.n >= 1 and amb.m >= 1:
                 if not verify_koszul_cycle(koszul_cycle_witness(amb)):
                     witness_failures.append(
@@ -223,12 +225,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
                     )
     return SweepReport(
         config=cfg,
-        cases_run=len(units),
+        cases_run=len(unit_specs),
         mismatches=tuple(mismatches),
         witness_failures=tuple(witness_failures),
         elapsed_seconds=time.perf_counter() - start,
     )
-
-
-def _evaluate_star(unit: tuple[MixedProductSpec, FieldSpec]) -> list[Mismatch]:
-    return _evaluate_case(*unit)

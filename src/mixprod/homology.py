@@ -133,9 +133,9 @@ def stanley_reisner(
     the supports of the generators of the Alexander dual: no subset walk
     is made. Pass `dual` when alexander_dual(a) is already at hand; by
     duality the complex of the dual then has the complements of a's own
-    generators as facets. hochster_betti restricts the complex to the
-    (n+1)(m+1) orbit representatives of a block-symmetric ideal and to all
-    2^(n+m) vertex subsets of any other. The zero ideal gives the full
+    generators as facets. hochster_betti restricts the complex to one
+    vertex subset per orbit of the ideal's interchangeable variables, read
+    off the generator set alone. The zero ideal gives the full
     simplex; an ideal containing every variable gives {<empty>}; the unit
     ideal is rejected (its complex would be void, which homology excludes).
     """

@@ -9,6 +9,7 @@ Depth is defined here through Auslander-Buchsbaum as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import MonomialIdeal, Ambient, alexander_dual
 from .errors import TeraiMismatch, UnsupportedIdeal
@@ -37,31 +38,34 @@ class BettiTable:
         return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
 
 
-def _block_symmetric(a: MonomialIdeal) -> bool:
-    """True iff the generator set is closed under every adjacent
-    transposition inside the x-block and inside the y-block (x_n and y_1
-    are never swapped). These generate S_n x S_m, so the ideal, its
-    Stanley-Reisner complex and its Betti numbers are then invariant under
-    every permutation of the variables within each block."""
+def _swap_classes(a: MonomialIdeal) -> list[int]:
+    """Masks of the classes of interchangeable variables: i and j share a
+    class iff swapping them maps the generator set to itself. The relation
+    is transitive, (i k) = (i j)(j k)(i j), so each variable is tested
+    against one member of each class found so far."""
     gens = set(a.gen_masks())
-    n, nv = a.ambient.n, a.ambient.nvars
-    for i in range(nv - 1):
-        if i == n - 1:
-            continue
-        swap = 0b11 << i
-        for g in gens:
-            if (g >> i ^ g >> (i + 1)) & 1 and g ^ swap not in gens:
-                return False
-    return True
+    classes: list[int] = []
+    for v in range(a.ambient.nvars):
+        for k, cls in enumerate(classes):
+            swap = (1 << v) | (cls & -cls)
+            if all(g ^ swap in gens for g in gens if (g & swap).bit_count() == 1):
+                classes[k] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
 
 
-def _subsets_by_size(bits: int, shift: int) -> list[list[int]]:
-    """Masks of the subsets of `bits` consecutive variables starting at bit
-    `shift`, grouped by size; each group starts with its lowest variables."""
-    groups: list[list[int]] = [[] for _ in range(bits + 1)]
-    for s in range(1 << bits):
-        groups[s.bit_count()].append(s << shift)
-    return groups
+def _subsets_by_size(cls: int) -> list[list[int]]:
+    """Submasks of the class mask `cls`, grouped by size; each group starts
+    with its lowest variables."""
+    groups: list[list[int]] = [[] for _ in range(cls.bit_count() + 1)]
+    sub = 0
+    while True:
+        groups[sub.bit_count()].append(sub)
+        if sub == cls:
+            return groups
+        sub = (sub - cls) & cls
 
 
 def hochster_betti(
@@ -73,38 +77,23 @@ def hochster_betti(
     The complex's facets are the complements of the dual's generators
     (see stanley_reisner); pass `dual` when alexander_dual(a) is known.
     oracle_report passes the ideal and its dual each other, so both of its
-    complexes come from generator complements. A block-symmetric ideal
-    (see _block_symmetric) has beta_{i,W} depending only on
-    (|W & X|, |W & Y|), so only the (n+1)(m+1) representatives
-    W_{a,b} = {x_1..x_a, y_1..y_b} are restricted, and each value counts
-    once for every member of its orbit, C(n,a)*C(m,b) times in all, in
-    the multigraded table and in the totals. Any other ideal walks all
-    2^(n+m) subsets. Restrictions whose facets share a vertex are cones,
+    complexes come from generator complements. The walk sees only the
+    generator set: permuting the variables inside each class of
+    _swap_classes fixes the ideal, so beta_{i,W} depends only on the
+    counts |W & C| over the classes C. One representative per count
+    vector, the lowest variables of each class, is restricted, prod(|C|+1)
+    in all, and its value counts once for every member of its orbit in the
+    multigraded table and in the totals. With singleton classes this is
+    the full 2^N walk. Restrictions whose facets share a vertex are cones,
     hence contractible, and are skipped.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
     delta = stanley_reisner(a, dual)
-    amb = a.ambient
-    if _block_symmetric(a):
-        xs, ys = _subsets_by_size(amb.n, 0), _subsets_by_size(amb.m, amb.n)
-        walk = [x[0] | y[0] for x in xs for y in ys]
-
-        def orbit(w: int) -> list[int]:
-            return [
-                x | y
-                for x in xs[(w & amb.x_mask).bit_count()]
-                for y in ys[(w & amb.y_mask).bit_count()]
-            ]
-
-    else:
-        walk = range(amb.full_mask + 1)
-
-        def orbit(w: int) -> list[int]:
-            return [w]
-
+    groups = [_subsets_by_size(cls) for cls in _swap_classes(a)]
     multigraded: dict[tuple[int, int], int] = {}
-    for w in walk:
+    for parts in product(*groups):
+        w = sum(p[0] for p in parts)
         dw = restrict(delta, w)
         common = dw.facets[0]
         for f in dw.facets[1:]:
@@ -114,8 +103,8 @@ def hochster_betti(
         jdeg = w.bit_count()
         for ihom, r in reduced_homology_ranks(dw, field).items():
             if r:
-                for v in orbit(w):
-                    multigraded[(jdeg - 1 - ihom, v)] = r
+                for v in product(*parts):
+                    multigraded[(jdeg - 1 - ihom, sum(v))] = r
     entries: dict[tuple[int, int], int] = {}
     for (i, w), r in multigraded.items():
         key = (i, w.bit_count())

@@ -7,7 +7,15 @@ import pytest
 import mixprod.cli
 import mixprod.core
 import mixprod.harness
-from mixprod import TeraiMismatch, alexander_dual
+from mixprod import (
+    GF3,
+    Ambient,
+    MixedProductSpec,
+    TeraiMismatch,
+    alexander_dual,
+    oracle_report,
+    realize_spec,
+)
 from mixprod.cli import main
 
 
@@ -70,6 +78,26 @@ class TestInvariants:
         )
         assert code == 1
         assert "error" in err
+
+    def test_oracle_route_needs_no_formula(self, capsys):
+        argv = ["invariants", "--n", "3", "--m", "3", "--terms", "0,3+1,2+2,0"]
+        code, out, _ = run(
+            capsys, *argv, "--method", "oracle", "--field", "gf3", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert "formula" not in doc
+        spec = MixedProductSpec(Ambient(3, 3), ((0, 3), (1, 2), (2, 0)))
+        rep = oracle_report(realize_spec(spec), GF3)
+        assert doc["oracle"] == {
+            "dim": rep.dim, "depth": rep.depth, "pd": rep.pd,
+            "reg_ideal": rep.reg_of_ideal, "reg_quotient": rep.reg_of_quotient,
+            "cm": rep.cm, "height": rep.height, "case": None,
+        }
+        for method in ("formula", "both"):
+            code, _, err = run(capsys, *argv, "--method", method)
+            assert code == 1
+            assert "formulas cover at most 2" in err
 
     def test_degree_out_of_range_is_validation_failure(self, capsys):
         code, _, err = run(

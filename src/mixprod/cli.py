@@ -263,7 +263,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             "internal_degree": w.internal_degree,
             "verified": good,
         }
-    if spec.ambient.n >= 1 and spec.ambient.m >= 1:
+    if spec.terms == ((1, 1),):  # the Koszul cycle certifies I_1J_1 only
         kz = koszul_cycle_witness(spec.ambient)
         good = verify_koszul_cycle(kz)
         ok &= good

@@ -14,6 +14,7 @@ from typing import Iterable
 
 from .errors import (
     AmbientMismatch,
+    CapExceeded,
     DegreeOutOfRange,
     SupportOutsideVertices,
     UnsupportedIdeal,
@@ -50,7 +51,7 @@ class Ambient:
         if self.nvars < 1:
             raise ValueError("ambient needs at least one variable")
         if self.nvars > AMBIENT_CAP:
-            raise ValueError(
+            raise CapExceeded(
                 f"ambient ({self.n},{self.m}) exceeds the {AMBIENT_CAP}-variable cap"
             )
 

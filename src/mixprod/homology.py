@@ -3,8 +3,10 @@
 Conventions: the reduced (augmented) chain complex is used throughout, so
 the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
 homology everywhere. The void complex (no faces at all) carries no
-homology and is rejected. All ranks are computed exactly: fraction-free
-integer elimination in characteristic 0, modular elimination over GF(p).
+homology and is rejected. All ranks are computed exactly: bit-packed
+elimination over GF(2); over Q and GF(p), p > 2, sparse elimination on
+unit pivots, with fraction-free (Bareiss) elimination only on a leftover
+core of rows without a +-1 entry over Q.
 """
 
 from __future__ import annotations
@@ -216,36 +218,60 @@ def _rank_gf2(rows: list[list[int]]) -> int:
     return rank
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    mat = [[v % p for v in row] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
+def _rank_sparse(rows: list[list[int]], p: int) -> int:
+    """Exact rank over Q (p = 0) or GF(p) by sparse elimination on unit
+    pivots: each step takes the shortest live row with a unit entry (+-1
+    over Q; any nonzero residue over GF(p)), clears that column from every
+    other row with exact integer (or mod-p) arithmetic and drops the pivot
+    row. Boundary matrices have +-1 entries, so over Q Bareiss only runs
+    on a core of rows with no unit left, if any; those rows are zero in
+    every pivot column, so the ranks add."""
+    if p:
+        rows = [[v % p for v in row] for row in rows]
+    live = [r for r in ({j: v for j, v in enumerate(row) if v} for row in rows) if r]
     rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if mat[i][col]), None)
+    while live:
+        pivot = None
+        for r in live:
+            if (pivot is None or len(r) < len(pivot)) and (
+                p or 1 in r.values() or -1 in r.values()
+            ):
+                pivot = r
         if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        row_p = mat[rank]
-        for i in range(nrows):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], row_p)]
-        rank += 1
-        if rank == nrows:
             break
+        col = next(j for j, v in pivot.items() if p or v in (1, -1))
+        # the multiplier that clears col: v / pivot[col], and 1/(+-1) = +-1
+        inv = pow(pivot[col], -1, p) if p else pivot[col]
+        rest = []
+        for r in live:
+            if r is pivot:
+                continue
+            f = r.get(col)
+            if f:
+                f *= inv
+                for j, v in pivot.items():
+                    w = r.get(j, 0) - f * v
+                    if p:
+                        w %= p
+                    if w:
+                        r[j] = w
+                    else:
+                        r.pop(j, None)
+                if not r:
+                    continue
+            rest.append(r)
+        live = rest
+        rank += 1
+    if live:
+        cols = sorted(set().union(*live))
+        rank += _rank_char0([[r.get(j, 0) for j in cols] for r in live])
     return rank
 
 
 def _matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
-    if field.char == 0:
-        return _rank_char0(rows)
     if field.char == 2:
         return _rank_gf2(rows)
-    return _rank_mod_p(rows, field.char)
+    return _rank_sparse(rows, field.char)
 
 
 # --- reduced homology --------------------------------------------------------

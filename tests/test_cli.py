@@ -99,6 +99,14 @@ class TestInvariants:
             assert code == 1
             assert "formulas cover at most 2" in err
 
+    def test_ambient_over_the_cap_is_validation_failure(self, capsys):
+        code, out, err = run(
+            capsys, "invariants", "--n", "9", "--m", "9", "--terms", "1,1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "exceeds the 16-variable cap" in err
+
     def test_degree_out_of_range_is_validation_failure(self, capsys):
         code, _, err = run(
             capsys, "invariants", "--n", "2", "--m", "0", "--terms", "3,0"
@@ -192,8 +200,8 @@ class TestWitness:
         assert doc["syzygy"]["verified"] is True
         assert doc["syzygy"]["internal_degree"] == 4
         assert doc["syzygy"]["u"] == "x1y1y2"
-        assert doc["koszul"]["verified"] is True
-        assert [s["sign"] for s in doc["koszul"]["summands"]] == [1, -1]
+        # the Koszul cycle certifies I_1J_1, not this ideal
+        assert "koszul" not in doc
 
     def test_single_term_koszul_only(self, capsys):
         code, out, _ = run(
@@ -210,6 +218,14 @@ class TestWitness:
             capsys, "witness", "--n", "3", "--m", "0", "--terms", "2,0"
         )
         assert code == 1
+        assert "no witness" in err
+
+    def test_koszul_cycle_not_printed_for_another_ideal(self, capsys):
+        code, out, err = run(
+            capsys, "witness", "--n", "2", "--m", "2", "--terms", "2,0"
+        )
+        assert code == 1
+        assert out == ""
         assert "no witness" in err
 
     def test_table_output(self, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mixprod import (
     Ambient,
     AmbientMismatch,
+    CapExceeded,
     DegreeOutOfRange,
     MixedProductSpec,
     MonomialIdeal,
@@ -367,3 +368,8 @@ class TestMonomialBasics:
             Ambient(-1, 2)
         with pytest.raises(ValueError):
             Ambient(10, 10)
+
+    def test_ambient_cap_is_cap_exceeded(self):
+        with pytest.raises(CapExceeded, match="16-variable cap"):
+            Ambient(10, 10)
+        assert Ambient(8, 8).nvars == 16

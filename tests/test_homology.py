@@ -1,5 +1,6 @@
 """Stanley-Reisner complexes, restrictions and exact homology ranks."""
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -26,7 +27,9 @@ from mixprod import (
     stanley_reisner,
     veronese_ideal,
 )
+from mixprod import homology
 from mixprod.core import vars_to_mask
+from mixprod.homology import _rank_char0, _rank_sparse
 
 
 def complex_of(*facets):
@@ -250,3 +253,80 @@ class TestComplexValidation:
         assert EMPTY_FACE_ONLY.dim == -1
         with pytest.raises(VoidComplex):
             VOID.dim
+
+
+# --- exact rank --------------------------------------------------------------
+
+
+def _rank_by_elimination(mat, p):
+    """Dense Gauss-Jordan elimination over Q (p = 0, in Fractions) or over
+    GF(p); the reference the package's rank routines are compared with."""
+    rows = [[Fraction(v) if p == 0 else v % p for v in row] for row in mat]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][c] if p == 0 else pow(rows[rank][c], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                if p:
+                    rows[i] = [a % p for a in rows[i]]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """0-9 rows by 0-9 columns, entries in [-7, 7], at a drawn density."""
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.integers(0, 10))
+    entry = st.integers(-7, 7)
+    return [
+        [draw(entry) if draw(st.integers(1, 10)) <= density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+class TestSparseRank:
+    @settings(max_examples=200)
+    @given(integer_matrices())
+    def test_rationals_match_bareiss_and_fractions(self, mat):
+        expected = _rank_by_elimination(mat, 0)
+        assert _rank_char0(mat) == expected
+        assert _rank_sparse(mat, 0) == expected
+
+    @settings(max_examples=200)
+    @given(integer_matrices(), st.sampled_from([3, 5, 7]))
+    def test_prime_fields_match_dense_elimination(self, mat, p):
+        assert _rank_sparse(mat, p) == _rank_by_elimination(mat, p)
+
+    @pytest.mark.parametrize(
+        "mat, ranks",
+        [
+            ([[2, 0], [0, 2]], {0: 2, 3: 2, 5: 2}),
+            # determinant -12: regular over Q and GF(5), singular over GF(3)
+            ([[2, 4], [4, 2]], {0: 2, 3: 1, 5: 2}),
+        ],
+    )
+    def test_matrices_without_units(self, mat, ranks):
+        for p, rank in ranks.items():
+            assert _rank_sparse(mat, p) == rank
+
+    def test_projective_plane_reaches_the_core(self, monkeypatch):
+        # over Q a boundary matrix of RP2 keeps only +-2 entries in some
+        # rows once every unit pivot is taken: Bareiss ranks that 3x1 core
+        cores = []
+
+        def bareiss(rows):
+            cores.append((len(rows), len(rows[0])))
+            return _rank_char0(rows)
+
+        monkeypatch.setattr(homology, "_rank_char0", bareiss)
+        faces = homology._canonical_faces(RP2)
+        ranks = homology._homology_of_faces.__wrapped__(faces, 0)
+        assert dict(ranks) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert cores == [(3, 1)]

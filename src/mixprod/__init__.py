@@ -32,6 +32,7 @@ from .errors import (
     CapExceeded,
     DegreeOutOfRange,
     EmptyBlock,
+    InvalidAmbient,
     MixprodError,
     SupportOutsideVertices,
     TeraiMismatch,

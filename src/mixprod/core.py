@@ -16,6 +16,7 @@ from .errors import (
     AmbientMismatch,
     CapExceeded,
     DegreeOutOfRange,
+    InvalidAmbient,
     SupportOutsideVertices,
     UnsupportedIdeal,
     UnsupportedShape,
@@ -47,9 +48,9 @@ class Ambient:
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.m < 0:
-            raise ValueError(f"negative block size in ambient ({self.n},{self.m})")
+            raise InvalidAmbient(f"negative block size in ambient ({self.n},{self.m})")
         if self.nvars < 1:
-            raise ValueError("ambient needs at least one variable")
+            raise InvalidAmbient("ambient needs at least one variable")
         if self.nvars > AMBIENT_CAP:
             raise CapExceeded(
                 f"ambient ({self.n},{self.m}) exceeds the {AMBIENT_CAP}-variable cap"

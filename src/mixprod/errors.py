@@ -5,6 +5,10 @@ class MixprodError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidAmbient(MixprodError, ValueError):
+    """An ambient has a negative block size or no variables at all."""
+
+
 class DegreeOutOfRange(MixprodError, ValueError):
     """A requested generator degree is negative or exceeds its block size."""
 

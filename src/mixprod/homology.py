@@ -3,10 +3,12 @@
 Conventions: the reduced (augmented) chain complex is used throughout, so
 the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
 homology everywhere. The void complex (no faces at all) carries no
-homology and is rejected. All ranks are computed exactly: bit-packed
-elimination over GF(2); over Q and GF(p), p > 2, sparse elimination on
-unit pivots, with fraction-free (Bareiss) elimination only on a leftover
-core of rows without a +-1 entry over Q.
+homology and is rejected. Homology is computed from the facets alone,
+relabelled onto dense vertex bits, which is also the cache key; the faces
+are enumerated only when the cache misses. All ranks are exact: bit-packed
+elimination over GF(2); over Q and GF(p), p > 2, sparse elimination that
+prefers unit pivots and, over Q, takes a Fraction multiplier only when no
+row has a +-1 entry left.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .core import MonomialIdeal, _minimalize, alexander_dual, mask_to_vars, vars_to_mask
+from .core import MonomialIdeal, _minimalize, alexander_dual, vars_to_mask
 from .errors import (
     AmbientMismatch,
     UnsupportedIdeal,
@@ -60,7 +62,10 @@ class FieldSpec:
         if t == "q":
             return cls(0)
         if t.startswith("gf") and t[2:].isdigit():
-            return cls(int(t[2:]))
+            p = int(t[2:])
+            if not _is_prime(p):  # gf0 included: characteristic 0 is spelled 'q'
+                raise ValueError(f"{p} is not prime")
+            return cls(p)
         raise ValueError(f"unknown field {token!r}; use 'q' or 'gf<p>'")
 
     def __str__(self) -> str:
@@ -109,21 +114,23 @@ class SimplicialComplex:
         fmask = vars_to_mask(face_vars)
         return any(fmask & ~f == 0 for f in self.facets)
 
-    def facet_sets(self) -> list[frozenset[int]]:
-        return [mask_to_vars(f) for f in self.facets]
-
     def all_faces(self) -> list[int]:
         """Every face mask, sorted ascending (deterministic)."""
-        seen: set[int] = set()
-        for f in self.facets:
-            sub = f
-            # standard submask walk, including 0
-            while True:
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        return sorted(seen)
+        return _faces(self.facets)
+
+
+def _faces(facets: Iterable[int]) -> list[int]:
+    """Every face of the complex with these facets, sorted ascending."""
+    seen: set[int] = set()
+    for f in facets:
+        sub = f
+        # standard submask walk, including 0
+        while True:
+            seen.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & f
+    return sorted(seen)
 
 
 def stanley_reisner(
@@ -166,38 +173,6 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
 # --- exact rank computations -------------------------------------------------
 
 
-def _rank_char0(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination over the integers; the result is
-    the rank over the rationals. Pivots are chosen with minimal magnitude
-    to limit entry growth; all divisions are exact."""
-    if not rows or not rows[0]:
-        return 0
-    mat = [row[:] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            v = mat[i][col]
-            if v and (pivot is None or abs(v) < abs(mat[pivot][col])):
-                pivot = i
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, nrows):
-            vi = mat[i][col]
-            row_i, row_p = mat[i], mat[rank]
-            for j in range(col, ncols):
-                row_i[j] = (row_i[j] * pv - vi * row_p[j]) // prev
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def _rank_gf2(rows: list[list[int]]) -> int:
     """Bit-packed elimination over GF(2)."""
     packed = []
@@ -219,13 +194,13 @@ def _rank_gf2(rows: list[list[int]]) -> int:
 
 
 def _rank_sparse(rows: list[list[int]], p: int) -> int:
-    """Exact rank over Q (p = 0) or GF(p) by sparse elimination on unit
-    pivots: each step takes the shortest live row with a unit entry (+-1
-    over Q; any nonzero residue over GF(p)), clears that column from every
-    other row with exact integer (or mod-p) arithmetic and drops the pivot
-    row. Boundary matrices have +-1 entries, so over Q Bareiss only runs
-    on a core of rows with no unit left, if any; those rows are zero in
-    every pivot column, so the ranks add."""
+    """Exact rank over Q (p = 0) or GF(p) by sparse elimination: each step
+    takes the shortest live row with a unit entry (+-1 over Q; any nonzero
+    residue over GF(p)), clears that column from every other row with
+    exact (or mod-p) arithmetic and drops the pivot row. Boundary matrices
+    have +-1 entries, so Q rows seldom run out of units (RP2's torsion
+    makes them); then the shortest row is the pivot, with a Fraction
+    multiplier."""
     if p:
         rows = [[v % p for v in row] for row in rows]
     live = [r for r in ({j: v for j, v in enumerate(row) if v} for row in rows) if r]
@@ -237,11 +212,17 @@ def _rank_sparse(rows: list[list[int]], p: int) -> int:
                 p or 1 in r.values() or -1 in r.values()
             ):
                 pivot = r
+        # the multiplier that clears col is v / pivot[col]
         if pivot is None:
-            break
-        col = next(j for j, v in pivot.items() if p or v in (1, -1))
-        # the multiplier that clears col: v / pivot[col], and 1/(+-1) = +-1
-        inv = pow(pivot[col], -1, p) if p else pivot[col]
+            # imported here, so that importing the package never loads it
+            from fractions import Fraction
+
+            pivot = min(live, key=len)
+            col = next(iter(pivot))
+            inv = Fraction(1, pivot[col])
+        else:
+            col = next(j for j, v in pivot.items() if p or v in (1, -1))
+            inv = pow(pivot[col], -1, p) if p else pivot[col]  # 1/(+-1) = +-1
         rest = []
         for r in live:
             if r is pivot:
@@ -262,9 +243,6 @@ def _rank_sparse(rows: list[list[int]], p: int) -> int:
             rest.append(r)
         live = rest
         rank += 1
-    if live:
-        cols = sorted(set().union(*live))
-        rank += _rank_char0([[r.get(j, 0) for j in cols] for r in live])
     return rank
 
 
@@ -278,13 +256,16 @@ def _matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def _homology_of_faces(faces: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
-    """Reduced homology ranks keyed by the face list itself (cacheable:
-    restrictions repeat heavily across Hochster sweeps). The faces come
-    sorted and closed under subsets, so every dimension from -1 to the top
-    has a bucket, and each bucket is sorted."""
+def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
+    """Reduced homology ranks of the complex with these facets over the
+    field of characteristic char, as (i, h~_i) pairs. The key is the facet
+    tuple that reduced_homology_ranks relabels onto dense vertex bits, so
+    restrictions of the same shape, which repeat heavily across Hochster
+    walks, share one entry, and the faces are enumerated only on a miss.
+    The name says faces though the key is facets; it is kept because the
+    benchmark's tracer (perfbench/spans.py) reads its cache_info."""
     by_dim: dict[int, list[int]] = {}
-    for f in faces:
+    for f in _faces(facets):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim)
     field = FieldSpec(char)
@@ -308,28 +289,19 @@ def _homology_of_faces(faces: tuple[int, ...], char: int) -> tuple[tuple[int, in
     )
 
 
-def _canonical_faces(d: SimplicialComplex) -> tuple[int, ...]:
-    """Faces relabelled onto dense vertex bits so equal-shaped complexes on
-    different vertex sets share cache entries."""
+def _canonical_facets(d: SimplicialComplex) -> tuple[int, ...]:
+    """Facets relabelled onto dense vertex bits. The relabelling keeps the
+    vertex order, so the tuple stays sorted, and complexes equal up to
+    such a renaming get the same key."""
     support = 0
     for f in d.facets:
         support |= f
-    bits = [i for i in range(support.bit_length()) if support >> i & 1]
-    remap = {b: j for j, b in enumerate(bits)}
-    faces = []
-    for f in d.all_faces():
-        g = 0
-        rest = f
-        while rest:
-            low = rest & -rest
-            g |= 1 << remap[low.bit_length() - 1]
-            rest ^= low
-        faces.append(g)
-    return tuple(sorted(faces))
+    bits = [1 << i for i in range(support.bit_length()) if support >> i & 1]
+    return tuple(sum(1 << j for j, b in enumerate(bits) if f & b) for f in d.facets)
 
 
 def reduced_homology_ranks(d: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """h~_i(d; field) for i = -1 .. dim(d), as a dict."""
     if d.is_void:
         raise VoidComplex("the void complex has no homology")
-    return dict(_homology_of_faces(_canonical_faces(d), field.char))
+    return dict(_homology_of_faces(_canonical_facets(d), field.char))

@@ -107,6 +107,13 @@ class TestInvariants:
         assert out == ""
         assert "exceeds the 16-variable cap" in err
 
+    @pytest.mark.parametrize("n, m", [("0", "0"), ("-1", "2")])
+    def test_invalid_ambient_is_validation_failure(self, capsys, n, m):
+        code, out, err = run(capsys, "invariants", "--n", n, "--m", m, "--terms", "0,0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "ambient" in err
+
     def test_degree_out_of_range_is_validation_failure(self, capsys):
         code, _, err = run(
             capsys, "invariants", "--n", "2", "--m", "0", "--terms", "3,0"
@@ -282,6 +289,14 @@ class TestUsageErrors:
             main(["betti", "--n", "2", "--m", "0", "--terms", "1,0", "--field", "gf6"])
         assert exc.value.code == 2
         assert "--field" in capsys.readouterr().err
+
+    def test_gf0_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "--n", "2", "--m", "2", "--terms", "1,1", "--field", "gf0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--field" in captured.err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,9 @@ from mixprod import (
     AmbientMismatch,
     CapExceeded,
     DegreeOutOfRange,
+    InvalidAmbient,
     MixedProductSpec,
+    MixprodError,
     MonomialIdeal,
     SqFreeMonomial,
     SupportOutsideVertices,
@@ -368,6 +370,15 @@ class TestMonomialBasics:
             Ambient(-1, 2)
         with pytest.raises(ValueError):
             Ambient(10, 10)
+
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [(0, 0, "at least one variable"), (-1, 2, r"negative block size in ambient \(-1,2\)")],
+    )
+    def test_bad_block_sizes_are_invalid_ambient(self, n, m, message):
+        with pytest.raises(InvalidAmbient, match=message) as exc:
+            Ambient(n, m)
+        assert isinstance(exc.value, MixprodError) and isinstance(exc.value, ValueError)
 
     def test_ambient_cap_is_cap_exceeded(self):
         with pytest.raises(CapExceeded, match="16-variable cap"):

@@ -1,13 +1,18 @@
 """Stanley-Reisner complexes, restrictions and exact homology ranks."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixprod
 from mixprod import (
     GF2,
     GF3,
@@ -29,7 +34,7 @@ from mixprod import (
 )
 from mixprod import homology
 from mixprod.core import vars_to_mask
-from mixprod.homology import _rank_char0, _rank_sparse
+from mixprod.homology import _rank_sparse
 
 
 def complex_of(*facets):
@@ -59,6 +64,8 @@ class TestFieldSpec:
         assert FieldSpec.parse("GF3") == GF3
         with pytest.raises(ValueError):
             FieldSpec.parse("gf4")
+        with pytest.raises(ValueError, match="0 is not prime"):
+            FieldSpec.parse("gf0")  # not the rationals, which are 'q'
         with pytest.raises(ValueError):
             FieldSpec.parse("r")
 
@@ -239,6 +246,48 @@ class TestHomologyProperties:
         assert restrict(d, w).facets == tuple(sorted(maximal))
 
 
+def relabelled(d, targets):
+    """The copy of d whose vertex bit i is moved to bit targets[i]."""
+
+    def move(mask):
+        return sum(1 << t for i, t in enumerate(targets) if mask >> i & 1)
+
+    return SimplicialComplex(move(d.vertices), tuple(sorted(move(f) for f in d.facets)))
+
+
+FIELDS = st.sampled_from([RATIONALS, GF2, GF3])
+
+
+class TestHomologyCache:
+    @settings(max_examples=60)
+    @given(small_complexes(), st.data(), FIELDS)
+    def test_ranks_are_invariant_under_vertex_permutations(self, d, data, field):
+        perm = data.draw(st.permutations(range(d.vertices.bit_length())))
+        uncached = dict(homology._homology_of_faces.__wrapped__(d.facets, field.char))
+        assert reduced_homology_ranks(d, field) == uncached
+        assert reduced_homology_ranks(relabelled(d, perm), field) == uncached
+
+    @settings(max_examples=60)
+    @given(small_complexes(), st.data(), FIELDS)
+    def test_order_preserving_copy_is_a_cache_hit(self, d, data, field):
+        nv = d.vertices.bit_length()
+        targets = data.draw(st.lists(st.integers(0, 15), min_size=nv, max_size=nv, unique=True))
+        copy = relabelled(d, sorted(targets))
+        homology._homology_of_faces.cache_clear()
+        assert reduced_homology_ranks(copy, field) == reduced_homology_ranks(d, field)
+        info = homology._homology_of_faces.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_equal_facet_sizes_do_not_share_an_entry(self):
+        # a hollow triangle and a path of three edges have facets of the
+        # same sizes but different homology
+        path = complex_of({1, 2}, {2, 3}, {3, 4})
+        homology._homology_of_faces.cache_clear()
+        assert reduced_homology_ranks(HOLLOW_TRIANGLE, RATIONALS) == {-1: 0, 0: 0, 1: 1}
+        assert reduced_homology_ranks(path, RATIONALS) == {-1: 0, 0: 0, 1: 0}
+        assert homology._homology_of_faces.cache_info().misses == 2
+
+
 class TestComplexValidation:
     def test_facets_must_be_antichain(self):
         with pytest.raises(ValueError):
@@ -296,7 +345,6 @@ class TestSparseRank:
     @given(integer_matrices())
     def test_rationals_match_bareiss_and_fractions(self, mat):
         expected = _rank_by_elimination(mat, 0)
-        assert _rank_char0(mat) == expected
         assert _rank_sparse(mat, 0) == expected
 
     @settings(max_examples=200)
@@ -316,17 +364,36 @@ class TestSparseRank:
         for p, rank in ranks.items():
             assert _rank_sparse(mat, p) == rank
 
-    def test_projective_plane_reaches_the_core(self, monkeypatch):
+    def test_projective_plane_takes_a_non_unit_pivot(self, monkeypatch):
         # over Q a boundary matrix of RP2 keeps only +-2 entries in some
-        # rows once every unit pivot is taken: Bareiss ranks that 3x1 core
-        cores = []
+        # rows once every unit pivot is taken; the next pivot is one of
+        # them, with the multiplier Fraction(1, +-2). GF(2) never needs one.
+        made = []
 
-        def bareiss(rows):
-            cores.append((len(rows), len(rows[0])))
-            return _rank_char0(rows)
+        def counting_fraction(*args):
+            made.append(args)
+            return Fraction(*args)
 
-        monkeypatch.setattr(homology, "_rank_char0", bareiss)
-        faces = homology._canonical_faces(RP2)
-        ranks = homology._homology_of_faces.__wrapped__(faces, 0)
+        # the rank code imports Fraction where it needs it, from this stand-in
+        monkeypatch.setitem(sys.modules, "fractions", SimpleNamespace(Fraction=counting_fraction))
+        facets = homology._canonical_facets(RP2)
+        ranks = homology._homology_of_faces.__wrapped__(facets, 0)
         assert dict(ranks) == {-1: 0, 0: 0, 1: 0, 2: 0}
-        assert cores == [(3, 1)]
+        assert made and made[0] in ((1, 2), (1, -2))
+        made.clear()
+        ranks = homology._homology_of_faces.__wrapped__(facets, 2)
+        assert dict(ranks) == {-1: 0, 0: 0, 1: 1, 2: 1}
+        assert not made
+
+    def test_importing_the_cli_loads_no_fractions_or_decimal(self):
+        # Fraction is imported lazily, on the first pivot without a unit
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import mixprod.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        src = Path(mixprod.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-E", "-S", "-c", code, str(src)],
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"

@@ -2,7 +2,8 @@
 
 Subcommands: invariants, betti, sweep, witness, dual. Ideals are written
 as `+`-separated (k,l) pairs, e.g. `--terms 1,2+2,1` for I_1J_2 + I_2J_1.
-Exit codes: 0 success, 1 mismatch or validation failure, 2 usage error.
+Exit codes: 0 success, 1 mismatch, validation failure or I/O error (such
+as an unwritable --out path), 2 usage error.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (MixprodError, ValueError) as e:
+    except (MixprodError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

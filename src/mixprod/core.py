@@ -9,7 +9,7 @@ is radical, so products are taken support-wise; see ideal_product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 from .errors import (
@@ -155,8 +155,11 @@ class SqFreeMonomial:
 def _minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     """Antichain of minimal supports under inclusion (sorted, deduplicated)."""
     kept: list[int] = []
+    below = 0  # kept[:below] have fewer variables than m; no other can divide it
     for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(k & ~m == 0 for k in kept):
+        while below < len(kept) and kept[below].bit_count() < m.bit_count():
+            below += 1
+        if not any(k & ~m == 0 for k in islice(kept, below)):
             kept.append(m)
     return tuple(sorted(kept))
 
@@ -184,16 +187,25 @@ class MonomialIdeal:
                 raise ValueError("generators are not an antichain")
 
     @classmethod
+    def _trusted(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":
+        """Build from masks the package has just made into a sorted,
+        duplicate-free antichain, skipping the quadratic checks of
+        __post_init__. Each mask is still checked against the ambient."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ambient", ambient)
+        object.__setattr__(ideal, "gens", tuple(SqFreeMonomial(ambient, m) for m in masks))
+        return ideal
+
+    @classmethod
     def from_monomials(
         cls, ambient: Ambient, monomials: Iterable[SqFreeMonomial]
     ) -> "MonomialIdeal":
         """Build an ideal from any generating set, minimalizing it."""
-        masks = _minimalize(m.mask for m in monomials)
-        return cls(ambient, tuple(SqFreeMonomial(ambient, m) for m in masks))
+        return cls._trusted(ambient, _minimalize(m.mask for m in monomials))
 
     @classmethod
     def from_masks(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":
-        return cls(ambient, tuple(SqFreeMonomial(ambient, m) for m in _minimalize(masks)))
+        return cls._trusted(ambient, _minimalize(masks))
 
     @classmethod
     def zero(cls, ambient: Ambient) -> "MonomialIdeal":
@@ -282,7 +294,18 @@ def alexander_dual(
 ) -> MonomialIdeal:
     """Intersection of the variable primes of the generators, relative to
     the given vertex set (default: all ambient variables). Involutive on a
-    fixed vertex set."""
+    fixed vertex set.
+
+    Its generators are the minimal transversals of the generator supports,
+    built by Berge's incremental algorithm (C. Berge, Hypergraphs, 1989,
+    ch. 2): at each generator g, the transversals that meet g are kept,
+    each other one is extended by one variable of g at a time, and an
+    extension survives unless it contains a kept transversal. The result
+    is a duplicate-free antichain with no minimalizing pass: if t | s lay
+    inside t' | s' for transversals t, t' missing g and s, s' in g, then t
+    would lie inside t', so t = t' and s = s'; and a kept transversal
+    containing t | s would strictly contain t, though both are minimal
+    transversals of the earlier generators."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
     vmask = a.ambient.full_mask if vertices is None else vars_to_mask(vertices)
@@ -294,14 +317,18 @@ def alexander_dual(
             raise SupportOutsideVertices(
                 f"generator {SqFreeMonomial(a.ambient, g)} uses variables outside the vertex set"
             )
-    # fold of prime intersections: each generator contributes the prime on
-    # its own variables, intersected pairwise (lcm) and minimalized
-    nv = a.ambient.nvars
-    current = _minimalize(1 << i for i in range(nv) if gens[0] >> i & 1)
-    for g in gens[1:]:
-        singles = [1 << i for i in range(nv) if g >> i & 1]
-        current = _minimalize(c | s for c in current for s in singles)
-    return MonomialIdeal.from_masks(a.ambient, current)
+    current = [0]
+    for g in gens:
+        kept = [t for t in current if t & g]
+        singles = [1 << i for i in range(g.bit_length()) if g >> i & 1]
+        current = kept + [
+            e
+            for t in current
+            if not t & g
+            for e in (t | s for s in singles)
+            if not any(k & ~e == 0 for k in kept)
+        ]
+    return MonomialIdeal._trusted(a.ambient, sorted(current))
 
 
 def minimal_primes(
@@ -379,14 +406,17 @@ def canonicalize_spec(raw: MixedProductSpec) -> MixedProductSpec:
 
 
 def realize_spec(spec: MixedProductSpec) -> MonomialIdeal:
-    """The actual ideal: sum over terms of I_k * J_l."""
-    total = MonomialIdeal.zero(spec.ambient)
+    """The actual ideal: sum over terms of I_k * J_l. Each term's
+    generators are the unions of a k-subset of the x-block with an
+    l-subset of the y-block; the union over all terms is minimalized once,
+    so non-canonical specs give the same ideal as their canonical form."""
+    amb = spec.ambient
+    masks: list[int] = []
     for k, l in spec.terms:
-        part = ideal_product(
-            veronese_ideal(spec.ambient, "x", k), veronese_ideal(spec.ambient, "y", l)
-        )
-        total = ideal_sum(total, part)
-    return total
+        xs = [vars_to_mask(c) for c in combinations(range(1, amb.n + 1), k)]
+        ys = [vars_to_mask(c) for c in combinations(range(amb.n + 1, amb.nvars + 1), l)]
+        masks += [x | y for x in xs for y in ys]
+    return MonomialIdeal._trusted(amb, _minimalize(masks))
 
 
 def swap_blocks(spec: MixedProductSpec) -> MixedProductSpec:

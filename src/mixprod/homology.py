@@ -99,6 +99,16 @@ class SimplicialComplex:
                 if f != g and f & ~g == 0:
                     raise ValueError("facets are not an antichain")
 
+    @classmethod
+    def _trusted(cls, vertices: int, facets: tuple[int, ...]) -> "SimplicialComplex":
+        """Build from facets the package has just made into a sorted,
+        duplicate-free antichain inside `vertices`, skipping the quadratic
+        checks of __post_init__."""
+        complex_ = object.__new__(cls)
+        object.__setattr__(complex_, "vertices", vertices)
+        object.__setattr__(complex_, "facets", facets)
+        return complex_
+
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -157,7 +167,7 @@ def stanley_reisner(
         dual = alexander_dual(a)
     elif dual.ambient != a.ambient:
         raise AmbientMismatch("the dual lives in a different ambient")
-    return SimplicialComplex(full, tuple(sorted(full ^ g for g in dual.gen_masks())))
+    return SimplicialComplex._trusted(full, tuple(sorted(full ^ g for g in dual.gen_masks())))
 
 
 def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
@@ -167,7 +177,7 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
         raise VerticesOutsideComplex("restriction vertices outside the complex")
     # maximal sets among f & w are the complements in w of the minimal w & ~f
     missing = _minimalize(wmask & ~f for f in d.facets)
-    return SimplicialComplex(wmask, tuple(sorted(wmask ^ g for g in missing)))
+    return SimplicialComplex._trusted(wmask, tuple(sorted(wmask ^ g for g in missing)))
 
 
 # --- exact rank computations -------------------------------------------------

@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mixprod
 import mixprod.cli
 import mixprod.core
 import mixprod.harness
@@ -139,6 +144,24 @@ class TestBetti:
         )
         assert code == 0
         assert "Betti table" in out
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path):
+        # a real process, so that an uncaught OSError would show its traceback
+        target = tmp_path / "missing" / "x.json"
+        src = str(Path(mixprod.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixprod.cli", "betti", "--n", "2", "--m", "2",
+             "--terms", "1,1", "--out", str(target)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and str(target) in lines[0]
+        assert "Traceback" not in proc.stderr
+        assert not target.exists()
 
 
 class TestSweep:

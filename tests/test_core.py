@@ -15,6 +15,7 @@ from mixprod import (
     MixedProductSpec,
     MixprodError,
     MonomialIdeal,
+    SimplicialComplex,
     SqFreeMonomial,
     SupportOutsideVertices,
     UnsupportedIdeal,
@@ -27,9 +28,12 @@ from mixprod import (
     krull_dim,
     minimal_primes,
     realize_spec,
+    restrict,
+    stanley_reisner,
     swap_blocks,
     veronese_ideal,
 )
+from mixprod.core import vars_to_mask
 
 
 def ideal(ambient, *monomials):
@@ -69,6 +73,33 @@ def proper_ideals(draw):
     full = amb.full_mask
     masks = draw(st.lists(st.integers(1, full), min_size=1, max_size=6))
     return MonomialIdeal.from_masks(amb, masks)
+
+
+# up to 8 variables and 12 generators of degrees 1..4, so that the
+# transversals Berge's algorithm keeps, extends and prunes are many
+@st.composite
+def wide_ideals(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 8 - n))
+    amb = Ambient(n, m)
+    supports = draw(
+        st.lists(
+            st.sets(st.integers(1, amb.nvars), min_size=1, max_size=4),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return MonomialIdeal.from_masks(amb, [vars_to_mask(s) for s in supports])
+
+
+@st.composite
+def raw_specs(draw):
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(1 if n == 0 else 0, 4))
+    terms = draw(
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, m)), min_size=1, max_size=3)
+    )
+    return MixedProductSpec(Ambient(n, m), tuple(terms))
 
 
 class TestVeronese:
@@ -252,6 +283,60 @@ class TestAlexanderDual:
         assert sorted(
             (g.support for g in dual.gens), key=lambda s: (len(s), sorted(s))
         ) == brute_minimal_primes(a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_ideals())
+    def test_many_mixed_degree_generators(self, a):
+        dual = alexander_dual(a)
+        assert [g.support for g in dual.gens] == sorted(
+            brute_minimal_primes(a), key=vars_to_mask
+        )
+        assert alexander_dual(dual) == a
+
+
+class TestPublicConstructors:
+    """The package builds its own antichains without re-checking them;
+    the public constructors still check everything they are given."""
+
+    AMB = Ambient(2, 1)
+
+    def mono(self, text):
+        return SqFreeMonomial.parse(self.AMB, text)
+
+    def test_unsorted_generators_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            MonomialIdeal(self.AMB, (self.mono("x2"), self.mono("x1")))
+
+    def test_duplicate_generators_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            MonomialIdeal(self.AMB, (self.mono("x1"), self.mono("x1")))
+
+    def test_non_antichain_rejected(self):
+        with pytest.raises(ValueError, match="antichain"):
+            MonomialIdeal(self.AMB, (self.mono("x1"), self.mono("x1x2")))
+
+    def test_generator_from_another_ambient_rejected(self):
+        other = SqFreeMonomial.parse(Ambient(3, 0), "x3")
+        with pytest.raises(AmbientMismatch):
+            MonomialIdeal(self.AMB, (self.mono("x1"), other))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_ideals(), raw_specs(), st.integers(0, 2**8 - 1))
+    def test_internal_values_pass_the_public_checks(self, a, spec, w):
+        def again(i):
+            return MonomialIdeal(i.ambient, i.gens)
+
+        dual = alexander_dual(a)
+        built = (
+            dual,
+            MonomialIdeal.from_masks(a.ambient, a.gen_masks() + dual.gen_masks()),
+            realize_spec(spec),
+        )
+        for ideal in built:
+            assert again(ideal) == ideal
+        delta = stanley_reisner(a)
+        for d in (delta, restrict(delta, w & a.ambient.full_mask)):
+            assert SimplicialComplex(d.vertices, d.facets) == d
 
 
 class TestMinimalPrimes:

@@ -200,8 +200,14 @@ class MonomialIdeal:
     def from_monomials(
         cls, ambient: Ambient, monomials: Iterable[SqFreeMonomial]
     ) -> "MonomialIdeal":
-        """Build an ideal from any generating set, minimalizing it."""
-        return cls._trusted(ambient, _minimalize(m.mask for m in monomials))
+        """Build an ideal from any generating set, minimalizing it. Every
+        monomial must live in `ambient`."""
+        masks = []
+        for m in monomials:
+            if m.ambient != ambient:
+                raise AmbientMismatch("generator from a different ambient")
+            masks.append(m.mask)
+        return cls._trusted(ambient, _minimalize(masks))
 
     @classmethod
     def from_masks(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":

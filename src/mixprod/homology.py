@@ -5,10 +5,12 @@ the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
 homology everywhere. The void complex (no faces at all) carries no
 homology and is rejected. Homology is computed from the facets alone,
 relabelled onto dense vertex bits, which is also the cache key; the faces
-are enumerated only when the cache misses. All ranks are exact: bit-packed
-elimination over GF(2); over Q and GF(p), p > 2, sparse elimination that
-prefers unit pivots and, over Q, takes a Fraction multiplier only when no
-row has a +-1 entry left.
+are enumerated only when the cache misses, and each boundary map is built
+as sparse columns, one {row: +-1} dict per face, never as a dense matrix.
+All ranks are exact: over GF(2) the columns are packed into ints and
+reduced against a basis keyed by lowest bit; over Q and GF(p), p > 2,
+sparse elimination prefers unit pivots and, over Q, takes a Fraction
+multiplier only when no column has a +-1 entry left.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ def stanley_reisner(
     the supports of the generators of the Alexander dual: no subset walk
     is made. Pass `dual` when alexander_dual(a) is already at hand; by
     duality the complex of the dual then has the complements of a's own
-    generators as facets. hochster_betti restricts the complex to one
-    vertex subset per orbit of the ideal's interchangeable variables, read
-    off the generator set alone. The zero ideal gives the full
+    generators as facets. hochster_betti visits one vertex subset per
+    orbit of the ideal's interchangeable variables, read off the generator
+    set alone, and restricts the complex only to the subsets where the
+    restriction is no cone. The zero ideal gives the full
     simplex; an ideal containing every variable gives {<empty>}; the unit
     ideal is rejected (its complex would be void, which homology excludes).
     """
@@ -183,37 +186,38 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
 # --- exact rank computations -------------------------------------------------
 
 
-def _rank_gf2(rows: list[list[int]]) -> int:
-    """Bit-packed elimination over GF(2)."""
-    packed = []
-    for row in rows:
-        acc = 0
-        for j, v in enumerate(row):
-            if v & 1:
-                acc |= 1 << j
-        if acc:
-            packed.append(acc)
-    rank = 0
-    while packed:
-        piv = packed.pop()
-        rank += 1
-        low = piv & -piv
-        packed = [r ^ piv if r & low else r for r in packed]
-        packed = [r for r in packed if r]
-    return rank
+def _rank_gf2(cols: list[dict[int, int]]) -> int:
+    """Rank over GF(2): each column is packed into an int, one bit per odd
+    entry, and reduced against a basis keyed by lowest set bit; a column
+    that survives joins the basis."""
+    basis: dict[int, int] = {}
+    for col in cols:
+        v = 0
+        for j, e in col.items():
+            if e & 1:
+                v |= 1 << j
+        while v:
+            low = v & -v
+            b = basis.get(low)
+            if b is None:
+                basis[low] = v
+                break
+            v ^= b
+    return len(basis)
 
 
-def _rank_sparse(rows: list[list[int]], p: int) -> int:
-    """Exact rank over Q (p = 0) or GF(p) by sparse elimination: each step
-    takes the shortest live row with a unit entry (+-1 over Q; any nonzero
-    residue over GF(p)), clears that column from every other row with
-    exact (or mod-p) arithmetic and drops the pivot row. Boundary matrices
-    have +-1 entries, so Q rows seldom run out of units (RP2's torsion
-    makes them); then the shortest row is the pivot, with a Fraction
+def _rank_sparse(cols: list[dict[int, int]], p: int) -> int:
+    """Exact rank over Q (p = 0) or GF(p) of sparse vectors {index: entry}
+    by elimination: each step takes the shortest live vector with a unit
+    entry (+-1 over Q; any nonzero residue over GF(p)), clears that index
+    from every other vector with exact (or mod-p) arithmetic and drops the
+    pivot. Over Q the vectors are consumed in place. Boundary matrices
+    have +-1 entries, so Q vectors seldom run out of units (RP2's torsion
+    makes them); then the shortest vector is the pivot, with a Fraction
     multiplier."""
     if p:
-        rows = [[v % p for v in row] for row in rows]
-    live = [r for r in ({j: v for j, v in enumerate(row) if v} for row in rows) if r]
+        cols = [{j: v % p for j, v in c.items() if v % p} for c in cols]
+    live = [c for c in cols if c]
     rank = 0
     while live:
         pivot = None
@@ -256,10 +260,11 @@ def _rank_sparse(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
+def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> int:
+    """Rank of the matrix with these sparse columns {row: entry}."""
     if field.char == 2:
-        return _rank_gf2(rows)
-    return _rank_sparse(rows, field.char)
+        return _rank_gf2(cols)
+    return _rank_sparse(cols, field.char)
 
 
 # --- reduced homology --------------------------------------------------------
@@ -270,10 +275,13 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     """Reduced homology ranks of the complex with these facets over the
     field of characteristic char, as (i, h~_i) pairs. The key is the facet
     tuple that reduced_homology_ranks relabels onto dense vertex bits, so
-    restrictions of the same shape, which repeat heavily across Hochster
-    walks, share one entry, and the faces are enumerated only on a miss.
-    The name says faces though the key is facets; it is kept because the
-    benchmark's tracer (perfbench/spans.py) reads its cache_info."""
+    complexes of the same shape, restrictions and their Alexander duals
+    inside W alike, which repeat heavily across Hochster walks, share one
+    entry, and the faces are enumerated only on a miss.
+    Each boundary map C_i -> C_{i-1} is built as sparse columns, one
+    {row: +-1} dict per i-face, and no dense matrix is made. The name says
+    faces though the key is facets; it is kept because the benchmark's
+    tracer (perfbench/spans.py) reads its cache_info."""
     by_dim: dict[int, list[int]] = {}
     for f in _faces(facets):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
@@ -281,18 +289,19 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     field = FieldSpec(char)
     ranks: dict[int, int] = {}  # i -> rank of the boundary map C_i -> C_{i-1}
     for i in range(top + 1):
-        lower, upper = by_dim[i - 1], by_dim[i]
-        index = {f: r for r, f in enumerate(lower)}
-        mat = [[0] * len(upper) for _ in lower]
-        for col, f in enumerate(upper):
+        index = {f: r for r, f in enumerate(by_dim[i - 1])}
+        cols = []
+        for f in by_dim[i]:
+            col = {}
             sign = 1
             rest = f
             while rest:
                 low = rest & -rest
-                mat[index[f ^ low]][col] = sign
+                col[index[f ^ low]] = sign
                 sign = -sign
                 rest ^= low
-        ranks[i] = _matrix_rank(mat, field)
+            cols.append(col)
+        ranks[i] = _matrix_rank(cols, field)
     return tuple(
         (i, len(by_dim[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))
         for i in range(-1, top + 1)

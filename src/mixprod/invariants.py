@@ -15,6 +15,7 @@ from .core import MonomialIdeal, Ambient, alexander_dual
 from .errors import TeraiMismatch, UnsupportedIdeal
 from .homology import (
     FieldSpec,
+    SimplicialComplex,
     reduced_homology_ranks,
     restrict,
     stanley_reisner,
@@ -68,6 +69,42 @@ def _subsets_by_size(cls: int) -> list[list[int]]:
         sub = (sub - cls) & cls
 
 
+def _dual_is_smaller(primal: SimplicialComplex, dual: SimplicialComplex) -> bool:
+    """Whether the dual side has the smaller face bound sum(2^|F|) over the
+    facets F."""
+    return sum(1 << f.bit_count() for f in dual.facets) < sum(
+        1 << f.bit_count() for f in primal.facets
+    )
+
+
+def _betti_at(
+    delta: SimplicialComplex, gens: tuple[int, ...], w: int, field: FieldSpec
+) -> dict[int, int]:
+    """{i: beta_{i,W}(S/I)} for the vertex subset w; an i it leaves out
+    has beta_{i,W} = 0.
+
+    The minimal non-faces of Delta|_W are the generators g inside W, so
+    Delta|_W is a cone, hence acyclic, exactly when they miss a vertex of
+    W. Otherwise its Alexander dual inside W has the facets W - g, and
+    combinatorial Alexander duality gives h~_k(Delta|_W) = h~_{|W|-k-3} of
+    the dual, so beta_{i,W} = h~_{|W|-i-1}(Delta|_W) = h~_{i-2} of the
+    dual. The homology is taken of whichever side _dual_is_smaller picks.
+    """
+    if not w:
+        return {0: 1}
+    inside = [g for g in gens if g & ~w == 0]
+    cover = 0
+    for g in inside:
+        cover |= g
+    if cover != w:
+        return {}
+    primal = restrict(delta, w)
+    dual = SimplicialComplex._trusted(w, tuple(sorted(w ^ g for g in inside)))
+    if _dual_is_smaller(primal, dual):
+        return {k + 2: r for k, r in reduced_homology_ranks(dual, field).items()}
+    return {w.bit_count() - 1 - k: r for k, r in reduced_homology_ranks(primal, field).items()}
+
+
 def hochster_betti(
     a: MonomialIdeal, field: FieldSpec, dual: MonomialIdeal | None = None
 ) -> BettiTable:
@@ -81,30 +118,27 @@ def hochster_betti(
     generator set: permuting the variables inside each class of
     _swap_classes fixes the ideal, so beta_{i,W} depends only on the
     counts |W & C| over the classes C. One representative per count
-    vector, the lowest variables of each class, is restricted, prod(|C|+1)
-    in all, and its value counts once for every member of its orbit in the
-    multigraded table and in the totals. With singleton classes this is
-    the full 2^N walk. Restrictions whose facets share a vertex are cones,
-    hence contractible, and are skipped.
+    vector, the lowest variables of each class, is evaluated by _betti_at,
+    prod(|C|+1) in all, and its value counts once for every member of its
+    orbit in the multigraded table and in the totals. With singleton
+    classes this is the full 2^N walk. W = {} gives beta_{0,{}} = 1, and a
+    W whose generators miss one of its vertices gives a cone and is
+    skipped without restricting. Every other W takes the homology of
+    Delta|_W or of its Alexander dual inside W, whichever has the smaller
+    face bound; the dual side reads beta_{i,W} = h~_{i-2} of the dual.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
     delta = stanley_reisner(a, dual)
+    gens = a.gen_masks()
     groups = [_subsets_by_size(cls) for cls in _swap_classes(a)]
     multigraded: dict[tuple[int, int], int] = {}
     for parts in product(*groups):
         w = sum(p[0] for p in parts)
-        dw = restrict(delta, w)
-        common = dw.facets[0]
-        for f in dw.facets[1:]:
-            common &= f
-        if common:
-            continue
-        jdeg = w.bit_count()
-        for ihom, r in reduced_homology_ranks(dw, field).items():
+        for i, r in _betti_at(delta, gens, w, field).items():
             if r:
                 for v in product(*parts):
-                    multigraded[(jdeg - 1 - ihom, sum(v))] = r
+                    multigraded[(i, sum(v))] = r
     entries: dict[tuple[int, int], int] = {}
     for (i, w), r in multigraded.items():
         key = (i, w.bit_count())

@@ -320,6 +320,14 @@ class TestPublicConstructors:
         with pytest.raises(AmbientMismatch):
             MonomialIdeal(self.AMB, (self.mono("x1"), other))
 
+    def test_monomial_from_another_ambient_rejected(self):
+        # the mask of x3 in (3, 0) would read as y1 in (2, 1)
+        other = SqFreeMonomial.parse(Ambient(3, 0), "x3")
+        with pytest.raises(AmbientMismatch):
+            MonomialIdeal.from_monomials(self.AMB, [self.mono("x1"), other])
+        with pytest.raises(AmbientMismatch):
+            MonomialIdeal.from_monomials(self.AMB, [other])
+
     @settings(max_examples=60, deadline=None)
     @given(wide_ideals(), raw_specs(), st.integers(0, 2**8 - 1))
     def test_internal_values_pass_the_public_checks(self, a, spec, w):

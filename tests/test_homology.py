@@ -34,7 +34,7 @@ from mixprod import (
 )
 from mixprod import homology
 from mixprod.core import vars_to_mask
-from mixprod.homology import _rank_sparse
+from mixprod.homology import _rank_gf2, _rank_sparse
 
 
 def complex_of(*facets):
@@ -340,17 +340,29 @@ def integer_matrices(draw):
     ]
 
 
+def columns_of(mat):
+    """The matrix as sparse columns {row: entry}, the form the package's
+    rank routines take."""
+    ncols = len(mat[0]) if mat else 0
+    return [{i: row[c] for i, row in enumerate(mat) if row[c]} for c in range(ncols)]
+
+
 class TestSparseRank:
     @settings(max_examples=200)
     @given(integer_matrices())
     def test_rationals_match_bareiss_and_fractions(self, mat):
         expected = _rank_by_elimination(mat, 0)
-        assert _rank_sparse(mat, 0) == expected
+        assert _rank_sparse(columns_of(mat), 0) == expected
 
     @settings(max_examples=200)
     @given(integer_matrices(), st.sampled_from([3, 5, 7]))
     def test_prime_fields_match_dense_elimination(self, mat, p):
-        assert _rank_sparse(mat, p) == _rank_by_elimination(mat, p)
+        assert _rank_sparse(columns_of(mat), p) == _rank_by_elimination(mat, p)
+
+    @settings(max_examples=200)
+    @given(integer_matrices())
+    def test_gf2_matches_dense_elimination(self, mat):
+        assert _rank_gf2(columns_of(mat)) == _rank_by_elimination(mat, 2)
 
     @pytest.mark.parametrize(
         "mat, ranks",
@@ -362,11 +374,11 @@ class TestSparseRank:
     )
     def test_matrices_without_units(self, mat, ranks):
         for p, rank in ranks.items():
-            assert _rank_sparse(mat, p) == rank
+            assert _rank_sparse(columns_of(mat), p) == rank
 
     def test_projective_plane_takes_a_non_unit_pivot(self, monkeypatch):
         # over Q a boundary matrix of RP2 keeps only +-2 entries in some
-        # rows once every unit pivot is taken; the next pivot is one of
+        # columns once every unit pivot is taken; the next pivot is one of
         # them, with the multiplier Fraction(1, +-2). GF(2) never needs one.
         made = []
 

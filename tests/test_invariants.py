@@ -335,16 +335,19 @@ def canonical_specs(draw):
     return spec
 
 
+_betti_at = mixprod.invariants._betti_at
+
+
 @pytest.fixture
-def restrict_calls(monkeypatch):
-    """Counts the restrictions hochster_betti makes."""
+def subsets_walked(monkeypatch):
+    """Counts the vertex subsets W at which hochster_betti evaluates."""
     calls = []
 
-    def counting(d, w):
+    def counting(delta, gens, w, *rest):
         calls.append(w)
-        return restrict(d, w)
+        return _betti_at(delta, gens, w, *rest)
 
-    monkeypatch.setattr(mixprod.invariants, "restrict", counting)
+    monkeypatch.setattr(mixprod.invariants, "_betti_at", counting)
     return calls
 
 
@@ -384,12 +387,12 @@ class TestOrbitWalk:
     def test_any_ideal_walks_one_subset_per_orbit(self, a, field):
         walked = []
 
-        def counting(d, w):
+        def counting(delta, gens, w, *rest):
             walked.append(w)
-            return restrict(d, w)
+            return _betti_at(delta, gens, w, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "restrict", counting)
+            mp.setattr(mixprod.invariants, "_betti_at", counting)
             got = hochster_betti(a, field)
         assert len(walked) == prod(size + 1 for size in swap_classes_by_pairs(a))
         # No complex on at most five vertices has torsion, so there the
@@ -398,7 +401,7 @@ class TestOrbitWalk:
             assert got.entries == brute_hochster_q(a.ambient.nvars, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, field)
 
-    # One restriction per count vector, prod(|C| + 1) over the classes C.
+    # One subset per count vector, prod(|C| + 1) over the classes C.
     @pytest.mark.parametrize(
         "n, m, gens, walked",
         [
@@ -416,10 +419,10 @@ class TestOrbitWalk:
             (2, 2, ("x1x2", "x2y1", "y1y2"), 16),
         ],
     )
-    def test_symmetry_gate(self, restrict_calls, n, m, gens, walked):
+    def test_symmetry_gate(self, subsets_walked, n, m, gens, walked):
         a = ideal(Ambient(n, m), *gens)
         got = hochster_betti(a, GF2)
-        assert len(restrict_calls) == walked
+        assert len(subsets_walked) == walked
         assert got.entries == brute_hochster_q(n + m, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
@@ -440,3 +443,116 @@ class TestOrbitWalk:
         calls.clear()
         oracle_report(ideal(Ambient(2, 2), "x1y1", "x2"), GF2)
         assert len(calls) == 1
+
+
+# --- Alexander duality inside W ----------------------------------------------
+# hochster_betti takes, at each W, the homology of Delta|_W or of its
+# Alexander dual inside W, whichever _dual_is_smaller picks. Forcing each
+# side in turn must give the same tables as the independent oracle and the
+# full primal walk.
+
+
+def forced_side(monkeypatch, dual):
+    """Make hochster_betti take one side at every non-cone W; returns the
+    list of its choices."""
+    chosen = []
+
+    def choose(primal, dual_complex):
+        chosen.append(dual)
+        return dual
+
+    monkeypatch.setattr(mixprod.invariants, "_dual_is_smaller", choose)
+    return chosen
+
+
+def stanley_reisner_ideal(ambient, facets):
+    """The ideal of the non-faces of the complex with these facets."""
+    full = ambient.full_mask
+    return MonomialIdeal.from_masks(
+        ambient, [s for s in range(full + 1) if not any(s & ~f == 0 for f in facets)]
+    )
+
+
+class TestDualityInsideW:
+    @settings(max_examples=60, deadline=None)
+    @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
+    def test_each_side_matches_independent_oracle_and_full_walk(self, a, field):
+        expected = full_walk_multigraded(a, field)
+        for dual in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                chosen = forced_side(mp, dual)
+                got = hochster_betti(a, field)
+            assert chosen and set(chosen) == {dual}
+            assert got.multigraded == expected
+            if field == RATIONALS or a.ambient.nvars <= 5:
+                assert got.entries == brute_hochster_q(a.ambient.nvars, supports_of(a))
+
+    @pytest.mark.parametrize("field", [RATIONALS, GF2])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_projective_plane(self, monkeypatch, field, dual):
+        # RP2 itself is the restriction to all six vertices: over GF(2) it
+        # has h~_1 = h~_2 = 1, so beta_{4,V} = beta_{3,V} = 1; over Q none.
+        from test_homology import RP2
+
+        amb = Ambient(6, 0)
+        a = stanley_reisner_ideal(amb, RP2.facets)
+        chosen = forced_side(monkeypatch, dual)
+        got = hochster_betti(a, field)
+        assert chosen and set(chosen) == {dual}
+        assert got.multigraded == full_walk_multigraded(a, field)
+        top = {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask}
+        assert top == ({3: 1, 4: 1} if field == GF2 else {})
+        if field == RATIONALS:
+            assert got.entries == brute_hochster_q(6, supports_of(a))
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_vertex_in_every_generator_inside_w(self, monkeypatch, dual):
+        # At W = {1,2,3} both generators hold x1, so the dual inside W,
+        # with facets {3} and {2}, does not reach x1; the shift still
+        # counts |W| = 3: two points, h~_0 = 1, give beta_{2,W} = 1.
+        a = ideal(Ambient(3, 0), "x1x2", "x1x3")
+        chosen = forced_side(monkeypatch, dual)
+        got = hochster_betti(a, GF2)
+        assert chosen and set(chosen) == {dual}
+        assert got.multigraded == {(0, 0): 1, (1, 0b011): 1, (1, 0b101): 1, (2, 0b111): 1}
+        assert got.multigraded == full_walk_multigraded(a, GF2)
+
+    def test_smaller_face_bound_wins(self):
+        # At the full W, the complex of I_1J_1 is two disjoint simplices,
+        # and its dual inside W has the nine facets W minus x_i y_j. The
+        # complex of the dual ideal I_3 + J_3 is the join of two simplex
+        # boundaries, and its dual inside W is two simplices again.
+        a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 1),)))
+        w = a.ambient.full_mask
+        for b, dual_wins in ((a, False), (alexander_dual(a), True)):
+            primal = restrict(mixprod.homology.stanley_reisner(b), w)
+            dual = SimplicialComplex._trusted(
+                w, tuple(sorted(w ^ g for g in b.gen_masks()))
+            )
+            assert mixprod.invariants._dual_is_smaller(primal, dual) == dual_wins
+
+
+class TestConeCheck:
+    @settings(max_examples=80, deadline=None)
+    @given(squarefree_ideals())
+    def test_generator_cover_agrees_with_facet_intersection(self, a):
+        # Delta|_W is a cone iff its facets share a vertex; the walk reads
+        # that off the generators inside W instead, and a cone W is never
+        # restricted.
+        delta = mixprod.homology.stanley_reisner(a)
+        gens = a.gen_masks()
+        for w in range(1, a.ambient.full_mask + 1):
+            common = w
+            for f in restrict(delta, w).facets:
+                common &= f
+            restricted = []
+
+            def counting(d, v):
+                restricted.append(v)
+                return restrict(d, v)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mixprod.invariants, "restrict", counting)
+                got = _betti_at(delta, gens, w, GF2)
+            assert (got == {}) == bool(common)
+            assert restricted == ([] if common else [w])

@@ -111,6 +111,12 @@ class SqFreeMonomial:
             if block not in "xy" or not num.isdigit():
                 raise ValueError(f"cannot parse monomial {text!r}")
             i = int(num)
+            size = ambient.n if block == "x" else ambient.m
+            if not 1 <= i <= size:
+                raise ValueError(
+                    f"variable {part} of monomial {text!r} is outside ambient "
+                    f"({ambient.n},{ambient.m})"
+                )
             indices.append(i if block == "x" else ambient.n + i)
         mono = cls.from_indices(ambient, indices)
         if len(indices) != mono.degree:

@@ -156,8 +156,10 @@ def stanley_reisner(
     duality the complex of the dual then has the complements of a's own
     generators as facets. hochster_betti visits one vertex subset per
     orbit of the ideal's interchangeable variables, read off the generator
-    set alone, and restricts the complex only to the subsets where the
-    restriction is no cone. The zero ideal gives the full
+    set alone, and restricts the complex only at a subset whose
+    restriction is no cone, whose restricted ideal its memo has not seen,
+    and whose Alexander dual inside the subset has a face bound above
+    half the subset's subsets. The zero ideal gives the full
     simplex; an ideal containing every variable gives {<empty>}; the unit
     ideal is rejected (its complex would be void, which homology excludes).
     """

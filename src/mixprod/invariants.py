@@ -69,26 +69,52 @@ def _subsets_by_size(cls: int) -> list[list[int]]:
         sub = (sub - cls) & cls
 
 
-def _dual_is_smaller(primal: SimplicialComplex, dual: SimplicialComplex) -> bool:
-    """Whether the dual side has the smaller face bound sum(2^|F|) over the
-    facets F."""
-    return sum(1 << f.bit_count() for f in dual.facets) < sum(
-        1 << f.bit_count() for f in primal.facets
-    )
+def _face_bound(d: SimplicialComplex) -> int:
+    """sum(2^|F|) over the facets F: at least the number of faces."""
+    return sum(1 << f.bit_count() for f in d.facets)
+
+
+def _choose_side(
+    delta: SimplicialComplex, w: int, dual: SimplicialComplex
+) -> tuple[SimplicialComplex, bool]:
+    """The complex whose homology gives beta_{.,W}, Delta|_W or its
+    Alexander dual `dual` inside W (on any relabelling of W's vertices),
+    and whether it is the dual. The faces
+    of the two split the 2^|W| subsets of W between them, so a dual whose
+    face bound is at most 2^(|W|-1) has no more faces than Delta|_W and is
+    taken without restricting. Otherwise Delta|_W is restricted and the
+    side with the smaller face bound wins."""
+    bound = _face_bound(dual)
+    if bound <= 1 << (w.bit_count() - 1):
+        return dual, True
+    primal = restrict(delta, w)
+    if bound < _face_bound(primal):
+        return dual, True
+    return primal, False
+
+
+# (generators inside W relabelled onto W's dense bits, field.char) -> the
+# _betti_at value; process-wide, since beta_{i,W} depends on nothing else
+_BETTI_AT: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
 
 
 def _betti_at(
     delta: SimplicialComplex, gens: tuple[int, ...], w: int, field: FieldSpec
 ) -> dict[int, int]:
     """{i: beta_{i,W}(S/I)} for the vertex subset w; an i it leaves out
-    has beta_{i,W} = 0.
+    has beta_{i,W} = 0. The dict is shared through the memo: do not
+    change it.
 
     The minimal non-faces of Delta|_W are the generators g inside W, so
     Delta|_W is a cone, hence acyclic, exactly when they miss a vertex of
-    W. Otherwise its Alexander dual inside W has the facets W - g, and
-    combinatorial Alexander duality gives h~_k(Delta|_W) = h~_{|W|-k-3} of
-    the dual, so beta_{i,W} = h~_{|W|-i-1}(Delta|_W) = h~_{i-2} of the
-    dual. The homology is taken of whichever side _dual_is_smaller picks.
+    W. Otherwise beta_{i,W} depends only on those generators (Hochster),
+    so the value is memoized on them, relabelled onto W's dense bits in
+    order, and on the field's characteristic. On a miss the relabelled
+    generators give the Alexander dual inside W, with the facets W - g,
+    and combinatorial Alexander duality gives h~_k(Delta|_W) =
+    h~_{|W|-k-3} of the dual, so beta_{i,W} = h~_{|W|-i-1}(Delta|_W) =
+    h~_{i-2} of the dual. The homology is taken of whichever side
+    _choose_side picks.
     """
     if not w:
         return {0: 1}
@@ -98,11 +124,28 @@ def _betti_at(
         cover |= g
     if cover != w:
         return {}
-    primal = restrict(delta, w)
-    dual = SimplicialComplex._trusted(w, tuple(sorted(w ^ g for g in inside)))
-    if _dual_is_smaller(primal, dual):
-        return {k + 2: r for k, r in reduced_homology_ranks(dual, field).items()}
-    return {w.bit_count() - 1 - k: r for k, r in reduced_homology_ranks(primal, field).items()}
+    # bit b of g moves to the bit that counts W's vertices below b
+    local = []
+    for g in inside:
+        h = 0
+        while g:
+            low = g & -g
+            h |= 1 << (w & (low - 1)).bit_count()
+            g ^= low
+        local.append(h)
+    key = (tuple(local), field.char)
+    betti = _BETTI_AT.get(key)
+    if betti is None:
+        full = (1 << w.bit_count()) - 1
+        dual = SimplicialComplex._trusted(full, tuple(sorted(full ^ g for g in local)))
+        side, is_dual = _choose_side(delta, w, dual)
+        ranks = reduced_homology_ranks(side, field)
+        if is_dual:
+            betti = {k + 2: r for k, r in ranks.items()}
+        else:
+            betti = {w.bit_count() - 1 - k: r for k, r in ranks.items()}
+        _BETTI_AT[key] = betti
+    return betti
 
 
 def hochster_betti(
@@ -123,9 +166,14 @@ def hochster_betti(
     orbit in the multigraded table and in the totals. With singleton
     classes this is the full 2^N walk. W = {} gives beta_{0,{}} = 1, and a
     W whose generators miss one of its vertices gives a cone and is
-    skipped without restricting. Every other W takes the homology of
-    Delta|_W or of its Alexander dual inside W, whichever has the smaller
-    face bound; the dual side reads beta_{i,W} = h~_{i-2} of the dual.
+    skipped without restricting. Every other W is looked up in a
+    process-wide memo under the generators inside W, relabelled onto W's
+    dense bits, and the field, so a restricted ideal met before, in this
+    walk or an earlier one, costs no homology. A miss takes the homology
+    of the Alexander dual inside W outright when its face bound is at
+    most 2^(|W|-1), and otherwise of whichever of Delta|_W and that dual
+    has the smaller face bound; the dual side reads beta_{i,W} = h~_{i-2}
+    of the dual.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")

@@ -444,6 +444,16 @@ class TestMonomialBasics:
         assert str(u) == "x2y1"
         assert str(SqFreeMonomial.parse(amb, "1")) == "1"
 
+    @pytest.mark.parametrize("text", ["x4", "y0", "x0", "y4", "x1y4", "x2x0"])
+    def test_parse_rejects_an_index_outside_its_block(self, text):
+        # x4 is not y1, nor y0 x3, in the (3,3) ambient
+        with pytest.raises(ValueError, match=f"monomial '{text}'"):
+            SqFreeMonomial.parse(Ambient(3, 3), text)
+
+    def test_parse_reaches_the_last_variable_of_each_block(self):
+        amb = Ambient(3, 3)
+        assert SqFreeMonomial.parse(amb, "x3y3").support == {3, 6}
+
     def test_degrees(self):
         amb = Ambient(2, 3)
         u = SqFreeMonomial.parse(amb, "x1x2y3")

@@ -46,10 +46,11 @@ def ideal(ambient, *monomials):
 # cross-check a sample; it shares no code with the package.
 
 
-def _rank_fractions(mat):
+def _rank_fractions(mat, p=0):
+    """Rank over Q (p = 0) by fractions, or over GF(p) by residues."""
     if not mat or not mat[0]:
         return 0
-    mat = [[Fraction(e) for e in row] for row in mat]
+    mat = [[e % p if p else Fraction(e) for e in row] for row in mat]
     nrows, ncols, rank = len(mat), len(mat[0]), 0
     for c in range(ncols):
         piv = next((i for i in range(rank, nrows) if mat[i][c]), None)
@@ -58,14 +59,19 @@ def _rank_fractions(mat):
         mat[rank], mat[piv] = mat[piv], mat[rank]
         for i in range(nrows):
             if i != rank and mat[i][c]:
-                f = mat[i][c] / mat[rank][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+                if p:
+                    f = mat[i][c] * pow(mat[rank][c], -1, p)
+                    mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+                else:
+                    f = mat[i][c] / mat[rank][c]
+                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
 
 
-def brute_hochster_q(nvars, gen_supports):
-    """Total-degree Betti table of S/I over the rationals."""
+def brute_hochster(nvars, gen_supports, p=0):
+    """Total-degree Betti table of S/I over the rationals, or over GF(p)
+    when p is given."""
 
     def homology(vertices):
         faces = [
@@ -88,7 +94,7 @@ def brute_hochster_q(nvars, gen_supports):
             for col, f in enumerate(upper):
                 for j, v in enumerate(sorted(f)):
                     mat[idx[f - {v}]][col] = (-1) ** j
-            ranks[i] = _rank_fractions(mat)
+            ranks[i] = _rank_fractions(mat, p)
         return {
             i: len(by_dim.get(i, [])) - ranks.get(i, 0) - ranks.get(i + 1, 0)
             for i in range(-1, top + 1)
@@ -124,7 +130,7 @@ def supports_of(a):
     return [set(g.support) for g in a.gens]
 
 
-# --- frozen tables (computed with brute_hochster_q, cross-checked against
+# --- frozen tables (computed with brute_hochster, cross-checked against
 #     the Taylor complex Euler characteristic) -------------------------------
 
 FROZEN_TABLES = {
@@ -151,7 +157,7 @@ class TestHochsterBetti:
     def test_frozen_tables_match_independent_oracle(self, key):
         (n, m), terms = key
         a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
-        brute = brute_hochster_q(n + m, supports_of(a))
+        brute = brute_hochster(n + m, supports_of(a))
         assert brute == FROZEN_TABLES[key]
         assert taylor_euler_consistent(supports_of(a), brute)
 
@@ -379,7 +385,7 @@ class TestOrbitWalk:
     def test_matches_independent_oracle_and_full_walk(self, spec, field):
         a = realize_spec(spec)
         got = hochster_betti(a, field)
-        assert got.entries == brute_hochster_q(spec.ambient.nvars, supports_of(a))
+        assert got.entries == brute_hochster(spec.ambient.nvars, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, field)
 
     @settings(max_examples=80, deadline=None)
@@ -398,7 +404,7 @@ class TestOrbitWalk:
         # No complex on at most five vertices has torsion, so there the
         # rational table is the table over every field.
         if field == RATIONALS or a.ambient.nvars <= 5:
-            assert got.entries == brute_hochster_q(a.ambient.nvars, supports_of(a))
+            assert got.entries == brute_hochster(a.ambient.nvars, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, field)
 
     # One subset per count vector, prod(|C| + 1) over the classes C.
@@ -423,7 +429,7 @@ class TestOrbitWalk:
         a = ideal(Ambient(n, m), *gens)
         got = hochster_betti(a, GF2)
         assert len(subsets_walked) == walked
-        assert got.entries == brute_hochster_q(n + m, supports_of(a))
+        assert got.entries == brute_hochster(n + m, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
     def test_one_alexander_dual_per_report(self, monkeypatch):
@@ -447,22 +453,52 @@ class TestOrbitWalk:
 
 # --- Alexander duality inside W ----------------------------------------------
 # hochster_betti takes, at each W, the homology of Delta|_W or of its
-# Alexander dual inside W, whichever _dual_is_smaller picks. Forcing each
-# side in turn must give the same tables as the independent oracle and the
-# full primal walk.
+# Alexander dual inside W, whichever _choose_side picks. Forcing each side
+# in turn must give the same tables as the independent oracle and the full
+# primal walk.
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty Betti memo for one test, so that every non-cone W it walks
+    misses; the process-wide memo is put back afterwards."""
+    monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
 
 
 def forced_side(monkeypatch, dual):
-    """Make hochster_betti take one side at every non-cone W; returns the
-    list of its choices."""
+    """Make hochster_betti take one side at every non-cone W, on an empty
+    memo; returns the list of its choices."""
     chosen = []
 
-    def choose(primal, dual_complex):
+    def choose(delta, w, dual_complex):
         chosen.append(dual)
-        return dual
+        if dual:
+            return dual_complex, True
+        return mixprod.invariants.restrict(delta, w), False
 
-    monkeypatch.setattr(mixprod.invariants, "_dual_is_smaller", choose)
+    monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
+    monkeypatch.setattr(mixprod.invariants, "_choose_side", choose)
     return chosen
+
+
+def spy(monkeypatch, name):
+    """Record the calls hochster_betti makes to invariants.<name>."""
+    calls = []
+    fn = getattr(mixprod.invariants, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(mixprod.invariants, name, counting)
+    return calls
+
+
+def dual_bound_is_small(gens, w):
+    """Whether the dual inside W, with the facets W - g over the
+    generators g inside W, has the face bound at most 2^(|W|-1)."""
+    inside = [g for g in gens if g & ~w == 0]
+    return sum(1 << (w ^ g).bit_count() for g in inside) <= 1 << (w.bit_count() - 1)
 
 
 def stanley_reisner_ideal(ambient, facets):
@@ -485,7 +521,7 @@ class TestDualityInsideW:
             assert chosen and set(chosen) == {dual}
             assert got.multigraded == expected
             if field == RATIONALS or a.ambient.nvars <= 5:
-                assert got.entries == brute_hochster_q(a.ambient.nvars, supports_of(a))
+                assert got.entries == brute_hochster(a.ambient.nvars, supports_of(a))
 
     @pytest.mark.parametrize("field", [RATIONALS, GF2])
     @pytest.mark.parametrize("dual", [False, True])
@@ -503,7 +539,7 @@ class TestDualityInsideW:
         top = {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask}
         assert top == ({3: 1, 4: 1} if field == GF2 else {})
         if field == RATIONALS:
-            assert got.entries == brute_hochster_q(6, supports_of(a))
+            assert got.entries == brute_hochster(6, supports_of(a))
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_vertex_in_every_generator_inside_w(self, monkeypatch, dual):
@@ -517,19 +553,30 @@ class TestDualityInsideW:
         assert got.multigraded == {(0, 0): 1, (1, 0b011): 1, (1, 0b101): 1, (2, 0b111): 1}
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
-    def test_smaller_face_bound_wins(self):
-        # At the full W, the complex of I_1J_1 is two disjoint simplices,
-        # and its dual inside W has the nine facets W minus x_i y_j. The
-        # complex of the dual ideal I_3 + J_3 is the join of two simplex
-        # boundaries, and its dual inside W is two simplices again.
-        a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 1),)))
-        w = a.ambient.full_mask
-        for b, dual_wins in ((a, False), (alexander_dual(a), True)):
-            primal = restrict(mixprod.homology.stanley_reisner(b), w)
-            dual = SimplicialComplex._trusted(
-                w, tuple(sorted(w ^ g for g in b.gen_masks()))
-            )
-            assert mixprod.invariants._dual_is_smaller(primal, dual) == dual_wins
+    def test_smaller_face_bound_wins(self, monkeypatch):
+        cases = [
+            # I_1J_1 at 3x3: Delta|_W is two disjoint triangles (bound 16),
+            # the dual has the nine facets W - x_i y_j (bound 144 > 2^5)
+            (Ambient(3, 3), [f"x{i}y{j}" for i in (1, 2, 3) for j in (1, 2, 3)], False, True),
+            # I_3 + J_3: the dual is two disjoint triangles, 16 <= 2^5, so
+            # Delta|_W, the join of two triangle boundaries, is not built
+            (Ambient(3, 3), ["x1x2x3", "y1y2y3"], True, False),
+            # the dual's bound 8 + 2 passes 2^3, but Delta|_W is a hollow
+            # triangle with the bound 12
+            (Ambient(4, 0), ["x3", "x1x2x4"], True, True),
+        ]
+        restricted = spy(monkeypatch, "restrict")
+        for amb, gens, dual_wins, restricts in cases:
+            b = ideal(amb, *gens)
+            w = amb.full_mask
+            delta = mixprod.homology.stanley_reisner(b)
+            dual = SimplicialComplex._trusted(w, tuple(sorted(w ^ g for g in b.gen_masks())))
+            restricted.clear()
+            side, is_dual = mixprod.invariants._choose_side(delta, w, dual)
+            assert is_dual == dual_wins
+            assert side == (dual if dual_wins else restrict(delta, w))
+            assert restricted == ([(delta, w)] if restricts else [])
+            assert dual_bound_is_small(b.gen_masks(), w) == (not restricts)
 
 
 class TestConeCheck:
@@ -537,22 +584,72 @@ class TestConeCheck:
     @given(squarefree_ideals())
     def test_generator_cover_agrees_with_facet_intersection(self, a):
         # Delta|_W is a cone iff its facets share a vertex; the walk reads
-        # that off the generators inside W instead, and a cone W is never
-        # restricted.
+        # that off the generators inside W instead. A cone W is neither
+        # restricted nor passed to homology. On an empty memo every other
+        # W takes one homology, and restricts only when the dual's face
+        # bound is above 2^(|W|-1).
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
         for w in range(1, a.ambient.full_mask + 1):
             common = w
             for f in restrict(delta, w).facets:
                 common &= f
-            restricted = []
-
-            def counting(d, v):
-                restricted.append(v)
-                return restrict(d, v)
-
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mixprod.invariants, "restrict", counting)
+                mp.setattr(mixprod.invariants, "_BETTI_AT", {})
+                restricted = spy(mp, "restrict")
+                homologies = spy(mp, "reduced_homology_ranks")
                 got = _betti_at(delta, gens, w, GF2)
             assert (got == {}) == bool(common)
-            assert restricted == ([] if common else [w])
+            assert len(homologies) == (0 if common else 1)
+            restricts = not common and not dual_bound_is_small(gens, w)
+            assert restricted == ([(delta, w)] if restricts else [])
+
+
+# --- the Betti memo ------------------------------------------------------------
+# beta_{i,W} depends only on the generators inside W, so _betti_at memoizes
+# it process-wide on those generators, relabelled onto W's dense bits, and
+# on the field's characteristic.
+
+
+class TestBettiMemo:
+    def test_small_dual_bound_never_restricts(self, fresh_memo, monkeypatch):
+        a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
+        gens = a.gen_masks()
+        restricted = spy(monkeypatch, "restrict")
+        walked = spy(monkeypatch, "_betti_at")
+        got = hochster_betti(a, GF2)
+        assert restricted
+        assert not any(dual_bound_is_small(gens, w) for _, w in restricted)
+        # the walk does meet non-cone W (_betti_at not {}) with a small
+        # dual bound
+        assert any(
+            args[2] and _betti_at(*args) and dual_bound_is_small(gens, args[2])
+            for args in walked
+        )
+        assert got.entries == brute_hochster(6, supports_of(a))
+
+    def test_second_walk_is_served_by_the_memo(self, fresh_memo, monkeypatch):
+        a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
+        restricted = spy(monkeypatch, "restrict")
+        homologies = spy(monkeypatch, "reduced_homology_ranks")
+        first = hochster_betti(a, GF3)
+        assert restricted and homologies
+        restricted.clear()
+        homologies.clear()
+        second = hochster_betti(a, GF3)
+        assert restricted == [] and homologies == []
+        assert second == first
+        assert second.entries == brute_hochster(6, supports_of(a), 3)
+        assert second.multigraded == full_walk_multigraded(a, GF3)
+
+    def test_projective_plane_over_gf2_then_q(self, fresh_memo):
+        # The same restricted ideals come back over the second field; the
+        # memo must tell the fields apart, as RP2's homology does.
+        from test_homology import RP2
+
+        amb = Ambient(6, 0)
+        a = stanley_reisner_ideal(amb, RP2.facets)
+        for field, top in ((GF2, {3: 1, 4: 1}), (RATIONALS, {})):
+            got = hochster_betti(a, field)
+            assert got.entries == brute_hochster(6, supports_of(a), field.char)
+            assert {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask} == top

@@ -312,7 +312,11 @@ def alexander_dual(
     built by Berge's incremental algorithm (C. Berge, Hypergraphs, 1989,
     ch. 2): at each generator g, the transversals that meet g are kept,
     each other one is extended by one variable of g at a time, and an
-    extension survives unless it contains a kept transversal. The result
+    extension survives unless it contains a kept transversal. A kept k
+    lies inside the extension t | s (t missing g, s in g) exactly when
+    k & g == s and k ^ s lies inside t, so the kept transversals that meet
+    g in one variable s are indexed as k ^ s under s, and each extension is
+    tested against its own variable's list only. The result
     is a duplicate-free antichain with no minimalizing pass: if t | s lay
     inside t' | s' for transversals t, t' missing g and s, s' in g, then t
     would lie inside t', so t = t' and s = s'; and a kept transversal
@@ -332,13 +336,20 @@ def alexander_dual(
     current = [0]
     for g in gens:
         kept = [t for t in current if t & g]
-        singles = [1 << i for i in range(g.bit_length()) if g >> i & 1]
+        # inside[s]: k ^ s for the kept k with k & g == s, a single variable
+        inside: dict[int, list[int]] = {
+            1 << i: [] for i in range(g.bit_length()) if g >> i & 1
+        }
+        for k in kept:
+            s = k & g
+            if s in inside:
+                inside[s].append(k ^ s)
         current = kept + [
-            e
+            t | s
             for t in current
             if not t & g
-            for e in (t | s for s in singles)
-            if not any(k & ~e == 0 for k in kept)
+            for s, rests in inside.items()
+            if not any(r & ~t == 0 for r in rests)
         ]
     return MonomialIdeal._trusted(a.ambient, sorted(current))
 

@@ -7,6 +7,10 @@ homology and is rejected. Homology is computed from the facets alone,
 relabelled onto dense vertex bits, which is also the cache key; the faces
 are enumerated only when the cache misses, and each boundary map is built
 as sparse columns, one {row: +-1} dict per face, never as a dense matrix.
+The maps are reduced from the top dimension down, and each rank routine
+reports its pivot rows; a face that is a pivot row of the map above it is
+a boundary modulo faces off those rows, so it gets no column in its own
+map (clearing), which leaves every rank unchanged over every field.
 All ranks are exact: over GF(2) the columns are packed into ints and
 reduced against a basis keyed by lowest bit; over Q and GF(p), p > 2,
 sparse elimination prefers unit pivots and, over Q, takes a Fraction
@@ -188,10 +192,13 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
 # --- exact rank computations -------------------------------------------------
 
 
-def _rank_gf2(cols: list[dict[int, int]]) -> int:
-    """Rank over GF(2): each column is packed into an int, one bit per odd
-    entry, and reduced against a basis keyed by lowest set bit; a column
-    that survives joins the basis."""
+def _rank_gf2(cols: list[dict[int, int]]) -> list[int]:
+    """Pivot rows over GF(2), one per unit of rank: each column is packed
+    into an int, one bit per odd entry, and reduced against a basis keyed
+    by lowest set bit; a column that survives joins the basis. The pivot
+    row of a basis vector is its lowest bit, so on the pivot rows, taken
+    in order, the basis is triangular with a unit diagonal and the columns
+    span every vector there."""
     basis: dict[int, int] = {}
     for col in cols:
         v = 0
@@ -205,22 +212,24 @@ def _rank_gf2(cols: list[dict[int, int]]) -> int:
                 basis[low] = v
                 break
             v ^= b
-    return len(basis)
+    return [low.bit_length() - 1 for low in basis]
 
 
-def _rank_sparse(cols: list[dict[int, int]], p: int) -> int:
-    """Exact rank over Q (p = 0) or GF(p) of sparse vectors {index: entry}
-    by elimination: each step takes the shortest live vector with a unit
-    entry (+-1 over Q; any nonzero residue over GF(p)), clears that index
-    from every other vector with exact (or mod-p) arithmetic and drops the
-    pivot. Over Q the vectors are consumed in place. Boundary matrices
-    have +-1 entries, so Q vectors seldom run out of units (RP2's torsion
-    makes them); then the shortest vector is the pivot, with a Fraction
-    multiplier."""
+def _rank_sparse(cols: list[dict[int, int]], p: int) -> list[int]:
+    """Pivot indices over Q (p = 0) or GF(p) of sparse vectors
+    {index: entry}, one per unit of rank, by elimination: each step takes
+    the shortest live vector with a unit entry (+-1 over Q; any nonzero
+    residue over GF(p)), clears that index from every other vector with
+    exact (or mod-p) arithmetic, drops the pivot and reports the index.
+    Each pivot vector is zero at the indices reported before it, so the
+    vectors span every vector on the reported indices. Over Q the vectors
+    are consumed in place. Boundary matrices have +-1 entries, so Q
+    vectors seldom run out of units (RP2's torsion makes them); then the
+    shortest vector is the pivot, with a Fraction multiplier."""
     if p:
         cols = [{j: v % p for j, v in c.items() if v % p} for c in cols]
     live = [c for c in cols if c]
-    rank = 0
+    pivots = []
     while live:
         pivot = None
         for r in live:
@@ -258,12 +267,13 @@ def _rank_sparse(cols: list[dict[int, int]], p: int) -> int:
                     continue
             rest.append(r)
         live = rest
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
-def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> int:
-    """Rank of the matrix with these sparse columns {row: entry}."""
+def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> list[int]:
+    """Pivot rows of the matrix with these sparse columns {row: entry}: as
+    many as its rank, and the columns span every vector on them."""
     if field.char == 2:
         return _rank_gf2(cols)
     return _rank_sparse(cols, field.char)
@@ -281,19 +291,29 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     inside W alike, which repeat heavily across Hochster walks, share one
     entry, and the faces are enumerated only on a miss.
     Each boundary map C_i -> C_{i-1} is built as sparse columns, one
-    {row: +-1} dict per i-face, and no dense matrix is made. The name says
-    faces though the key is facets; it is kept because the benchmark's
-    tracer (perfbench/spans.py) reads its cache_info."""
+    {row: +-1} dict per i-face, and no dense matrix is made. The maps are
+    reduced from the top dimension down with clearing (Chen-Kerber, "twist"):
+    an i-face that is a pivot row of C_{i+1} -> C_i gets no column. The
+    columns of C_{i+1} -> C_i span every vector on its pivot rows, so each
+    such face is a boundary plus faces off those rows; its image under
+    C_i -> C_{i-1} lies in the span of the columns that are built, and the
+    rank is unchanged over every field. The name says faces though the
+    key is facets; it is kept because the benchmark's tracer
+    (perfbench/spans.py) reads its cache_info."""
     by_dim: dict[int, list[int]] = {}
     for f in _faces(facets):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim)
     field = FieldSpec(char)
     ranks: dict[int, int] = {}  # i -> rank of the boundary map C_i -> C_{i-1}
-    for i in range(top + 1):
-        index = {f: r for r, f in enumerate(by_dim[i - 1])}
+    cleared: set[int] = set()  # the i-faces that are pivot rows of C_{i+1} -> C_i
+    for i in range(top, -1, -1):
+        lower = by_dim[i - 1]
+        index = {f: r for r, f in enumerate(lower)}
         cols = []
         for f in by_dim[i]:
+            if f in cleared:
+                continue
             col = {}
             sign = 1
             rest = f
@@ -303,7 +323,9 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
                 sign = -sign
                 rest ^= low
             cols.append(col)
-        ranks[i] = _matrix_rank(cols, field)
+        pivots = _matrix_rank(cols, field)
+        ranks[i] = len(pivots)
+        cleared = {lower[r] for r in pivots}
     return tuple(
         (i, len(by_dim[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))
         for i in range(-1, top + 1)

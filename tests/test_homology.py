@@ -204,9 +204,9 @@ class TestReducedHomology:
 
 @st.composite
 def small_complexes(draw):
-    nv = draw(st.integers(1, 5))
+    nv = draw(st.integers(1, 6))
     full = (1 << nv) - 1
-    facets = draw(st.lists(st.integers(0, full), min_size=1, max_size=6))
+    facets = draw(st.lists(st.integers(0, full), min_size=1, max_size=8))
     maximal = [
         f for f in set(facets) if not any(g != f and f & ~g == 0 for g in set(facets))
     ]
@@ -238,7 +238,7 @@ class TestHomologyProperties:
         assert restrict(d, support).facets == d.facets
 
     @settings(max_examples=80)
-    @given(small_complexes(), st.integers(0, 31))
+    @given(small_complexes(), st.integers(0, 63))
     def test_restrict_keeps_the_maximal_traces(self, d, w):
         w &= d.vertices
         traces = {f & w for f in d.facets}
@@ -328,6 +328,49 @@ def _rank_by_elimination(mat, p):
     return rank
 
 
+def assert_pivot_rows(mat, pivots, p):
+    """The pivot rows a rank routine reports over Q (p = 0) or GF(p): as
+    many as the rank, distinct, and the matrix restricted to them keeps
+    the rank, so its columns span every vector on them (what clearing in
+    the boundary reduction relies on)."""
+    rank = _rank_by_elimination(mat, p)
+    assert len(pivots) == len(set(pivots)) == rank
+    assert _rank_by_elimination([mat[r] for r in pivots], p) == rank
+
+
+def dense_boundaries(d):
+    """The faces of d by dimension and each boundary map C_i -> C_{i-1}
+    as a dense signed matrix, rows the (i-1)-faces and columns the
+    i-faces in ascending mask order; dropping the k-th vertex (ascending)
+    of a face has sign (-1)^k."""
+    by_dim = {}
+    for f in d.all_faces():
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    mats = {}
+    for i in range(max(by_dim) + 1):
+        rows = by_dim[i - 1]
+        mat = [[0] * len(by_dim[i]) for _ in rows]
+        for c, f in enumerate(by_dim[i]):
+            verts = [v for v in range(f.bit_length()) if f >> v & 1]
+            for k, v in enumerate(verts):
+                mat[rows.index(f ^ (1 << v))][c] = (-1) ** k
+        mats[i] = mat
+    return by_dim, mats
+
+
+def reference_homology(d, p):
+    """h~_i of d over Q (p = 0) or GF(p) from its dense boundary matrices,
+    each ranked by _rank_by_elimination: no clearing, no cache and no
+    relabelling, so it shares no step with reduced_homology_ranks beyond
+    the face list."""
+    by_dim, mats = dense_boundaries(d)
+    ranks = {i: _rank_by_elimination(mat, p) for i, mat in mats.items()}
+    return {
+        i: len(by_dim[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        for i in range(-1, max(by_dim) + 1)
+    }
+
+
 @st.composite
 def integer_matrices(draw):
     """0-9 rows by 0-9 columns, entries in [-7, 7], at a drawn density."""
@@ -351,18 +394,17 @@ class TestSparseRank:
     @settings(max_examples=200)
     @given(integer_matrices())
     def test_rationals_match_bareiss_and_fractions(self, mat):
-        expected = _rank_by_elimination(mat, 0)
-        assert _rank_sparse(columns_of(mat), 0) == expected
+        assert_pivot_rows(mat, _rank_sparse(columns_of(mat), 0), 0)
 
     @settings(max_examples=200)
     @given(integer_matrices(), st.sampled_from([3, 5, 7]))
     def test_prime_fields_match_dense_elimination(self, mat, p):
-        assert _rank_sparse(columns_of(mat), p) == _rank_by_elimination(mat, p)
+        assert_pivot_rows(mat, _rank_sparse(columns_of(mat), p), p)
 
     @settings(max_examples=200)
     @given(integer_matrices())
     def test_gf2_matches_dense_elimination(self, mat):
-        assert _rank_gf2(columns_of(mat)) == _rank_by_elimination(mat, 2)
+        assert_pivot_rows(mat, _rank_gf2(columns_of(mat)), 2)
 
     @pytest.mark.parametrize(
         "mat, ranks",
@@ -374,7 +416,9 @@ class TestSparseRank:
     )
     def test_matrices_without_units(self, mat, ranks):
         for p, rank in ranks.items():
-            assert _rank_sparse(columns_of(mat), p) == rank
+            pivots = _rank_sparse(columns_of(mat), p)
+            assert len(pivots) == rank
+            assert_pivot_rows(mat, pivots, p)
 
     def test_projective_plane_takes_a_non_unit_pivot(self, monkeypatch):
         # over Q a boundary matrix of RP2 keeps only +-2 entries in some
@@ -396,6 +440,11 @@ class TestSparseRank:
         ranks = homology._homology_of_faces.__wrapped__(facets, 2)
         assert dict(ranks) == {-1: 0, 0: 0, 1: 1, 2: 1}
         assert not made
+        # the pivot rows of that elimination, on the map C_2 -> C_1 it is
+        # made in, still carry the rank
+        mat = dense_boundaries(RP2)[1][2]
+        assert_pivot_rows(mat, _rank_sparse(columns_of(mat), 0), 0)
+        assert made and made[0] in ((1, 2), (1, -2))
 
     def test_importing_the_cli_loads_no_fractions_or_decimal(self):
         # Fraction is imported lazily, on the first pivot without a unit
@@ -409,3 +458,44 @@ class TestSparseRank:
             capture_output=True, text=True, check=True,
         )
         assert done.stdout.strip() == "[]"
+
+
+SPHERES = [stanley_reisner(veronese_ideal(Ambient(nv, 0), "x", nv)) for nv in range(2, 7)]
+
+
+class TestReferenceHomology:
+    """reduced_homology_ranks against dense boundary matrices ranked by
+    plain elimination, and the clearing it does on the way."""
+
+    @settings(max_examples=150)
+    @given(small_complexes(), FIELDS)
+    def test_small_complexes(self, d, field):
+        assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)
+
+    @pytest.mark.parametrize("field", [RATIONALS, GF2, GF3], ids=str)
+    def test_projective_plane_triangle_and_spheres(self, field):
+        for d in (RP2, HOLLOW_TRIANGLE, *SPHERES):
+            assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)
+
+    @settings(max_examples=80)
+    @given(small_complexes(), FIELDS)
+    def test_cleared_faces_get_no_column(self, d, field):
+        # the maps are reduced from the top down, and C_i -> C_{i-1} gets
+        # a column for every i-face but the rank(C_{i+1} -> C_i) pivot rows
+        real = homology._matrix_rank
+        calls = []
+
+        def recording(cols, fld):
+            pivots = real(cols, fld)
+            calls.append((len(cols), len(pivots)))
+            return pivots
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "_matrix_rank", recording)
+            homology._homology_of_faces.__wrapped__(homology._canonical_facets(d), field.char)
+        by_dim, _ = dense_boundaries(d)
+        assert len(calls) == d.dim + 1
+        rank_above = 0
+        for i, (ncols, rank) in zip(range(d.dim, -1, -1), calls):
+            assert ncols == len(by_dim[i]) - rank_above
+            rank_above = rank

@@ -9,6 +9,7 @@ is radical, so products are taken support-wise; see ideal_product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable
 
@@ -428,11 +429,14 @@ def canonicalize_spec(raw: MixedProductSpec) -> MixedProductSpec:
     return MixedProductSpec(raw.ambient, kept)
 
 
+@lru_cache(maxsize=1)
 def realize_spec(spec: MixedProductSpec) -> MonomialIdeal:
     """The actual ideal: sum over terms of I_k * J_l. Each term's
     generators are the unions of a k-subset of the x-block with an
     l-subset of the y-block; the union over all terms is minimalized once,
-    so non-canonical specs give the same ideal as their canonical form."""
+    so non-canonical specs give the same ideal as their canonical form.
+    The ideal of the last spec is kept: a sweep realizes each spec once
+    per field, one field after the other."""
     amb = spec.ambient
     masks: list[int] = []
     for k, l in spec.terms:

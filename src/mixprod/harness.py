@@ -4,7 +4,6 @@ to a size bound, with machine-readable reporting."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import AMBIENT_CAP, Ambient, MixedProductSpec, realize_spec
@@ -200,16 +199,23 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     """Compare formula_report against oracle_report on every enumerated
     description and field. Failures, exceptions included, are collected,
     not raised. Work units
-    are independent (spec, field) pairs; with jobs > 1 they are fanned out
-    to worker processes and merged back in enumeration order, so the
+    are independent (spec, field) pairs, the fields of one spec in a row;
+    with jobs > 1 they are fanned out to worker processes in chunks of
+    whole specs, so that each worker reuses an ideal's field-independent
+    work across its fields, and merged back in enumeration order, so the
     report does not depend on scheduling."""
     start = time.perf_counter()
     specs = enumerate_specs(cfg.max_n, cfg.max_m)
     unit_specs = [spec for spec in specs for _ in cfg.fields]
     unit_fields = list(cfg.fields) * len(specs)
     if jobs > 1 and unit_specs:
+        # imported here: it loads multiprocessing, which --jobs 1 never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the least multiple of the field count that is at least 8
+        chunk = -(-8 // len(cfg.fields)) * len(cfg.fields)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(_evaluate_case, unit_specs, unit_fields, chunksize=8))
+            found = list(pool.map(_evaluate_case, unit_specs, unit_fields, chunksize=chunk))
     else:
         found = list(map(_evaluate_case, unit_specs, unit_fields))
     mismatches = [mm for case in found for mm in case]

@@ -9,7 +9,9 @@ Depth is defined here through Auslander-Buchsbaum as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
+from math import comb, prod
 
 from .core import MonomialIdeal, Ambient, alexander_dual
 from .errors import TeraiMismatch, UnsupportedIdeal
@@ -25,18 +27,36 @@ from .homology import (
 @dataclass(frozen=True)
 class BettiTable:
     """Sparse graded Betti numbers of S/I: (homological degree i,
-    total degree j) -> rank, plus the multigraded refinement
-    (i, vertex-set mask) -> rank kept for diagnostics."""
+    total degree j) -> rank. The walk behind them is kept as `walk`, one
+    (i, W, beta_{i,W}) per nonzero value at an orbit representative W,
+    with the classes of interchangeable variables whose permutations
+    carry W over its orbit; `multigraded`, the refinement
+    (i, vertex-set mask) -> rank kept for diagnostics, is expanded from
+    them when first read."""
 
     ambient: Ambient
     entries: dict[tuple[int, int], int]
-    multigraded: dict[tuple[int, int], int]
+    walk: tuple[tuple[int, int, int], ...]
+    classes: tuple[int, ...]
 
     def rank(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
+
+    @cached_property
+    def multigraded(self) -> dict[tuple[int, int], int]:
+        members = [[1 << b for b in range(c.bit_length()) if c >> b & 1] for c in self.classes]
+        out: dict[tuple[int, int], int] = {}
+        for i, w, r in self.walk:
+            parts = [
+                [sum(s) for s in combinations(bits, (w & cls).bit_count())]
+                for cls, bits in zip(self.classes, members)
+            ]
+            for v in product(*parts):
+                out[(i, sum(v))] = r
+        return out
 
 
 def _swap_classes(a: MonomialIdeal) -> list[int]:
@@ -55,18 +75,6 @@ def _swap_classes(a: MonomialIdeal) -> list[int]:
         else:
             classes.append(1 << v)
     return classes
-
-
-def _subsets_by_size(cls: int) -> list[list[int]]:
-    """Submasks of the class mask `cls`, grouped by size; each group starts
-    with its lowest variables."""
-    groups: list[list[int]] = [[] for _ in range(cls.bit_count() + 1)]
-    sub = 0
-    while True:
-        groups[sub.bit_count()].append(sub)
-        if sub == cls:
-            return groups
-        sub = (sub - cls) & cls
 
 
 def _face_bound(d: SimplicialComplex) -> int:
@@ -93,37 +101,17 @@ def _choose_side(
     return primal, False
 
 
-# (generators inside W relabelled onto W's dense bits, field.char) -> the
-# _betti_at value; process-wide, since beta_{i,W} depends on nothing else
-_BETTI_AT: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
-
-
-def _betti_at(
-    delta: SimplicialComplex, gens: tuple[int, ...], w: int, field: FieldSpec
-) -> dict[int, int]:
-    """{i: beta_{i,W}(S/I)} for the vertex subset w; an i it leaves out
-    has beta_{i,W} = 0. The dict is shared through the memo: do not
-    change it.
-
-    The minimal non-faces of Delta|_W are the generators g inside W, so
-    Delta|_W is a cone, hence acyclic, exactly when they miss a vertex of
-    W. Otherwise beta_{i,W} depends only on those generators (Hochster),
-    so the value is memoized on them, relabelled onto W's dense bits in
-    order, and on the field's characteristic. On a miss the relabelled
-    generators give the Alexander dual inside W, with the facets W - g,
-    and combinatorial Alexander duality gives h~_k(Delta|_W) =
-    h~_{|W|-k-3} of the dual, so beta_{i,W} = h~_{|W|-i-1}(Delta|_W) =
-    h~_{i-2} of the dual. The homology is taken of whichever side
-    _choose_side picks.
-    """
-    if not w:
-        return {0: 1}
+def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
+    """The generators inside the vertex subset w, relabelled onto w's
+    dense bits in order, or None when Delta|_W is a cone. The minimal
+    non-faces of Delta|_W are the generators inside W, so it is a cone,
+    hence acyclic, exactly when they miss a vertex of W."""
     inside = [g for g in gens if g & ~w == 0]
     cover = 0
     for g in inside:
         cover |= g
     if cover != w:
-        return {}
+        return None
     # bit b of g moves to the bit that counts W's vertices below b
     local = []
     for g in inside:
@@ -133,7 +121,31 @@ def _betti_at(
             h |= 1 << (w & (low - 1)).bit_count()
             g ^= low
         local.append(h)
-    key = (tuple(local), field.char)
+    return tuple(local)
+
+
+# (generators inside W relabelled onto W's dense bits, field.char) -> the
+# _betti_at value; process-wide, since beta_{i,W} depends on nothing else
+_BETTI_AT: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+
+
+def _betti_at(
+    delta: SimplicialComplex, w: int, local: tuple[int, ...], field: FieldSpec
+) -> dict[int, int]:
+    """{i: beta_{i,W}(S/I)} for a nonempty vertex subset w whose
+    restriction is no cone, given its relabelled generators `local`
+    (_local_gens); an i it leaves out has beta_{i,W} = 0. The dict is
+    shared through the memo: do not change it.
+
+    beta_{i,W} depends only on `local` (Hochster), so the value is
+    memoized on it and on the field's characteristic. On a miss `local`
+    gives the Alexander dual inside W, with the facets W - g, and
+    combinatorial Alexander duality gives h~_k(Delta|_W) =
+    h~_{|W|-k-3} of the dual, so beta_{i,W} = h~_{|W|-i-1}(Delta|_W) =
+    h~_{i-2} of the dual. The homology is taken of whichever side
+    _choose_side picks.
+    """
+    key = (local, field.char)
     betti = _BETTI_AT.get(key)
     if betti is None:
         full = (1 << w.bit_count()) - 1
@@ -146,6 +158,54 @@ def _betti_at(
             betti = {w.bit_count() - 1 - k: r for k, r in ranks.items()}
         _BETTI_AT[key] = betti
     return betti
+
+
+@dataclass(frozen=True)
+class _WalkPlan:
+    """The field-independent part of hochster_betti on one ideal: its
+    complex, its classes of interchangeable variables, and one row
+    (W, generators inside W relabelled, |W|, orbit size) per orbit
+    representative W that is neither empty nor a cone."""
+
+    delta: SimplicialComplex
+    classes: tuple[int, ...]
+    rows: tuple[tuple[int, tuple[int, ...], int, int], ...]
+
+
+# (ambient, generator masks) -> plan, for the last ideal and its dual only:
+# oracle_report asks for the ideal, then the dual, once per field
+_PLANS: dict[tuple[Ambient, tuple[int, ...]], _WalkPlan] = {}
+
+
+def _walk_plan(a: MonomialIdeal, dual: MonomialIdeal | None) -> _WalkPlan:
+    """The plan of `a`, from the last two built or built now; a third
+    ideal drops both. The representative taking k variables of a class
+    takes its lowest k, and its orbit holds prod C(|C|, k) subsets."""
+    key = (a.ambient, a.gen_masks())
+    plan = _PLANS.get(key)
+    if plan is None:
+        gens = key[1]
+        classes = tuple(_swap_classes(a))
+        # prefixes[c][k]: the lowest k variables of class c
+        prefixes = []
+        for cls in classes:
+            masks = [0]
+            for b in range(cls.bit_length()):
+                if cls >> b & 1:
+                    masks.append(masks[-1] | 1 << b)
+            prefixes.append(masks)
+        rows = []
+        for parts in product(*prefixes):
+            w = sum(parts)
+            local = _local_gens(gens, w)
+            if w and local is not None:
+                orbit = prod(comb(len(p) - 1, s.bit_count()) for p, s in zip(prefixes, parts))
+                rows.append((w, local, w.bit_count(), orbit))
+        plan = _WalkPlan(stanley_reisner(a, dual), classes, tuple(rows))
+        if len(_PLANS) >= 2:
+            _PLANS.clear()
+        _PLANS[key] = plan
+    return plan
 
 
 def hochster_betti(
@@ -161,37 +221,34 @@ def hochster_betti(
     generator set: permuting the variables inside each class of
     _swap_classes fixes the ideal, so beta_{i,W} depends only on the
     counts |W & C| over the classes C. One representative per count
-    vector, the lowest variables of each class, is evaluated by _betti_at,
-    prod(|C|+1) in all, and its value counts once for every member of its
-    orbit in the multigraded table and in the totals. With singleton
-    classes this is the full 2^N walk. W = {} gives beta_{0,{}} = 1, and a
-    W whose generators miss one of its vertices gives a cone and is
-    skipped without restricting. Every other W is looked up in a
-    process-wide memo under the generators inside W, relabelled onto W's
-    dense bits, and the field, so a restricted ideal met before, in this
-    walk or an earlier one, costs no homology. A miss takes the homology
-    of the Alexander dual inside W outright when its face bound is at
-    most 2^(|W|-1), and otherwise of whichever of Delta|_W and that dual
-    has the smaller face bound; the dual side reads beta_{i,W} = h~_{i-2}
-    of the dual.
+    vector, the lowest variables of each class, prod(|C|+1) in all, is
+    evaluated, and its value counts once for every member of its orbit:
+    the totals add it times the orbit size, and the multigraded table is
+    expanded over the orbits only when read. With singleton classes this
+    is the full 2^N walk. W = {} gives beta_{0,{}} = 1, and a W whose
+    generators miss one of its vertices gives a cone and is skipped
+    without restricting. All of this depends on the generators alone, so
+    it is planned once per ideal (_walk_plan), and the plans of the last
+    ideal and of its dual are kept: a sweep asks for both once per field.
+    Every other W is looked up by _betti_at in a process-wide memo under
+    the generators inside W, relabelled onto W's dense bits, and the
+    field, so a restricted ideal met before, in this walk or an earlier
+    one, costs no homology. A miss takes the homology of the Alexander
+    dual inside W outright when its face bound is at most 2^(|W|-1), and
+    otherwise of whichever of Delta|_W and that dual has the smaller face
+    bound; the dual side reads beta_{i,W} = h~_{i-2} of the dual.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
-    delta = stanley_reisner(a, dual)
-    gens = a.gen_masks()
-    groups = [_subsets_by_size(cls) for cls in _swap_classes(a)]
-    multigraded: dict[tuple[int, int], int] = {}
-    for parts in product(*groups):
-        w = sum(p[0] for p in parts)
-        for i, r in _betti_at(delta, gens, w, field).items():
+    plan = _walk_plan(a, dual)
+    entries = {(0, 0): 1}
+    walk = [(0, 0, 1)]
+    for w, local, size, orbit in plan.rows:
+        for i, r in _betti_at(plan.delta, w, local, field).items():
             if r:
-                for v in product(*parts):
-                    multigraded[(i, sum(v))] = r
-    entries: dict[tuple[int, int], int] = {}
-    for (i, w), r in multigraded.items():
-        key = (i, w.bit_count())
-        entries[key] = entries.get(key, 0) + r
-    return BettiTable(a.ambient, entries, multigraded)
+                entries[(i, size)] = entries.get((i, size), 0) + r * orbit
+                walk.append((i, w, r))
+    return BettiTable(a.ambient, entries, tuple(walk), plan.classes)
 
 
 def betti_stats(b: BettiTable) -> tuple[int, int]:
@@ -216,17 +273,29 @@ class InvariantReport:
     field: FieldSpec | None = None
 
 
+# (ambient, generator masks) -> Alexander dual, for the last ideal only
+_LAST_DUAL: dict[tuple[Ambient, tuple[int, ...]], MonomialIdeal] = {}
+
+
 def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     """Invariants from the combinatorial route: dimension from the minimal
     primes (the supports of the Alexander dual's generators), pd and
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
-    two values are asserted equal (Terai). The dual is computed once and
-    serves the dimension and both Stanley-Reisner complexes."""
+    two values are asserted equal (Terai). The dual is computed once per
+    ideal and serves the dimension and both Stanley-Reisner complexes;
+    the dual of the last ideal is kept, so a report on the same ideal over
+    another field, as a sweep makes, reuses it, and hochster_betti reuses
+    the walk plans of both."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars
-    dual = alexander_dual(a)
+    key = (a.ambient, a.gen_masks())
+    dual = _LAST_DUAL.get(key)
+    if dual is None:
+        dual = alexander_dual(a)
+        _LAST_DUAL.clear()
+        _LAST_DUAL[key] = dual
     dim = nv - min(g.degree for g in dual.gens)
     pd, reg_quotient = betti_stats(hochster_betti(a, field, dual=dual))
     reg_ideal = reg_quotient + 1

@@ -1,16 +1,22 @@
 """Sweep enumeration, execution, determinism and serialization."""
 
+import concurrent.futures
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import mixprod.harness
 from mixprod import (
     GF2,
+    GF3,
     RATIONALS,
     Ambient,
     CapExceeded,
+    FieldSpec,
     MixedProductSpec,
     Mismatch,
     SweepConfig,
@@ -103,6 +109,50 @@ class TestRunSweep:
         assert dataclasses.replace(
             serial, elapsed_seconds=0.0
         ) == dataclasses.replace(parallel, elapsed_seconds=0.0)
+
+    def test_pool_chunks_hold_whole_specs(self, monkeypatch):
+        # each worker gets every field of a spec, so it plans an ideal once
+        chunks = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize):
+                chunks.append(chunksize)
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        for fields, chunk in [
+            ((GF2,), 8),
+            ((RATIONALS, GF2, GF3), 9),
+            ((RATIONALS, GF2, GF3, FieldSpec(5), FieldSpec(7)), 10),
+        ]:
+            cfg = SweepConfig(max_n=1, max_m=1, fields=fields)
+            pooled = run_sweep(cfg, jobs=2)
+            assert chunks.pop() == chunk
+            assert dataclasses.replace(pooled, elapsed_seconds=0.0) == dataclasses.replace(
+                run_sweep(cfg, jobs=1), elapsed_seconds=0.0
+            )
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # the pool is imported only when a sweep runs with --jobs above 1
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import mixprod.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        src = Path(mixprod.harness.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-E", "-S", "-c", code, str(src)],
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_config_validation(self):
         with pytest.raises(CapExceeded):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mixprod.core
+import mixprod.harness
 import mixprod.homology
 import mixprod.invariants
 from mixprod import (
@@ -342,18 +343,22 @@ def canonical_specs(draw):
 
 
 _betti_at = mixprod.invariants._betti_at
+_local_gens = mixprod.invariants._local_gens
 
 
 @pytest.fixture
 def subsets_walked(monkeypatch):
-    """Counts the vertex subsets W at which hochster_betti evaluates."""
+    """Counts the vertex subsets W at which hochster_betti evaluates: the
+    representatives its walk plan reads the generators inside of, with no
+    plan kept from before."""
     calls = []
 
-    def counting(delta, gens, w, *rest):
+    def counting(gens, w):
         calls.append(w)
-        return _betti_at(delta, gens, w, *rest)
+        return _local_gens(gens, w)
 
-    monkeypatch.setattr(mixprod.invariants, "_betti_at", counting)
+    monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+    monkeypatch.setattr(mixprod.invariants, "_local_gens", counting)
     return calls
 
 
@@ -393,12 +398,13 @@ class TestOrbitWalk:
     def test_any_ideal_walks_one_subset_per_orbit(self, a, field):
         walked = []
 
-        def counting(delta, gens, w, *rest):
+        def counting(gens, w):
             walked.append(w)
-            return _betti_at(delta, gens, w, *rest)
+            return _local_gens(gens, w)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_betti_at", counting)
+            mp.setattr(mixprod.invariants, "_PLANS", {})
+            mp.setattr(mixprod.invariants, "_local_gens", counting)
             got = hochster_betti(a, field)
         assert len(walked) == prod(size + 1 for size in swap_classes_by_pairs(a))
         # No complex on at most five vertices has torsion, so there the
@@ -460,9 +466,11 @@ class TestOrbitWalk:
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty Betti memo for one test, so that every non-cone W it walks
-    misses; the process-wide memo is put back afterwards."""
+    """An empty Betti memo and no walk plans for one test, so that every
+    non-cone W it walks misses; the process-wide state is put back
+    afterwards."""
     monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
+    monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
 
 
 def forced_side(monkeypatch, dual):
@@ -594,12 +602,14 @@ class TestConeCheck:
             common = w
             for f in restrict(delta, w).facets:
                 common &= f
+            local = _local_gens(gens, w)
+            assert (local is None) == bool(common)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mixprod.invariants, "_BETTI_AT", {})
                 restricted = spy(mp, "restrict")
                 homologies = spy(mp, "reduced_homology_ranks")
-                got = _betti_at(delta, gens, w, GF2)
-            assert (got == {}) == bool(common)
+                if local is not None:
+                    _betti_at(delta, w, local, GF2)
             assert len(homologies) == (0 if common else 1)
             restricts = not common and not dual_bound_is_small(gens, w)
             assert restricted == ([(delta, w)] if restricts else [])
@@ -616,15 +626,15 @@ class TestBettiMemo:
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
         gens = a.gen_masks()
         restricted = spy(monkeypatch, "restrict")
-        walked = spy(monkeypatch, "_betti_at")
+        walked = spy(monkeypatch, "_local_gens")
         got = hochster_betti(a, GF2)
         assert restricted
         assert not any(dual_bound_is_small(gens, w) for _, w in restricted)
-        # the walk does meet non-cone W (_betti_at not {}) with a small
-        # dual bound
+        # the walk does meet nonempty non-cone W (_local_gens not None)
+        # with a small dual bound
         assert any(
-            args[2] and _betti_at(*args) and dual_bound_is_small(gens, args[2])
-            for args in walked
+            w and _local_gens(g, w) is not None and dual_bound_is_small(gens, w)
+            for g, w in walked
         )
         assert got.entries == brute_hochster(6, supports_of(a))
 
@@ -653,3 +663,68 @@ class TestBettiMemo:
             got = hochster_betti(a, field)
             assert got.entries == brute_hochster(6, supports_of(a), field.char)
             assert {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask} == top
+
+
+# --- the walk plans and the last report's dual -------------------------------
+# What hochster_betti reads off the generators alone (complex, classes,
+# representatives, orbit sizes) is planned once per ideal, and the plans
+# of the last ideal and of its dual are kept, as is oracle_report's dual
+# of the last ideal and realize_spec's ideal of the last spec. A sweep asks
+# for one ideal over each field in turn.
+
+
+class TestSharedWalkState:
+    def test_projective_plane_over_alternating_fields(self, fresh_memo):
+        # RP2's tables differ by field, so a plan or a memo entry carried
+        # from one field to the next would show here.
+        from test_homology import RP2
+
+        amb = Ambient(6, 0)
+        a = stanley_reisner_ideal(amb, RP2.facets)
+        dual = alexander_dual(a)
+        for field in (RATIONALS, GF2, RATIONALS, GF2):
+            report = oracle_report(a, field)
+            got, got_dual = hochster_betti(a, field), hochster_betti(dual, field)
+            expected = brute_hochster(6, supports_of(a), field.char)
+            assert got.entries == expected
+            assert got_dual.entries == brute_hochster(6, supports_of(dual), field.char)
+            assert got.multigraded == full_walk_multigraded(a, field)
+            assert report.pd == max(i for i, _ in expected)
+            assert report.reg_of_quotient == max(j - i for i, j in expected)
+            assert report.cm == (field == RATIONALS)
+
+    def test_state_holds_only_the_last_ideal_and_its_dual(self):
+        specs = [s for s in mixprod.harness.enumerate_specs(3, 3) if s.ambient.nvars >= 2]
+        assert len(specs) >= 50
+        for spec in specs[:50]:
+            a = realize_spec(spec)
+            oracle_report(a, GF2)
+        dual = alexander_dual(a)
+        key, dual_key = (a.ambient, a.gen_masks()), (dual.ambient, dual.gen_masks())
+        assert set(mixprod.invariants._PLANS) == {key, dual_key}
+        assert mixprod.invariants._LAST_DUAL == {key: dual}
+        assert realize_spec.cache_info().currsize == 1
+        assert realize_spec(specs[49]) is a
+
+    @pytest.mark.parametrize(
+        "ambients, masks",
+        [
+            ((Ambient(2, 1), Ambient(1, 2)), (0b011, 0b110)),  # one set of variables
+            ((Ambient(1, 1), Ambient(2, 1)), (0b01, 0b10)),  # and a free variable
+            ((Ambient(2, 2), Ambient(3, 0)), (0b011, 0b110)),
+        ],
+    )
+    def test_one_mask_set_in_two_ambients(self, ambients, masks, monkeypatch):
+        ideals = [MonomialIdeal.from_masks(amb, masks) for amb in ambients]
+        fresh = {}
+        for a in ideals:
+            monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+            fresh[a.ambient] = hochster_betti(a, GF3)
+        monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+        for a in ideals + ideals:
+            got = hochster_betti(a, GF3)
+            assert got == fresh[a.ambient]
+            assert got.ambient == a.ambient
+            # the classes partition this ambient's variables
+            assert sum(got.classes) == a.ambient.full_mask
+            assert got.entries == brute_hochster(a.ambient.nvars, supports_of(a), 3)

@@ -11,10 +11,12 @@ The maps are reduced from the top dimension down, and each rank routine
 reports its pivot rows; a face that is a pivot row of the map above it is
 a boundary modulo faces off those rows, so it gets no column in its own
 map (clearing), which leaves every rank unchanged over every field.
-All ranks are exact: over GF(2) the columns are packed into ints and
-reduced against a basis keyed by lowest bit; over Q and GF(p), p > 2,
-sparse elimination prefers unit pivots and, over Q, takes a Fraction
-multiplier only when no column has a +-1 entry left.
+All ranks are exact and come from one column reduction: each column is
+reduced against the columns kept before it, keyed by one pivot row each,
+and joins them if it survives. Over GF(2) the columns are packed into
+ints and keyed by lowest bit; over Q and GF(p), p > 2, they stay sparse
+dicts keyed by their last row, and over Q only a pivot entry other than
++-1 makes a Fraction.
 """
 
 from __future__ import annotations
@@ -158,14 +160,9 @@ def stanley_reisner(
     the supports of the generators of the Alexander dual: no subset walk
     is made. Pass `dual` when alexander_dual(a) is already at hand; by
     duality the complex of the dual then has the complements of a's own
-    generators as facets. hochster_betti visits one vertex subset per
-    orbit of the ideal's interchangeable variables, read off the generator
-    set alone, and restricts the complex only at a subset whose
-    restriction is no cone, whose restricted ideal its memo has not seen,
-    and whose Alexander dual inside the subset has a face bound above
-    half the subset's subsets. The zero ideal gives the full
-    simplex; an ideal containing every variable gives {<empty>}; the unit
-    ideal is rejected (its complex would be void, which homology excludes).
+    generators as facets. The zero ideal gives the full simplex; an ideal
+    containing every variable gives {<empty>}; the unit ideal is rejected
+    (its complex would be void, which homology excludes).
     """
     if a.is_unit:
         raise UnsupportedIdeal("the unit ideal has no Stanley-Reisner complex here")
@@ -216,59 +213,48 @@ def _rank_gf2(cols: list[dict[int, int]]) -> list[int]:
 
 
 def _rank_sparse(cols: list[dict[int, int]], p: int) -> list[int]:
-    """Pivot indices over Q (p = 0) or GF(p) of sparse vectors
-    {index: entry}, one per unit of rank, by elimination: each step takes
-    the shortest live vector with a unit entry (+-1 over Q; any nonzero
-    residue over GF(p)), clears that index from every other vector with
-    exact (or mod-p) arithmetic, drops the pivot and reports the index.
-    Each pivot vector is zero at the indices reported before it, so the
-    vectors span every vector on the reported indices. Over Q the vectors
-    are consumed in place. Boundary matrices have +-1 entries, so Q
-    vectors seldom run out of units (RP2's torsion makes them); then the
-    shortest vector is the pivot, with a Fraction multiplier."""
-    if p:
-        cols = [{j: v % p for j, v in c.items() if v % p} for c in cols]
-    live = [c for c in cols if c]
-    pivots = []
-    while live:
-        pivot = None
-        for r in live:
-            if (pivot is None or len(r) < len(pivot)) and (
-                p or 1 in r.values() or -1 in r.values()
-            ):
-                pivot = r
-        # the multiplier that clears col is v / pivot[col]
-        if pivot is None:
-            # imported here, so that importing the package never loads it
-            from fractions import Fraction
+    """Pivot rows over Q (p = 0) or GF(p), one per unit of rank, by the
+    column reduction of _rank_gf2 (Edelsbrunner-Harer, ch. VII) on sparse
+    columns {row: entry}: each column is reduced against a basis keyed by
+    the last row of each vector, the "low" of the book, and a column that
+    survives joins the basis. Each basis vector is kept with the inverse
+    of its entry there, so the multiplier v[r] * inverse is exact: +-1
+    over Q for a +-1 pivot entry, a residue over GF(p), and a Fraction
+    only for another pivot entry over Q, which torsion such as RP2's
+    makes. The basis is triangular on its keys, so the columns span every
+    vector there. Keying by the first row, as _rank_gf2 does by lowest
+    bit, made about six times as many entry updates on boundary maps
+    over Q."""
+    basis: dict[int, tuple[dict[int, int], int]] = {}
+    for col in cols:
+        v = {j: e % p for j, e in col.items() if e % p} if p else dict(col)
+        while v:
+            low = max(v)
+            entry = basis.get(low)
+            if entry is None:
+                e = v[low]
+                if p:
+                    inv = pow(e, -1, p)
+                elif e in (1, -1):
+                    inv = e
+                else:
+                    # imported here, so that importing the package never loads it
+                    from fractions import Fraction
 
-            pivot = min(live, key=len)
-            col = next(iter(pivot))
-            inv = Fraction(1, pivot[col])
-        else:
-            col = next(j for j, v in pivot.items() if p or v in (1, -1))
-            inv = pow(pivot[col], -1, p) if p else pivot[col]  # 1/(+-1) = +-1
-        rest = []
-        for r in live:
-            if r is pivot:
-                continue
-            f = r.get(col)
-            if f:
-                f *= inv
-                for j, v in pivot.items():
-                    w = r.get(j, 0) - f * v
-                    if p:
-                        w %= p
-                    if w:
-                        r[j] = w
-                    else:
-                        r.pop(j, None)
-                if not r:
-                    continue
-            rest.append(r)
-        live = rest
-        pivots.append(col)
-    return pivots
+                    inv = Fraction(1, e)
+                basis[low] = (v, inv)
+                break
+            b, inv = entry
+            f = v[low] * inv
+            for j, e in b.items():
+                w = v.get(j, 0) - f * e
+                if p:
+                    w %= p
+                if w:
+                    v[j] = w
+                else:
+                    del v[j]
+    return list(basis)
 
 
 def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> list[int]:

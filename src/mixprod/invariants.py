@@ -163,24 +163,28 @@ def _betti_at(
 @dataclass(frozen=True)
 class _WalkPlan:
     """The field-independent part of hochster_betti on one ideal: its
-    complex, its classes of interchangeable variables, and one row
-    (W, generators inside W relabelled, |W|, orbit size) per orbit
-    representative W that is neither empty nor a cone."""
+    Alexander dual, its complex, its classes of interchangeable variables,
+    and one row (W, generators inside W relabelled, |W|, orbit size) per
+    orbit representative W that is neither empty nor a cone."""
 
+    dual: MonomialIdeal
     delta: SimplicialComplex
     classes: tuple[int, ...]
     rows: tuple[tuple[int, tuple[int, ...], int, int], ...]
 
 
-# (ambient, generator masks) -> plan, for the last ideal and its dual only:
+# (ambient, generator masks) -> plan, for the last two ideals planned:
 # oracle_report asks for the ideal, then the dual, once per field
 _PLANS: dict[tuple[Ambient, tuple[int, ...]], _WalkPlan] = {}
 
 
 def _walk_plan(a: MonomialIdeal, dual: MonomialIdeal | None) -> _WalkPlan:
-    """The plan of `a`, from the last two built or built now; a third
-    ideal drops both. The representative taking k variables of a class
-    takes its lowest k, and its orbit holds prod C(|C|, k) subsets."""
+    """The plan of `a`, from the last two built or built now; building a
+    third drops the older, so the plan of an ideal that follows a
+    self-dual one outlives the building of its dual's. A plan built
+    without `dual` computes it. The representative taking k variables of
+    a class takes its lowest k, and its orbit holds prod C(|C|, k)
+    subsets."""
     key = (a.ambient, a.gen_masks())
     plan = _PLANS.get(key)
     if plan is None:
@@ -201,9 +205,11 @@ def _walk_plan(a: MonomialIdeal, dual: MonomialIdeal | None) -> _WalkPlan:
             if w and local is not None:
                 orbit = prod(comb(len(p) - 1, s.bit_count()) for p, s in zip(prefixes, parts))
                 rows.append((w, local, w.bit_count(), orbit))
-        plan = _WalkPlan(stanley_reisner(a, dual), classes, tuple(rows))
+        if dual is None:
+            dual = alexander_dual(a)
+        plan = _WalkPlan(dual, stanley_reisner(a, dual), classes, tuple(rows))
         if len(_PLANS) >= 2:
-            _PLANS.clear()
+            del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = plan
     return plan
 
@@ -273,29 +279,20 @@ class InvariantReport:
     field: FieldSpec | None = None
 
 
-# (ambient, generator masks) -> Alexander dual, for the last ideal only
-_LAST_DUAL: dict[tuple[Ambient, tuple[int, ...]], MonomialIdeal] = {}
-
-
 def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     """Invariants from the combinatorial route: dimension from the minimal
     primes (the supports of the Alexander dual's generators), pd and
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
-    two values are asserted equal (Terai). The dual is computed once per
-    ideal and serves the dimension and both Stanley-Reisner complexes;
-    the dual of the last ideal is kept, so a report on the same ideal over
-    another field, as a sweep makes, reuses it, and hochster_betti reuses
-    the walk plans of both."""
+    two values are asserted equal (Terai). The dual is read off the
+    ideal's walk plan, which computes it once per ideal; it serves the
+    dimension and both Stanley-Reisner complexes, and a report on the same
+    ideal over another field, as a sweep makes, reuses the plans of the
+    ideal and of its dual."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars
-    key = (a.ambient, a.gen_masks())
-    dual = _LAST_DUAL.get(key)
-    if dual is None:
-        dual = alexander_dual(a)
-        _LAST_DUAL.clear()
-        _LAST_DUAL[key] = dual
+    dual = _walk_plan(a, None).dual
     dim = nv - min(g.degree for g in dual.gens)
     pd, reg_quotient = betti_stats(hochster_betti(a, field, dual=dual))
     reg_ideal = reg_quotient + 1

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixprod
+import mixprod.invariants
 from mixprod import (
     GF2,
     GF3,
@@ -27,6 +29,8 @@ from mixprod import (
     VerticesOutsideComplex,
     VoidComplex,
     alexander_dual,
+    oracle_report,
+    realize_spec,
     reduced_homology_ranks,
     restrict,
     stanley_reisner,
@@ -34,6 +38,7 @@ from mixprod import (
 )
 from mixprod import homology
 from mixprod.core import vars_to_mask
+from mixprod.harness import enumerate_specs
 from mixprod.homology import _rank_gf2, _rank_sparse
 
 
@@ -371,6 +376,19 @@ def reference_homology(d, p):
     }
 
 
+def fractions_made(monkeypatch):
+    """The argument tuples of every Fraction the rank code makes from now
+    on: it imports Fraction where it needs it, from this stand-in."""
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setitem(sys.modules, "fractions", SimpleNamespace(Fraction=counting_fraction))
+    return made
+
+
 @st.composite
 def integer_matrices(draw):
     """0-9 rows by 0-9 columns, entries in [-7, 7], at a drawn density."""
@@ -421,17 +439,11 @@ class TestSparseRank:
             assert_pivot_rows(mat, pivots, p)
 
     def test_projective_plane_takes_a_non_unit_pivot(self, monkeypatch):
-        # over Q a boundary matrix of RP2 keeps only +-2 entries in some
-        # columns once every unit pivot is taken; the next pivot is one of
-        # them, with the multiplier Fraction(1, +-2). GF(2) never needs one.
-        made = []
-
-        def counting_fraction(*args):
-            made.append(args)
-            return Fraction(*args)
-
-        # the rank code imports Fraction where it needs it, from this stand-in
-        monkeypatch.setitem(sys.modules, "fractions", SimpleNamespace(Fraction=counting_fraction))
+        # over Q, a column of RP2's map C_2 -> C_1, reduced against the
+        # basis built from the columns before it, keeps +-2 at its last
+        # row, the torsion of H_1; it joins the basis with the inverse
+        # Fraction(1, +-2). GF(2) never needs one.
+        made = fractions_made(monkeypatch)
         facets = homology._canonical_facets(RP2)
         ranks = homology._homology_of_faces.__wrapped__(facets, 0)
         assert dict(ranks) == {-1: 0, 0: 0, 1: 0, 2: 0}
@@ -445,6 +457,21 @@ class TestSparseRank:
         mat = dense_boundaries(RP2)[1][2]
         assert_pivot_rows(mat, _rank_sparse(columns_of(mat), 0), 0)
         assert made and made[0] in ((1, 2), (1, -2))
+
+    def test_rationals_stay_integral_on_mixed_product_ideals(self, monkeypatch):
+        # every pivot entry of their boundary maps is +-1, so the reports
+        # over Q make no Fraction; fresh caches make every rank run here
+        made = fractions_made(monkeypatch)
+        monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
+        monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+        fresh = lru_cache(maxsize=None)(homology._homology_of_faces.__wrapped__)
+        monkeypatch.setattr(homology, "_homology_of_faces", fresh)
+        specs = [s for s in enumerate_specs(6, 6) if s.ambient.nvars <= 6]
+        assert len(specs) == 392
+        for spec in specs:
+            oracle_report(realize_spec(spec), RATIONALS)
+        assert fresh.cache_info().misses > 0
+        assert not made
 
     def test_importing_the_cli_loads_no_fractions_or_decimal(self):
         # Fraction is imported lazily, on the first pivot without a unit

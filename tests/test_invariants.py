@@ -665,12 +665,12 @@ class TestBettiMemo:
             assert {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask} == top
 
 
-# --- the walk plans and the last report's dual -------------------------------
-# What hochster_betti reads off the generators alone (complex, classes,
-# representatives, orbit sizes) is planned once per ideal, and the plans
-# of the last ideal and of its dual are kept, as is oracle_report's dual
-# of the last ideal and realize_spec's ideal of the last spec. A sweep asks
-# for one ideal over each field in turn.
+# --- the walk plans ----------------------------------------------------------
+# What hochster_betti reads off the generators alone (Alexander dual,
+# complex, classes, representatives, orbit sizes) is planned once per
+# ideal, and the plans of the last ideal and of its dual are kept, as is
+# realize_spec's ideal of the last spec. A sweep asks for one ideal over
+# each field in turn.
 
 
 class TestSharedWalkState:
@@ -702,9 +702,24 @@ class TestSharedWalkState:
         dual = alexander_dual(a)
         key, dual_key = (a.ambient, a.gen_masks()), (dual.ambient, dual.gen_masks())
         assert set(mixprod.invariants._PLANS) == {key, dual_key}
-        assert mixprod.invariants._LAST_DUAL == {key: dual}
+        assert mixprod.invariants._PLANS[key].dual == dual
         assert realize_spec.cache_info().currsize == 1
         assert realize_spec(specs[49]) is a
+
+    def test_a_self_dual_ideal_pushes_out_no_plan(self, fresh_memo, monkeypatch):
+        # a self-dual ideal leaves one plan; the next ideal's plan must
+        # outlive the building of its dual's, or each further field
+        # rebuilds it and computes the dual again
+        amb = Ambient(3, 0)
+        self_dual = MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110))
+        assert alexander_dual(self_dual) == self_dual
+        oracle_report(self_dual, RATIONALS)
+        duals, plans = spy(monkeypatch, "alexander_dual"), spy(monkeypatch, "stanley_reisner")
+        a = MonomialIdeal.from_masks(amb, (0b011,))
+        for field in (RATIONALS, GF2, GF3):
+            oracle_report(a, field)
+        assert len(duals) == 1
+        assert len(plans) == 2
 
     @pytest.mark.parametrize(
         "ambients, masks",

@@ -6,17 +6,18 @@ homology everywhere. The void complex (no faces at all) carries no
 homology and is rejected. Homology is computed from the facets alone,
 relabelled onto dense vertex bits, which is also the cache key; the faces
 are enumerated only when the cache misses, and each boundary map is built
-as sparse columns, one {row: +-1} dict per face, never as a dense matrix.
+as sparse columns, one per face, never as a dense matrix: over GF(2) a
+list of the row bits 1 << r, elsewhere a {row: +-1} dict.
 The maps are reduced from the top dimension down, and each rank routine
 reports its pivot rows; a face that is a pivot row of the map above it is
 a boundary modulo faces off those rows, so it gets no column in its own
 map (clearing), which leaves every rank unchanged over every field.
 All ranks are exact and come from one column reduction: each column is
-reduced against the columns kept before it, keyed by one pivot row each,
+reduced against the columns kept before it, each keyed by its last row,
 and joins them if it survives. Over GF(2) the columns are packed into
-ints and keyed by lowest bit; over Q and GF(p), p > 2, they stay sparse
-dicts keyed by their last row, and over Q only a pivot entry other than
-+-1 makes a Fraction.
+ints, whose last row is the highest bit; over Q and GF(p), p > 2, they
+stay sparse dicts, and over Q only a pivot entry other than +-1 makes a
+Fraction.
 """
 
 from __future__ import annotations
@@ -189,42 +190,39 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
 # --- exact rank computations -------------------------------------------------
 
 
-def _rank_gf2(cols: list[dict[int, int]]) -> list[int]:
-    """Pivot rows over GF(2), one per unit of rank: each column is packed
-    into an int, one bit per odd entry, and reduced against a basis keyed
-    by lowest set bit; a column that survives joins the basis. The pivot
-    row of a basis vector is its lowest bit, so on the pivot rows, taken
-    in order, the basis is triangular with a unit diagonal and the columns
-    span every vector there."""
+def _rank_gf2(cols: list[list[int]]) -> list[int]:
+    """Pivot rows over GF(2), one per unit of rank, of the matrix whose
+    columns are lists of row bits 1 << r, one per nonzero entry: each
+    column is packed into an int and reduced against a basis keyed by the
+    highest row of each vector, as _rank_sparse keys by its last row; a
+    column that survives joins the basis. The basis is triangular on its
+    keys with a unit diagonal, so the columns span every vector on the
+    pivot rows."""
     basis: dict[int, int] = {}
     for col in cols:
-        v = 0
-        for j, e in col.items():
-            if e & 1:
-                v |= 1 << j
+        v = sum(col)
         while v:
-            low = v & -v
-            b = basis.get(low)
+            high = v.bit_length()
+            b = basis.get(high)
             if b is None:
-                basis[low] = v
+                basis[high] = v
                 break
             v ^= b
-    return [low.bit_length() - 1 for low in basis]
+    return [high - 1 for high in basis]
 
 
 def _rank_sparse(cols: list[dict[int, int]], p: int) -> list[int]:
     """Pivot rows over Q (p = 0) or GF(p), one per unit of rank, by the
-    column reduction of _rank_gf2 (Edelsbrunner-Harer, ch. VII) on sparse
-    columns {row: entry}: each column is reduced against a basis keyed by
-    the last row of each vector, the "low" of the book, and a column that
-    survives joins the basis. Each basis vector is kept with the inverse
-    of its entry there, so the multiplier v[r] * inverse is exact: +-1
-    over Q for a +-1 pivot entry, a residue over GF(p), and a Fraction
-    only for another pivot entry over Q, which torsion such as RP2's
-    makes. The basis is triangular on its keys, so the columns span every
-    vector there. Keying by the first row, as _rank_gf2 does by lowest
-    bit, made about six times as many entry updates on boundary maps
-    over Q."""
+    column reduction _rank_gf2 makes on packed bits (Edelsbrunner-Harer,
+    ch. VII), here on sparse columns {row: entry}: each column is reduced
+    against a basis keyed by the last row of each vector, the "low" of
+    the book, and a column that survives joins the basis. Each basis
+    vector is kept with the inverse of its entry there, so the multiplier
+    v[r] * inverse is exact: +-1 over Q for a +-1 pivot entry, a residue
+    over GF(p), and a Fraction only for another pivot entry over Q, which
+    torsion such as RP2's makes. The basis is triangular on its keys, so
+    the columns span every vector there. Keying by the first row instead
+    made about six times as many entry updates on boundary maps over Q."""
     basis: dict[int, tuple[dict[int, int], int]] = {}
     for col in cols:
         v = {j: e % p for j, e in col.items() if e % p} if p else dict(col)
@@ -257,9 +255,10 @@ def _rank_sparse(cols: list[dict[int, int]], p: int) -> list[int]:
     return list(basis)
 
 
-def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> list[int]:
-    """Pivot rows of the matrix with these sparse columns {row: entry}: as
-    many as its rank, and the columns span every vector on them."""
+def _matrix_rank(cols: list, field: FieldSpec) -> list[int]:
+    """Pivot rows of the matrix with these sparse columns: as many as its
+    rank, and the columns span every vector on them. A column is a list of
+    row bits 1 << r over GF(2), a dict {row: entry} over any other field."""
     if field.char == 2:
         return _rank_gf2(cols)
     return _rank_sparse(cols, field.char)
@@ -276,9 +275,11 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     complexes of the same shape, restrictions and their Alexander duals
     inside W alike, which repeat heavily across Hochster walks, share one
     entry, and the faces are enumerated only on a miss.
-    Each boundary map C_i -> C_{i-1} is built as sparse columns, one
-    {row: +-1} dict per i-face, and no dense matrix is made. The maps are
-    reduced from the top dimension down with clearing (Chen-Kerber, "twist"):
+    Each boundary map C_i -> C_{i-1} is built as sparse columns, one per
+    i-face: over GF(2), where signs do not matter, the row bits of its
+    boundary faces, and over any other field a {row: +-1} dict; no dense
+    matrix is made. The maps are reduced from the top dimension down with
+    clearing (Chen-Kerber, "twist"):
     an i-face that is a pivot row of C_{i+1} -> C_i gets no column. The
     columns of C_{i+1} -> C_i span every vector on its pivot rows, so each
     such face is a boundary plus faces off those rows; its image under
@@ -295,20 +296,33 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     cleared: set[int] = set()  # the i-faces that are pivot rows of C_{i+1} -> C_i
     for i in range(top, -1, -1):
         lower = by_dim[i - 1]
-        index = {f: r for r, f in enumerate(lower)}
-        cols = []
-        for f in by_dim[i]:
-            if f in cleared:
-                continue
-            col = {}
-            sign = 1
-            rest = f
-            while rest:
-                low = rest & -rest
-                col[index[f ^ low]] = sign
-                sign = -sign
-                rest ^= low
-            cols.append(col)
+        cols: list = []
+        if char == 2:
+            bit = {f: 1 << r for r, f in enumerate(lower)}
+            for f in by_dim[i]:
+                if f in cleared:
+                    continue
+                col = []
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    col.append(bit[f ^ low])
+                    rest ^= low
+                cols.append(col)
+        else:
+            index = {f: r for r, f in enumerate(lower)}
+            for f in by_dim[i]:
+                if f in cleared:
+                    continue
+                col = {}
+                sign = 1
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    col[index[f ^ low]] = sign
+                    sign = -sign
+                    rest ^= low
+                cols.append(col)
         pivots = _matrix_rank(cols, field)
         ranks[i] = len(pivots)
         cleared = {lower[r] for r in pivots}

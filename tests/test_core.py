@@ -33,7 +33,7 @@ from mixprod import (
     swap_blocks,
     veronese_ideal,
 )
-from mixprod.core import vars_to_mask
+from mixprod.core import _minimalize, vars_to_mask
 
 
 def ideal(ambient, *monomials):
@@ -213,7 +213,45 @@ class TestMembership:
             assert contains_monomial(a, u) == expected
 
 
+def brute_minimal(masks):
+    """The masks no other mask of the family divides, sorted."""
+    family = set(masks)
+    return tuple(sorted(m for m in family if not any(k != m and k & ~m == 0 for k in family)))
+
+
+def masks_of_size(lo, hi):
+    return st.integers(lo, hi).flatmap(
+        lambda k: st.sets(st.integers(1, 10), min_size=k, max_size=k)
+    ).map(vars_to_mask)
+
+
+# masks of 10 variables: a few singletons, 10 to 40 pairs and up to 40
+# larger masks, so that a larger mask often has fewer subsets than the
+# masks kept below it, and _minimalize walks its submasks
+mask_families = st.tuples(
+    st.lists(masks_of_size(1, 1), max_size=2),
+    st.lists(masks_of_size(2, 2), min_size=10, max_size=40),
+    st.lists(masks_of_size(3, 6), max_size=40),
+).map(lambda parts: [m for part in parts for m in part])
+
+
 class TestAntichain:
+    @settings(max_examples=100)
+    @given(mask_families)
+    def test_minimalize_matches_brute_force(self, masks):
+        assert _minimalize(masks) == brute_minimal(masks)
+
+    def test_minimalize_by_submasks(self):
+        # each 3- and 4-mask has fewer subsets (8, 16) than the 28 pairs kept
+        # before it, so it is tested by looking its submasks up
+        pairs = [vars_to_mask(p) for p in combinations(range(1, 9), 2)]
+        triple = vars_to_mask({9, 10, 11})
+        kept_quad = vars_to_mask({1, 9, 10, 12})  # holds one variable of 1..8
+        quads = [vars_to_mask({1, 2, 9, 10}), kept_quad, vars_to_mask({9, 10, 11, 12})]
+        got = _minimalize(quads + [triple] + pairs)
+        assert got == tuple(sorted(pairs + [triple, kept_quad]))
+        assert got == brute_minimal(quads + [triple] + pairs)
+
     def test_minimalization(self):
         amb = Ambient(3, 0)
         a = ideal(amb, "x1", "x1x2", "x2x3")

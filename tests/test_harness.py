@@ -211,6 +211,28 @@ class TestErrorsAsData:
         assert report.cases_run == 2 * len(enumerate_specs(2, 2))
         assert not report.passed
 
+    def test_formula_report_once_per_spec_and_its_error_per_field(self, monkeypatch):
+        real = mixprod.harness.formula_report
+        calls = []
+
+        def formula(spec):
+            calls.append(spec)
+            if spec.ambient == Ambient(1, 1):
+                raise ValueError("injected")
+            return real(spec)
+
+        monkeypatch.setattr(mixprod.harness, "formula_report", formula)
+        fields = (RATIONALS, GF2, GF3)
+        report = run_sweep(SweepConfig(max_n=2, max_m=2, fields=fields))
+        specs = enumerate_specs(2, 2)
+        assert calls == specs
+        assert report.mismatches == tuple(
+            Mismatch(s, f, "error", "ValueError: injected", None)
+            for s in specs
+            if s.ambient == Ambient(1, 1)
+            for f in fields
+        )
+
     def test_error_report_round_trips(self, monkeypatch):
         _fail_on_1x1(monkeypatch)
         report = run_sweep(SweepConfig(max_n=1, max_m=1, fields=(GF2,)))

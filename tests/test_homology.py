@@ -408,6 +408,12 @@ def columns_of(mat):
     return [{i: row[c] for i, row in enumerate(mat) if row[c]} for c in range(ncols)]
 
 
+def gf2_columns_of(mat):
+    """The matrix as GF(2) columns, lists of the row bits 1 << r of its
+    odd entries, the form _rank_gf2 takes."""
+    return [[1 << r for r, e in col.items() if e & 1] for col in columns_of(mat)]
+
+
 class TestSparseRank:
     @settings(max_examples=200)
     @given(integer_matrices())
@@ -422,7 +428,7 @@ class TestSparseRank:
     @settings(max_examples=200)
     @given(integer_matrices())
     def test_gf2_matches_dense_elimination(self, mat):
-        assert_pivot_rows(mat, _rank_gf2(columns_of(mat)), 2)
+        assert_pivot_rows(mat, _rank_gf2(gf2_columns_of(mat)), 2)
 
     @pytest.mark.parametrize(
         "mat, ranks",

@@ -5,12 +5,17 @@ the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
 homology everywhere. The void complex (no faces at all) carries no
 homology and is rejected. Homology is computed from the facets alone,
 relabelled onto dense vertex bits, which is also the cache key; the faces
-are enumerated only when the cache misses, and each boundary map is built
-as sparse columns, one per face, never as a dense matrix: over GF(2) a
+are enumerated only when the cache misses. The closed star of one vertex
+v, the vertex in the most facets and the lowest on ties, is a cone and so
+acyclic: the reduced homology of the complex is that of the relative
+complex (Delta minus v, lk v), whose cells are the faces outside the star.
+No face through v is enumerated, no face of the star is indexed, and each
+boundary map is built as sparse columns, one per cell, with the boundary
+faces that are not cells left out, never as a dense matrix: over GF(2) a
 list of the row bits 1 << r, elsewhere a {row: +-1} dict.
 The maps are reduced from the top dimension down, and each rank routine
-reports its pivot rows; a face that is a pivot row of the map above it is
-a boundary modulo faces off those rows, so it gets no column in its own
+reports its pivot rows; a cell that is a pivot row of the map above it is
+a boundary modulo cells off those rows, so it gets no column in its own
 map (clearing), which leaves every rank unchanged over every field.
 All ranks are exact and come from one column reduction: each column is
 reduced against the columns kept before it, each keyed by its last row,
@@ -270,30 +275,44 @@ def _matrix_rank(cols: list, field: FieldSpec) -> list[int]:
 @lru_cache(maxsize=None)
 def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
     """Reduced homology ranks of the complex with these facets over the
-    field of characteristic char, as (i, h~_i) pairs. The key is the facet
-    tuple that reduced_homology_ranks relabels onto dense vertex bits, so
-    complexes of the same shape, restrictions and their Alexander duals
-    inside W alike, which repeat heavily across Hochster walks, share one
-    entry, and the faces are enumerated only on a miss.
+    field of characteristic char, as (i, h~_i) pairs for i = -1 .. dim.
+    The key is the facet tuple that reduced_homology_ranks relabels onto
+    dense vertex bits, so complexes of the same shape, restrictions and
+    their Alexander duals inside W alike, which repeat heavily across
+    Hochster walks, share one entry, and the faces are enumerated only on
+    a miss.
+    What is reduced is the relative complex (Delta minus v, lk v) of the
+    vertex v in the most facets, the lowest on ties. The closed star of v
+    is a cone, so it is acyclic and h~_i(Delta) = h_i(Delta minus v, lk v):
+    the cells are the faces of the facets that miss v, less the faces of
+    the link facets F ^ v, so no face through v is enumerated and no face
+    of the star is indexed or given a column. The empty face lies in the
+    link, so h~_{-1} is 0 unless Delta is {<empty>}, and a cone has no
+    cells at all.
     Each boundary map C_i -> C_{i-1} is built as sparse columns, one per
-    i-face: over GF(2), where signs do not matter, the row bits of its
-    boundary faces, and over any other field a {row: +-1} dict; no dense
-    matrix is made. The maps are reduced from the top dimension down with
-    clearing (Chen-Kerber, "twist"):
-    an i-face that is a pivot row of C_{i+1} -> C_i gets no column. The
-    columns of C_{i+1} -> C_i span every vector on its pivot rows, so each
-    such face is a boundary plus faces off those rows; its image under
-    C_i -> C_{i-1} lies in the span of the columns that are built, and the
-    rank is unchanged over every field. The name says faces though the
-    key is facets; it is kept because the benchmark's tracer
-    (perfbench/spans.py) reads its cache_info."""
-    by_dim: dict[int, list[int]] = {}
-    for f in _faces(facets):
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    top = max(by_dim)
+    i-cell, its boundary faces that are not cells left out: over GF(2),
+    where signs do not matter, the row bits of the rest, and over any
+    other field a {row: +-1} dict; no dense matrix is made. The maps are
+    reduced from the top dimension down with clearing (Chen-Kerber,
+    "twist"): an i-cell that is a pivot row of C_{i+1} -> C_i gets no
+    column. The columns of C_{i+1} -> C_i span every vector on its pivot
+    rows, so each such cell is a boundary plus cells off those rows; its
+    image under C_i -> C_{i-1} lies in the span of the columns that are
+    built, and the rank is unchanged over every field. The name says
+    faces though the key is facets; it is kept because the benchmark's
+    tracer (perfbench/spans.py) reads its cache_info."""
+    if facets == (0,):
+        return ((-1, 1),)
+    v = 1 << max(range(max(facets).bit_length()), key=lambda j: sum(f >> j & 1 for f in facets))
+    top = max(f.bit_count() for f in facets) - 1
+    link = set(_faces(f ^ v for f in facets if f & v))
+    by_dim: dict[int, list[int]] = {i: [] for i in range(-1, top + 1)}
+    for f in _faces(f for f in facets if not f & v):
+        if f not in link:
+            by_dim[f.bit_count() - 1].append(f)
     field = FieldSpec(char)
     ranks: dict[int, int] = {}  # i -> rank of the boundary map C_i -> C_{i-1}
-    cleared: set[int] = set()  # the i-faces that are pivot rows of C_{i+1} -> C_i
+    cleared: set[int] = set()  # the i-cells that are pivot rows of C_{i+1} -> C_i
     for i in range(top, -1, -1):
         lower = by_dim[i - 1]
         cols: list = []
@@ -306,7 +325,9 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
                 rest = f
                 while rest:
                     low = rest & -rest
-                    col.append(bit[f ^ low])
+                    b = bit.get(f ^ low)
+                    if b is not None:
+                        col.append(b)
                     rest ^= low
                 cols.append(col)
         else:
@@ -319,7 +340,9 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
                 rest = f
                 while rest:
                     low = rest & -rest
-                    col[index[f ^ low]] = sign
+                    r = index.get(f ^ low)
+                    if r is not None:
+                        col[r] = sign
                     sign = -sign
                     rest ^= low
                 cols.append(col)

@@ -56,10 +56,11 @@ VOID = SimplicialComplex(0, ())
 
 # 6-vertex triangulation of the real projective plane; its homology depends
 # on the field, which pins down that ranks really use the chosen one
-RP2 = complex_of(
+RP2_FACETS = (
     {1, 2, 3}, {1, 2, 4}, {1, 3, 5}, {1, 4, 6}, {1, 5, 6},
     {2, 3, 6}, {2, 4, 5}, {2, 5, 6}, {3, 4, 5}, {3, 4, 6},
 )
+RP2 = complex_of(*RP2_FACETS)
 
 
 class TestFieldSpec:
@@ -363,6 +364,43 @@ def dense_boundaries(d):
     return by_dim, mats
 
 
+def star_vertex(d):
+    """The vertex bit whose closed star the homology kernel leaves out: the
+    vertex in the most facets, the lowest on ties."""
+    counts = [sum(f >> u & 1 for f in d.facets) for u in range(d.vertices.bit_length())]
+    return 1 << counts.index(max(counts))
+
+
+def relative_cells(d):
+    """The i-cells of the relative complex (d minus v, lk v) at v =
+    star_vertex(d), by dimension: the faces f of d with v not in f and
+    f | v not a face."""
+    v = star_vertex(d)
+    by_dim, _ = dense_boundaries(d)
+    return {
+        i: [f for f in faces if not f & v and not any((f | v) & ~g == 0 for g in d.facets)]
+        for i, faces in by_dim.items()
+    }
+
+
+def recorded_rank_calls(d, field):
+    """The columns and the pivot rows of every _matrix_rank call one
+    uncached homology computation of d makes, in call order."""
+    real = homology._matrix_rank
+    calls = []
+
+    def recording(cols, fld):
+        pivots = real(cols, fld)
+        calls.append((cols, pivots))
+        return pivots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_matrix_rank", recording)
+        ranks = homology._homology_of_faces.__wrapped__(homology._canonical_facets(d), field.char)
+    assert dict(ranks) == reduced_homology_ranks(d, field)
+    return calls
+
+
 def reference_homology(d, p):
     """h~_i of d over Q (p = 0) or GF(p) from its dense boundary matrices,
     each ranked by _rank_by_elimination: no clearing, no cache and no
@@ -496,6 +534,17 @@ class TestSparseRank:
 SPHERES = [stanley_reisner(veronese_ideal(Ambient(nv, 0), "x", nv)) for nv in range(2, 7)]
 
 
+@st.composite
+def larger_complexes(draw):
+    """7-8 vertices and up to 12 facets: past the 6 vertices of
+    small_complexes, towards the 12 of the complexes a 6x6 Hochster walk
+    ranks."""
+    nv = draw(st.integers(7, 8))
+    facets = set(draw(st.lists(st.integers(0, (1 << nv) - 1), min_size=1, max_size=12)))
+    maximal = [f for f in facets if not any(g != f and f & ~g == 0 for g in facets)]
+    return SimplicialComplex((1 << nv) - 1, tuple(sorted(maximal)))
+
+
 class TestReferenceHomology:
     """reduced_homology_ranks against dense boundary matrices ranked by
     plain elimination, and the clearing it does on the way."""
@@ -510,25 +559,62 @@ class TestReferenceHomology:
         for d in (RP2, HOLLOW_TRIANGLE, *SPHERES):
             assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)
 
+    @settings(max_examples=40, deadline=None)
+    @given(larger_complexes(), FIELDS)
+    def test_larger_complexes(self, d, field):
+        assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)
+
     @settings(max_examples=80)
     @given(small_complexes(), FIELDS)
     def test_cleared_faces_get_no_column(self, d, field):
-        # the maps are reduced from the top down, and C_i -> C_{i-1} gets
-        # a column for every i-face but the rank(C_{i+1} -> C_i) pivot rows
-        real = homology._matrix_rank
-        calls = []
-
-        def recording(cols, fld):
-            pivots = real(cols, fld)
-            calls.append((len(cols), len(pivots)))
-            return pivots
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(homology, "_matrix_rank", recording)
-            homology._homology_of_faces.__wrapped__(homology._canonical_facets(d), field.char)
-        by_dim, _ = dense_boundaries(d)
+        # the maps of the relative complex are reduced from the top down,
+        # and C_i -> C_{i-1} gets a column for every i-cell but the
+        # rank(C_{i+1} -> C_i) pivot rows
+        calls = recorded_rank_calls(d, field)
+        cells = relative_cells(d)
         assert len(calls) == d.dim + 1
         rank_above = 0
-        for i, (ncols, rank) in zip(range(d.dim, -1, -1), calls):
-            assert ncols == len(by_dim[i]) - rank_above
-            rank_above = rank
+        for i, (cols, pivots) in zip(range(d.dim, -1, -1), calls):
+            assert len(cols) == len(cells[i]) - rank_above
+            rank_above = len(pivots)
+
+
+CONES = [
+    complex_of({1, 2, 3}, {1, 2, 4}, {1, 3, 4}),
+    complex_of({1, 6}, {1, 2, 3}, {1, 4, 5}),
+    complex_of(*({7} | f for f in RP2_FACETS)),
+]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2, GF3], ids=str)
+class TestRelativeComplex:
+    """Homology through the relative complex (Delta minus v, lk v) of the
+    vertex v in the most facets."""
+
+    def test_empty_face_only(self, field):
+        assert recorded_rank_calls(EMPTY_FACE_ONLY, field) == []
+        assert reduced_homology_ranks(EMPTY_FACE_ONLY, field) == {-1: 1}
+
+    def test_one_vertex_and_two_points(self, field):
+        assert reduced_homology_ranks(complex_of({1}), field) == {-1: 0, 0: 0}
+        assert reduced_homology_ranks(complex_of({1}, {2}), field) == {-1: 0, 0: 1}
+        # v is the lowest of the two points; the other is the one cell
+        assert recorded_rank_calls(complex_of({1}, {2}), field) == [([[] if field == GF2 else {}], [])]
+
+    def test_cone_gives_no_column(self, field):
+        for d in CONES:
+            calls = recorded_rank_calls(d, field)
+            assert calls == [([], [])] * (d.dim + 1)
+            assert reduced_homology_ranks(d, field) == {i: 0 for i in range(-1, d.dim + 1)}
+
+    def test_sphere_has_one_cell(self, field):
+        # every vertex is in all facets but one; the lowest is v, and the
+        # facet opposite it is the only cell, with no boundary cell
+        for d in SPHERES:
+            assert star_vertex(d) == 1
+            cells = relative_cells(d)
+            assert [f for fs in cells.values() for f in fs] == [d.vertices ^ star_vertex(d)]
+            calls = recorded_rank_calls(d, field)
+            assert [len(cols) for cols, _ in calls] == [1] + [0] * d.dim
+            assert not calls[0][0][0]
+            assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)

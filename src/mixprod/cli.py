@@ -16,7 +16,6 @@ from typing import Sequence
 from .core import (
     Ambient,
     MixedProductSpec,
-    alexander_dual,
     canonicalize_spec,
     minimal_primes,
     realize_spec,
@@ -24,7 +23,13 @@ from .core import (
 from .errors import MixprodError, UnsupportedShape
 from .harness import SweepConfig, run_sweep, spec_to_json
 from .homology import FieldSpec
-from .invariants import BettiTable, InvariantReport, hochster_betti, oracle_report
+from .invariants import (
+    BettiTable,
+    InvariantReport,
+    dual_by_types,
+    hochster_betti,
+    oracle_report,
+)
 from .mixed import (
     cm_classify,
     formula_report,
@@ -301,7 +306,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_dual(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
     ideal = realize_spec(spec)
-    dual = alexander_dual(ideal)
+    dual = dual_by_types(ideal)
     primes = minimal_primes(ideal, dual=dual)
     amb = spec.ambient
     doc = spec_to_json(spec)

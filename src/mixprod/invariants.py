@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import comb, prod
+from typing import Sequence
 
 from .core import MonomialIdeal, Ambient, alexander_dual
 from .errors import TeraiMismatch, UnsupportedIdeal
@@ -75,6 +76,66 @@ def _swap_classes(a: MonomialIdeal) -> list[int]:
         else:
             classes.append(1 << v)
     return classes
+
+
+def _dual_from_types(a: MonomialIdeal, classes: Sequence[int]) -> MonomialIdeal:
+    """The Alexander dual of `a` over all its variables, read off count
+    vectors. `classes` partitions the variables so that permuting inside
+    each class fixes the generator set (as _swap_classes does); `a` must be
+    proper and nonzero.
+
+    The type of a set T is (|T & C|)_C. A set U of type u contains a
+    generator exactly when u >= d for a generator type d, since the group
+    carries a generator of type d <= u into U. So with `up` the up-closure
+    of the generator types over the grid prod [0, |C|], marked in one
+    lexicographic pass, a set of type c is a transversal (its complement
+    holds no generator) iff up[s - c] is false, s the class sizes, and a
+    minimal one iff also up[s - c + e_i] holds for every class i it meets.
+    The dual is every set of a minimal transversal type."""
+    sizes = [c.bit_count() for c in classes]
+    # mixed-radix grid index: the last class counts fastest
+    strides = []
+    points = 1
+    for s in reversed(sizes):
+        strides.append(points)
+        points *= s + 1
+    strides.reverse()
+    top = points - 1  # the index of s
+    up = bytearray(points)
+    for g in a.gen_masks():
+        up[sum((g & c).bit_count() * k for c, k in zip(classes, strides))] = 1
+    grid = list(product(*(range(s + 1) for s in sizes)))
+    for idx, c in enumerate(grid):
+        if not up[idx] and any(up[idx - k] for ci, k in zip(c, strides) if ci):
+            up[idx] = 1
+    # subsets[i][k]: the k-subsets of class i
+    subsets = []
+    for cls in classes:
+        bits = [1 << b for b in range(cls.bit_length()) if cls >> b & 1]
+        subsets.append([[sum(t) for t in combinations(bits, k)] for k in range(len(bits) + 1)])
+    out = []
+    for idx, c in enumerate(grid):
+        rest = top - idx
+        if not up[rest] and all(up[rest + k] for ci, k in zip(c, strides) if ci):
+            out.extend(sum(p) for p in product(*(sub[ci] for sub, ci in zip(subsets, c))))
+    return MonomialIdeal._trusted(a.ambient, sorted(out))
+
+
+def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> MonomialIdeal:
+    """The Alexander dual of `a` over all its variables, as the walk plan
+    and `mixprod dual` compute it. `classes` defaults to _swap_classes(a).
+
+    The rule: when the type grid has at most as many points as `a` has
+    generators, prod(|C|+1) <= len(gens), the dual is read off the grid
+    (_dual_from_types); otherwise, as with singleton classes or tiny
+    ideals, where the grid costs more than the generators, it is Berge's
+    alexander_dual. The grid has at least two points, so the zero and unit
+    ideals take Berge's side and raise there."""
+    if classes is None:
+        classes = _swap_classes(a)
+    if prod(c.bit_count() + 1 for c in classes) <= len(a.gens):
+        return _dual_from_types(a, classes)
+    return alexander_dual(a)
 
 
 def _face_bound(d: SimplicialComplex) -> int:
@@ -182,14 +243,17 @@ def _walk_plan(a: MonomialIdeal, dual: MonomialIdeal | None) -> _WalkPlan:
     """The plan of `a`, from the last two built or built now; building a
     third drops the older, so the plan of an ideal that follows a
     self-dual one outlives the building of its dual's. A plan built
-    without `dual` computes it. The representative taking k variables of
-    a class takes its lowest k, and its orbit holds prod C(|C|, k)
-    subsets."""
+    without `dual` computes it by dual_by_types on the plan's classes. A
+    permutation fixes an ideal exactly when it fixes its dual, so when
+    the plan of `dual` is at hand its classes are taken and _swap_classes
+    is not run again. The representative taking k variables of a class
+    takes its lowest k, and its orbit holds prod C(|C|, k) subsets."""
     key = (a.ambient, a.gen_masks())
     plan = _PLANS.get(key)
     if plan is None:
         gens = key[1]
-        classes = tuple(_swap_classes(a))
+        known = None if dual is None else _PLANS.get((dual.ambient, dual.gen_masks()))
+        classes = known.classes if known else tuple(_swap_classes(a))
         # prefixes[c][k]: the lowest k variables of class c
         prefixes = []
         for cls in classes:
@@ -206,7 +270,7 @@ def _walk_plan(a: MonomialIdeal, dual: MonomialIdeal | None) -> _WalkPlan:
                 orbit = prod(comb(len(p) - 1, s.bit_count()) for p, s in zip(prefixes, parts))
                 rows.append((w, local, w.bit_count(), orbit))
         if dual is None:
-            dual = alexander_dual(a)
+            dual = dual_by_types(a, classes)
         plan = _WalkPlan(dual, stanley_reisner(a, dual), classes, tuple(rows))
         if len(_PLANS) >= 2:
             del _PLANS[next(iter(_PLANS))]
@@ -221,7 +285,8 @@ def hochster_betti(
     of the variables, aggregated to total degree j = |W|.
 
     The complex's facets are the complements of the dual's generators
-    (see stanley_reisner); pass `dual` when alexander_dual(a) is known.
+    (see stanley_reisner); pass `dual` when alexander_dual(a) is known,
+    and otherwise the plan computes it by dual_by_types.
     oracle_report passes the ideal and its dual each other, so both of its
     complexes come from generator complements. The walk sees only the
     generator set: permuting the variables inside each class of
@@ -235,7 +300,8 @@ def hochster_betti(
     generators miss one of its vertices gives a cone and is skipped
     without restricting. All of this depends on the generators alone, so
     it is planned once per ideal (_walk_plan), and the plans of the last
-    ideal and of its dual are kept: a sweep asks for both once per field.
+    ideal and of its dual are kept: a sweep asks for both once per field,
+    and the dual's plan takes the ideal's classes.
     Every other W is looked up by _betti_at in a process-wide memo under
     the generators inside W, relabelled onto W's dense bits, and the
     field, so a restricted ideal met before, in this walk or an earlier
@@ -285,10 +351,12 @@ def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
     two values are asserted equal (Terai). The dual is read off the
-    ideal's walk plan, which computes it once per ideal; it serves the
-    dimension and both Stanley-Reisner complexes, and a report on the same
-    ideal over another field, as a sweep makes, reuses the plans of the
-    ideal and of its dual."""
+    ideal's walk plan, which computes it once per ideal by dual_by_types:
+    off the count vectors over the classes when their grid has at most as
+    many points as the ideal has generators, by Berge otherwise. It
+    serves the dimension and both Stanley-Reisner complexes, and a report
+    on the same ideal over another field, as a sweep makes, reuses the
+    plans of the ideal and of its dual."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars

@@ -12,6 +12,7 @@ import mixprod
 import mixprod.cli
 import mixprod.core
 import mixprod.harness
+import mixprod.invariants
 from mixprod import (
     GF3,
     Ambient,
@@ -22,6 +23,7 @@ from mixprod import (
     realize_spec,
 )
 from mixprod.cli import main
+from mixprod.invariants import dual_by_types
 
 
 def run(capsys, *argv):
@@ -278,17 +280,27 @@ class TestDual:
         assert doc["minimal_primes"] == [["x1"], ["y1"]]
 
     def test_dual_computed_once(self, capsys, monkeypatch):
-        calls = []
+        duals, berge = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return alexander_dual(*args, **kwargs)
+        def spying(calls, fn):
+            def counting(*args, **kwargs):
+                calls.append(args[0])
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(mixprod.cli, "alexander_dual", counting)
-        monkeypatch.setattr(mixprod.core, "alexander_dual", counting)
-        code, _, _ = run(capsys, "dual", "--n", "2", "--m", "2", "--terms", "1,2+2,1")
-        assert code == 0
-        assert len(calls) == 1
+            return counting
+
+        monkeypatch.setattr(mixprod.cli, "dual_by_types", spying(duals, dual_by_types))
+        for module in (mixprod.core, mixprod.invariants):
+            monkeypatch.setattr(module, "alexander_dual", spying(berge, alexander_dual))
+        # I_1J_2 + I_2J_1 at 2x2 takes Berge's side of the rule (9 grid
+        # points, 4 generators), I_2J_2 at 4x4 the types (25 points, 36)
+        for n, terms, by_berge in [("2", "1,2+2,1", 1), ("4", "2,2", 0)]:
+            duals.clear()
+            berge.clear()
+            code, _, _ = run(capsys, "dual", "--n", n, "--m", n, "--terms", terms)
+            assert code == 0
+            assert len(duals) == 1
+            assert len(berge) == by_berge
 
     def test_veronese_table(self, capsys):
         code, out, _ = run(capsys, "dual", "--n", "3", "--m", "0", "--terms", "2,0")

@@ -439,22 +439,134 @@ class TestOrbitWalk:
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
     def test_one_alexander_dual_per_report(self, monkeypatch):
-        calls = []
+        # one call of the plan's dual seam per report, on either side of
+        # its rule, and Berge only behind it on Berge's side: I_2J_2 at
+        # 4x4 (25 grid points, 36 generators) is read off the types
+        berge = []
 
         def counting(*args, **kwargs):
-            calls.append(args[0])
+            berge.append(args[0])
             return alexander_dual(*args, **kwargs)
 
         for module in (mixprod.core, mixprod.homology, mixprod.invariants):
             monkeypatch.setattr(module, "alexander_dual", counting)
-        for n, m, terms in [(2, 2, ((1, 2), (2, 1))), (3, 1, ((1, 1),)), (2, 0, ((1, 0),))]:
+        monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+        duals = spy(monkeypatch, "dual_by_types")
+        cases = [
+            ((2, 2), ((1, 2), (2, 1)), True),
+            ((3, 1), ((1, 1),), True),
+            ((2, 0), ((1, 0),), True),
+            ((4, 4), ((2, 2),), False),
+        ]
+        for (n, m), terms, by_berge in cases:
             a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
-            calls.clear()
+            duals.clear()
+            berge.clear()
             oracle_report(a, GF2)
-            assert calls == [a]
-        calls.clear()
+            assert [args[0] for args in duals] == [a]
+            assert berge == ([a] if by_berge else [])
+        duals.clear()
         oracle_report(ideal(Ambient(2, 2), "x1y1", "x2"), GF2)
-        assert len(calls) == 1
+        assert len(duals) == 1
+
+
+# --- the plan's Alexander dual -------------------------------------------------
+# dual_by_types reads the dual off the count vectors over the classes when
+# their grid has at most as many points as the ideal has generators, and
+# calls Berge's alexander_dual otherwise. Both routes must give Berge's
+# generators, and each test names the route it expects, so a change to the
+# rule cannot hide one of them.
+
+_dual_from_types = mixprod.invariants._dual_from_types
+_swap_classes = mixprod.invariants._swap_classes
+
+
+def dual_route(monkeypatch, a):
+    """dual_by_types(a) and the route it took, "types" or "berge"."""
+    types, berge = spy(monkeypatch, "_dual_from_types"), spy(monkeypatch, "alexander_dual")
+    got = mixprod.invariants.dual_by_types(a)
+    assert len(types) + len(berge) == 1
+    return got, "types" if types else "berge"
+
+
+@st.composite
+def stable_ideals(draw):
+    """An ideal on at most 8 variables fixed by the permutations inside
+    each class of a random partition, with that partition: the sets of a
+    few random nonzero count vectors over the classes, minimalized."""
+    nvars = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+    classes = [sum(1 << v for v, k in enumerate(labels) if k == lab) for lab in sorted(set(labels))]
+    count = st.tuples(*(st.integers(0, c.bit_count()) for c in classes))
+    types = set(draw(st.lists(count, min_size=1, max_size=5))) - {(0,) * len(classes)}
+    assume(types)
+    masks = [
+        s for s in range(1 << nvars) if tuple((s & c).bit_count() for c in classes) in types
+    ]
+    n = draw(st.integers(0, nvars))
+    return MonomialIdeal.from_masks(Ambient(n, nvars - n), masks), classes
+
+
+class TestDualByTypes:
+    def test_every_spec_up_to_ten_variables(self):
+        # each ambient (n, m) with n + m <= 10 once
+        specs = [
+            s
+            for n in range(11)
+            for s in mixprod.harness.enumerate_specs(n, 10 - n)
+            if s.ambient.n == n
+        ]
+        assert len(specs) == 3938
+        on_types = 0
+        for spec in specs:
+            a = realize_spec(spec)
+            classes = _swap_classes(a)
+            assert _dual_from_types(a, classes) == alexander_dual(a), spec
+            on_types += prod(c.bit_count() + 1 for c in classes) <= len(a.gens)
+        # both sides of the rule are met
+        assert 0 < on_types < len(specs)
+
+    def test_cap_spec(self, monkeypatch):
+        a = realize_spec(MixedProductSpec(Ambient(8, 8), ((4, 5), (6, 3))))
+        got, route = dual_route(monkeypatch, a)
+        assert route == "types"
+        assert len(got.gens) == 4004
+        assert got == alexander_dual(a)
+
+    @pytest.mark.parametrize(
+        "n, m, terms, route",
+        [
+            (4, 4, ((2, 2),), "types"),  # 25 grid points, 36 generators
+            (4, 4, ((1, 2), (4, 0)), "types"),  # 25 points, 25 generators
+            (4, 4, ((1, 2),), "berge"),  # 25 points, 24 generators
+            (2, 2, ((1, 1),), "berge"),  # 9 points, 4 generators
+            (3, 3, ((3, 0),), "berge"),  # 16 points, 1 generator
+        ],
+    )
+    def test_each_side_of_the_rule(self, monkeypatch, n, m, terms, route):
+        a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
+        got, taken = dual_route(monkeypatch, a)
+        assert taken == route
+        assert got == alexander_dual(a)
+
+    def test_singleton_classes_take_berge(self, monkeypatch):
+        # the path x1-x2-y1-y2: four singleton classes, 16 grid points
+        a = ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2")
+        got, route = dual_route(monkeypatch, a)
+        assert route == "berge"
+        assert got == ideal(Ambient(2, 2), "x1y1", "x2y1", "x2y2")
+
+    @settings(max_examples=150, deadline=None)
+    @given(stable_ideals())
+    def test_stable_ideals_match_berge(self, case):
+        a, classes = case
+        expected = alexander_dual(a)
+        got = _dual_from_types(a, classes)
+        assert got == expected
+        # sorted, duplicate-free and an antichain, or the checked
+        # constructor raises
+        assert MonomialIdeal(a.ambient, got.gens) == got
+        assert mixprod.invariants.dual_by_types(a, classes) == expected
 
 
 # --- Alexander duality inside W ----------------------------------------------
@@ -714,12 +826,28 @@ class TestSharedWalkState:
         self_dual = MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110))
         assert alexander_dual(self_dual) == self_dual
         oracle_report(self_dual, RATIONALS)
-        duals, plans = spy(monkeypatch, "alexander_dual"), spy(monkeypatch, "stanley_reisner")
+        duals, plans = spy(monkeypatch, "dual_by_types"), spy(monkeypatch, "stanley_reisner")
         a = MonomialIdeal.from_masks(amb, (0b011,))
         for field in (RATIONALS, GF2, GF3):
             oracle_report(a, field)
         assert len(duals) == 1
         assert len(plans) == 2
+
+    @pytest.mark.parametrize(
+        "n, m, terms", [(4, 4, ((2, 2),)), (3, 2, ((1, 1), (2, 0))), (2, 2, ((1, 1),))]
+    )
+    def test_the_dual_plan_takes_the_ideal_classes(self, fresh_memo, monkeypatch, n, m, terms):
+        # a permutation fixes an ideal exactly when it fixes its dual, so
+        # a report finds the classes once, for the ideal's plan
+        a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
+        dual = alexander_dual(a)
+        expected = tuple(_swap_classes(dual))
+        assert expected == tuple(_swap_classes(a))
+        found = spy(monkeypatch, "_swap_classes")
+        oracle_report(a, GF2)
+        assert found == [(a,)]
+        plans = mixprod.invariants._PLANS
+        assert plans[(dual.ambient, dual.gen_masks())].classes == expected
 
     @pytest.mark.parametrize(
         "ambients, masks",

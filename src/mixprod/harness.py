@@ -3,9 +3,9 @@ to a size bound, with machine-readable reporting."""
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
-from itertools import repeat
 
 from .core import AMBIENT_CAP, Ambient, MixedProductSpec, realize_spec
 from .errors import CapExceeded
@@ -163,25 +163,15 @@ def enumerate_specs(max_n: int, max_m: int) -> list[MixedProductSpec]:
     return out
 
 
-def _evaluate_case(
-    spec: MixedProductSpec, fld: FieldSpec, last_formula: dict | None = None
-) -> list[Mismatch]:
+def _evaluate_case(spec: MixedProductSpec, fld: FieldSpec) -> list[Mismatch]:
     """Compare the two routes on one case. Exceptions raised by the routes
     become a single "error" mismatch that names the route that raised, so
-    one bad case cannot abort the sweep. formula_report reads no field:
-    `last_formula`, when given, holds the last spec's report or error, so
-    that the fields of one spec in a row compute it once."""
-    if last_formula is not None and spec in last_formula:
-        formula, formula_error = last_formula[spec]
-    else:
-        formula = formula_error = None
-        try:
-            formula = formula_report(spec)
-        except Exception as e:
-            formula_error = f"{type(e).__name__}: {e}"
-        if last_formula is not None:
-            last_formula.clear()
-            last_formula[spec] = formula, formula_error
+    one bad case cannot abort the sweep."""
+    formula = formula_error = None
+    try:
+        formula = formula_report(spec)
+    except Exception as e:
+        formula_error = f"{type(e).__name__}: {e}"
     oracle_error = None
     try:
         oracle = oracle_report(realize_spec(spec), fld)
@@ -210,29 +200,25 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     description and field. Failures, exceptions included, are collected,
     not raised. Work units
     are independent (spec, field) pairs, the fields of one spec in a row;
-    with jobs > 1 they are fanned out to worker processes in chunks of
-    whole specs, so that each worker reuses an ideal's field-independent
-    work across its fields, and merged back in enumeration order, so the
-    report does not depend on scheduling."""
+    with jobs > 1 they are fanned out to at most one worker process per
+    CPU in chunks of whole specs, so that each worker reuses an ideal's
+    field-independent work across its fields, and merged back in
+    enumeration order, so the report does not depend on scheduling."""
     start = time.perf_counter()
     specs = enumerate_specs(cfg.max_n, cfg.max_m)
     unit_specs = [spec for spec in specs for _ in cfg.fields]
     unit_fields = list(cfg.fields) * len(specs)
-    # one memo for the run; a pool pickles it once per chunk, so each
-    # chunk of whole specs shares its own
-    unit_memos = repeat({})
     if jobs > 1 and unit_specs:
         # imported here: it loads multiprocessing, which --jobs 1 never needs
         from concurrent.futures import ProcessPoolExecutor
 
         # the least multiple of the field count that is at least 8
         chunk = -(-8 // len(cfg.fields)) * len(cfg.fields)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = list(
-                pool.map(_evaluate_case, unit_specs, unit_fields, unit_memos, chunksize=chunk)
-            )
+        # the pool starts all its workers up front; they are CPU-bound
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            found = list(pool.map(_evaluate_case, unit_specs, unit_fields, chunksize=chunk))
     else:
-        found = list(map(_evaluate_case, unit_specs, unit_fields, unit_memos))
+        found = list(map(_evaluate_case, unit_specs, unit_fields))
     mismatches = [mm for case in found for mm in case]
     witness_failures: list[WitnessFailure] = []
     if cfg.include_witness_checks:

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Sequence
 
-from .core import MonomialIdeal, Ambient, alexander_dual
+from .core import MonomialIdeal, Ambient
 from .errors import TeraiMismatch, UnsupportedIdeal
 from .homology import (
     FieldSpec,
@@ -78,64 +78,61 @@ def _swap_classes(a: MonomialIdeal) -> list[int]:
     return classes
 
 
-def _dual_from_types(a: MonomialIdeal, classes: Sequence[int]) -> MonomialIdeal:
+def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> MonomialIdeal:
     """The Alexander dual of `a` over all its variables, read off count
-    vectors. `classes` partitions the variables so that permuting inside
-    each class fixes the generator set (as _swap_classes does); `a` must be
-    proper and nonzero.
+    vectors: the one dual of the walk plan and of `mixprod dual`.
+    `classes` partitions the variables so that permuting inside each class
+    fixes the generator set, and defaults to _swap_classes(a).
 
     The type of a set T is (|T & C|)_C. A set U of type u contains a
     generator exactly when u >= d for a generator type d, since the group
-    carries a generator of type d <= u into U. So with `up` the up-closure
-    of the generator types over the grid prod [0, |C|], marked in one
-    lexicographic pass, a set of type c is a transversal (its complement
-    holds no generator) iff up[s - c] is false, s the class sizes, and a
-    minimal one iff also up[s - c + e_i] holds for every class i it meets.
-    The dual is every set of a minimal transversal type."""
-    sizes = [c.bit_count() for c in classes]
-    # mixed-radix grid index: the last class counts fastest
-    strides = []
-    points = 1
-    for s in reversed(sizes):
-        strides.append(points)
-        points *= s + 1
-    strides.reverse()
-    top = points - 1  # the index of s
-    up = bytearray(points)
-    for g in a.gen_masks():
-        up[sum((g & c).bit_count() * k for c, k in zip(classes, strides))] = 1
-    grid = list(product(*(range(s + 1) for s in sizes)))
-    for idx, c in enumerate(grid):
-        if not up[idx] and any(up[idx - k] for ci, k in zip(c, strides) if ci):
-            up[idx] = 1
-    # subsets[i][k]: the k-subsets of class i
-    subsets = []
-    for cls in classes:
-        bits = [1 << b for b in range(cls.bit_length()) if cls >> b & 1]
-        subsets.append([[sum(t) for t in combinations(bits, k)] for k in range(len(bits) + 1)])
-    out = []
-    for idx, c in enumerate(grid):
-        rest = top - idx
-        if not up[rest] and all(up[rest + k] for ci, k in zip(c, strides) if ci):
-            out.extend(sum(p) for p in product(*(sub[ci] for sub, ci in zip(subsets, c))))
-    return MonomialIdeal._trusted(a.ambient, sorted(out))
-
-
-def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> MonomialIdeal:
-    """The Alexander dual of `a` over all its variables, as the walk plan
-    and `mixprod dual` compute it. `classes` defaults to _swap_classes(a).
-
-    The rule: when the type grid has at most as many points as `a` has
-    generators, prod(|C|+1) <= len(gens), the dual is read off the grid
-    (_dual_from_types); otherwise, as with singleton classes or tiny
-    ideals, where the grid costs more than the generators, it is Berge's
-    alexander_dual. The grid has at least two points, so the zero and unit
-    ideals take Berge's side and raise there."""
+    carries a generator of type d <= u into U. The grid prod [0, |C|] is
+    held as the bits of one integer, and `up`, the up-closure of the
+    generator types, is closed by a prefix OR along each class's axis. A
+    set of type c is a transversal (its complement holds no generator) iff
+    its complement's type s - c, s the class sizes, is outside `up`, and a
+    minimal one iff s - c is a maximal such type: adding a variable of any
+    class it misses lands in `up`. The dual is every set of a minimal
+    transversal type."""
+    if not a.is_proper_nonzero:
+        raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
     if classes is None:
         classes = _swap_classes(a)
-    if prod(c.bit_count() + 1 for c in classes) <= len(a.gens):
-        return _dual_from_types(a, classes)
-    return alexander_dual(a)
+    # mixed-radix grid index, the last class counting fastest: the digit
+    # of a class has stride k and runs once over each block of k(|C|+1)
+    axes = []
+    points = 1
+    for cls in reversed(classes):
+        axes.append((points, points * (cls.bit_count() + 1)))
+        points = axes[-1][1]
+    axes.reverse()
+    up = 0
+    for g in a.gen_masks():
+        up |= 1 << sum((g & c).bit_count() * k for c, (k, _) in zip(classes, axes))
+    everything = (1 << points) - 1
+    # below[i]: the points whose digit of class i is below |C_i|
+    below = []
+    for k, block in axes:
+        # the points whose digit of class i is at least 1: bits k.. of each block
+        nonzero = (everything // ((1 << block) - 1)) * ((1 << block) - (1 << k))
+        for _ in range(block // k - 1):
+            up |= up << k & nonzero
+        below.append(nonzero >> k)
+    free = everything ^ up  # the types of the sets holding no generator
+    tops = free
+    for (k, _), mask in zip(axes, below):
+        tops &= ~(free >> k & mask)
+    out = []
+    while tops:
+        low = tops & -tops
+        tops ^= low
+        c = points - low.bit_length()  # the index of s - t, t the type of low
+        parts = []
+        for cls, (k, block) in zip(classes, axes):
+            bits = [1 << b for b in range(cls.bit_length()) if cls >> b & 1]
+            parts.append([sum(t) for t in combinations(bits, c % block // k)])
+        out.extend(sum(p) for p in product(*parts))
+    return MonomialIdeal._trusted(a.ambient, sorted(out))
 
 
 def _face_bound(d: SimplicialComplex) -> int:
@@ -285,8 +282,8 @@ def hochster_betti(
     of the variables, aggregated to total degree j = |W|.
 
     The complex's facets are the complements of the dual's generators
-    (see stanley_reisner); pass `dual` when alexander_dual(a) is known,
-    and otherwise the plan computes it by dual_by_types.
+    (see stanley_reisner); pass `dual` when the Alexander dual of `a` is
+    known, and otherwise the plan computes it by dual_by_types.
     oracle_report passes the ideal and its dual each other, so both of its
     complexes come from generator complements. The walk sees only the
     generator set: permuting the variables inside each class of
@@ -351,12 +348,11 @@ def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
     two values are asserted equal (Terai). The dual is read off the
-    ideal's walk plan, which computes it once per ideal by dual_by_types:
-    off the count vectors over the classes when their grid has at most as
-    many points as the ideal has generators, by Berge otherwise. It
-    serves the dimension and both Stanley-Reisner complexes, and a report
-    on the same ideal over another field, as a sweep makes, reuses the
-    plans of the ideal and of its dual."""
+    ideal's walk plan, which computes it once per ideal by dual_by_types,
+    off the count vectors over the classes. It serves the dimension and
+    both Stanley-Reisner complexes, and a report on the same ideal over
+    another field, as a sweep makes, reuses the plans of the ideal and of
+    its dual."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars

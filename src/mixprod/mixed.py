@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -104,9 +105,12 @@ def cm_classify(spec: MixedProductSpec) -> tuple[bool, CmCase]:
     return forms.cm, forms.case
 
 
+@lru_cache(maxsize=1)
 def formula_report(spec: MixedProductSpec) -> InvariantReport:
     """Bundle of the closed forms; pd comes from depth by
-    Auslander-Buchsbaum and height from the dimension."""
+    Auslander-Buchsbaum and height from the dimension. It reads no field,
+    and the report of the last spec is kept: a sweep asks for each spec
+    once per field, one field after the other."""
     nv = spec.ambient.nvars
     forms = _closed_forms(spec)
     return InvariantReport(

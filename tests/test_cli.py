@@ -290,17 +290,15 @@ class TestDual:
             return counting
 
         monkeypatch.setattr(mixprod.cli, "dual_by_types", spying(duals, dual_by_types))
-        for module in (mixprod.core, mixprod.invariants):
-            monkeypatch.setattr(module, "alexander_dual", spying(berge, alexander_dual))
-        # I_1J_2 + I_2J_1 at 2x2 takes Berge's side of the rule (9 grid
-        # points, 4 generators), I_2J_2 at 4x4 the types (25 points, 36)
-        for n, terms, by_berge in [("2", "1,2+2,1", 1), ("4", "2,2", 0)]:
+        monkeypatch.setattr(mixprod.core, "alexander_dual", spying(berge, alexander_dual))
+        # the grid of I_1J_2 + I_2J_1 at 2x2 has more points than the ideal
+        # has generators (9 against 4), that of I_2J_2 at 4x4 fewer (25, 36)
+        for n, terms in [("2", "1,2+2,1"), ("4", "2,2")]:
             duals.clear()
-            berge.clear()
             code, _, _ = run(capsys, "dual", "--n", n, "--m", n, "--terms", terms)
             assert code == 0
             assert len(duals) == 1
-            assert len(berge) == by_berge
+        assert berge == []
 
     def test_veronese_table(self, capsys):
         code, out, _ = run(capsys, "dual", "--n", "3", "--m", "0", "--terms", "2,0")
@@ -308,8 +306,10 @@ class TestDual:
         assert "x1x2" in out
 
     def test_unit_rejected(self, capsys):
-        code, _, err = run(capsys, "dual", "--n", "2", "--m", "0", "--terms", "0,0")
+        code, out, err = run(capsys, "dual", "--n", "2", "--m", "0", "--terms", "0,0")
         assert code == 1
+        assert out == ""
+        assert err == "error: Alexander dual needs a proper nonzero ideal\n"
 
 
 class TestUsageErrors:

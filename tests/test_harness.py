@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mixprod.harness
+import mixprod.mixed
 from mixprod import (
     GF2,
     GF3,
@@ -75,6 +77,30 @@ class TestEnumerate:
             enumerate_specs(10, 7)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process and
+    records the max_workers and chunksize it is given."""
+    seen = {"max_workers": [], "chunksize": []}
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen["max_workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            seen["chunksize"].append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return seen
+
+
 class TestRunSweep:
     def test_tiny_sweep_passes(self):
         report = run_sweep(SweepConfig(max_n=1, max_m=1, fields=(RATIONALS,)))
@@ -110,25 +136,8 @@ class TestRunSweep:
             serial, elapsed_seconds=0.0
         ) == dataclasses.replace(parallel, elapsed_seconds=0.0)
 
-    def test_pool_chunks_hold_whole_specs(self, monkeypatch):
+    def test_pool_chunks_hold_whole_specs(self, serial_pool):
         # each worker gets every field of a spec, so it plans an ideal once
-        chunks = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize):
-                chunks.append(chunksize)
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         for fields, chunk in [
             ((GF2,), 8),
             ((RATIONALS, GF2, GF3), 9),
@@ -136,10 +145,19 @@ class TestRunSweep:
         ]:
             cfg = SweepConfig(max_n=1, max_m=1, fields=fields)
             pooled = run_sweep(cfg, jobs=2)
-            assert chunks.pop() == chunk
+            assert serial_pool["chunksize"].pop() == chunk
             assert dataclasses.replace(pooled, elapsed_seconds=0.0) == dataclasses.replace(
                 run_sweep(cfg, jobs=1), elapsed_seconds=0.0
             )
+
+    @pytest.mark.parametrize("cpus, jobs, workers", [(4, 1000, 4), (4, 3, 3), (None, 8, 1)])
+    def test_pool_has_at_most_one_worker_per_cpu(
+        self, serial_pool, monkeypatch, cpus, jobs, workers
+    ):
+        # the pool starts every worker up front, so --jobs is capped
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_sweep(SweepConfig(max_n=1, max_m=1, fields=(GF2,)), jobs=jobs)
+        assert serial_pool["max_workers"] == [workers]
 
     def test_importing_the_cli_loads_no_process_pool(self):
         # the pool is imported only when a sweep runs with --jobs above 1
@@ -212,20 +230,26 @@ class TestErrorsAsData:
         assert not report.passed
 
     def test_formula_report_once_per_spec_and_its_error_per_field(self, monkeypatch):
-        real = mixprod.harness.formula_report
-        calls = []
+        real = mixprod.mixed._closed_forms
 
-        def formula(spec):
-            calls.append(spec)
+        def closed_forms(spec):
             if spec.ambient == Ambient(1, 1):
                 raise ValueError("injected")
             return real(spec)
 
-        monkeypatch.setattr(mixprod.harness, "formula_report", formula)
+        monkeypatch.setattr(mixprod.mixed, "_closed_forms", closed_forms)
+        cache = mixprod.mixed.formula_report
+        cache.cache_clear()
         fields = (RATIONALS, GF2, GF3)
         report = run_sweep(SweepConfig(max_n=2, max_m=2, fields=fields))
+        info = cache.cache_info()
+        cache.cache_clear()
         specs = enumerate_specs(2, 2)
-        assert calls == specs
+        raising = sum(s.ambient == Ambient(1, 1) for s in specs)
+        # the calls below the cache of the last spec: one per spec, and one
+        # per field for a spec that raises, since no exception is cached
+        assert info.misses == len(specs) + (len(fields) - 1) * raising
+        assert info.hits == (len(fields) - 1) * (len(specs) - raising)
         assert report.mismatches == tuple(
             Mismatch(s, f, "error", "ValueError: injected", None)
             for s in specs

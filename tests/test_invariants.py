@@ -439,54 +439,47 @@ class TestOrbitWalk:
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
     def test_one_alexander_dual_per_report(self, monkeypatch):
-        # one call of the plan's dual seam per report, on either side of
-        # its rule, and Berge only behind it on Berge's side: I_2J_2 at
-        # 4x4 (25 grid points, 36 generators) is read off the types
+        # one call of the plan's dual seam per report, and none of Berge's
+        # alexander_dual, also on ideals with more grid points than
+        # generators: the path x1-x2-y1-y2 has four singleton classes
         berge = []
 
         def counting(*args, **kwargs):
             berge.append(args[0])
             return alexander_dual(*args, **kwargs)
 
-        for module in (mixprod.core, mixprod.homology, mixprod.invariants):
+        for module in (mixprod.core, mixprod.homology):
             monkeypatch.setattr(module, "alexander_dual", counting)
         monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
         duals = spy(monkeypatch, "dual_by_types")
         cases = [
-            ((2, 2), ((1, 2), (2, 1)), True),
-            ((3, 1), ((1, 1),), True),
-            ((2, 0), ((1, 0),), True),
-            ((4, 4), ((2, 2),), False),
+            realize_spec(MixedProductSpec(Ambient(n, m), terms))
+            for (n, m), terms in [
+                ((2, 2), ((1, 2), (2, 1))),
+                ((3, 1), ((1, 1),)),
+                ((2, 0), ((1, 0),)),
+                ((4, 4), ((1, 2),)),
+                ((4, 4), ((2, 2),)),
+            ]
         ]
-        for (n, m), terms, by_berge in cases:
-            a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
+        cases.append(ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2"))
+        for a in cases:
             duals.clear()
-            berge.clear()
             oracle_report(a, GF2)
             assert [args[0] for args in duals] == [a]
-            assert berge == ([a] if by_berge else [])
         duals.clear()
         oracle_report(ideal(Ambient(2, 2), "x1y1", "x2"), GF2)
         assert len(duals) == 1
+        assert berge == []
 
 
 # --- the plan's Alexander dual -------------------------------------------------
-# dual_by_types reads the dual off the count vectors over the classes when
-# their grid has at most as many points as the ideal has generators, and
-# calls Berge's alexander_dual otherwise. Both routes must give Berge's
-# generators, and each test names the route it expects, so a change to the
-# rule cannot hide one of them.
+# dual_by_types reads the dual off the count vectors over the classes, on
+# every ideal, however its grid compares with its generator count. Berge's
+# alexander_dual shares no code with it and is the reference it must equal.
 
-_dual_from_types = mixprod.invariants._dual_from_types
 _swap_classes = mixprod.invariants._swap_classes
-
-
-def dual_route(monkeypatch, a):
-    """dual_by_types(a) and the route it took, "types" or "berge"."""
-    types, berge = spy(monkeypatch, "_dual_from_types"), spy(monkeypatch, "alexander_dual")
-    got = mixprod.invariants.dual_by_types(a)
-    assert len(types) + len(berge) == 1
-    return got, "types" if types else "berge"
+dual_by_types = mixprod.invariants.dual_by_types
 
 
 @st.composite
@@ -517,24 +510,20 @@ class TestDualByTypes:
             if s.ambient.n == n
         ]
         assert len(specs) == 3938
-        on_types = 0
         for spec in specs:
             a = realize_spec(spec)
-            classes = _swap_classes(a)
-            assert _dual_from_types(a, classes) == alexander_dual(a), spec
-            on_types += prod(c.bit_count() + 1 for c in classes) <= len(a.gens)
-        # both sides of the rule are met
-        assert 0 < on_types < len(specs)
+            assert dual_by_types(a) == alexander_dual(a), spec
 
-    def test_cap_spec(self, monkeypatch):
+    def test_cap_spec(self):
         a = realize_spec(MixedProductSpec(Ambient(8, 8), ((4, 5), (6, 3))))
-        got, route = dual_route(monkeypatch, a)
-        assert route == "types"
+        got = dual_by_types(a)
         assert len(got.gens) == 4004
         assert got == alexander_dual(a)
 
+    # `side` says how the grid prod(|C|+1) compares with the generator
+    # count: "types" when it has at most as many points, "berge" when more
     @pytest.mark.parametrize(
-        "n, m, terms, route",
+        "n, m, terms, side",
         [
             (4, 4, ((2, 2),), "types"),  # 25 grid points, 36 generators
             (4, 4, ((1, 2), (4, 0)), "types"),  # 25 points, 25 generators
@@ -543,30 +532,34 @@ class TestDualByTypes:
             (3, 3, ((3, 0),), "berge"),  # 16 points, 1 generator
         ],
     )
-    def test_each_side_of_the_rule(self, monkeypatch, n, m, terms, route):
+    def test_each_side_of_the_rule(self, n, m, terms, side):
         a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
-        got, taken = dual_route(monkeypatch, a)
-        assert taken == route
-        assert got == alexander_dual(a)
+        points = prod(c.bit_count() + 1 for c in _swap_classes(a))
+        assert (points <= len(a.gens)) == (side == "types")
+        assert dual_by_types(a) == alexander_dual(a)
 
-    def test_singleton_classes_take_berge(self, monkeypatch):
+    def test_singleton_classes(self):
         # the path x1-x2-y1-y2: four singleton classes, 16 grid points
         a = ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2")
-        got, route = dual_route(monkeypatch, a)
-        assert route == "berge"
-        assert got == ideal(Ambient(2, 2), "x1y1", "x2y1", "x2y2")
+        expected = ideal(Ambient(2, 2), "x1y1", "x2y1", "x2y2")
+        assert dual_by_types(a) == expected == alexander_dual(a)
+
+    @pytest.mark.parametrize("make", [MonomialIdeal.zero, MonomialIdeal.unit])
+    def test_zero_and_unit_rejected(self, make):
+        with pytest.raises(UnsupportedIdeal, match="Alexander dual needs a proper nonzero ideal"):
+            dual_by_types(make(Ambient(2, 1)))
 
     @settings(max_examples=150, deadline=None)
     @given(stable_ideals())
     def test_stable_ideals_match_berge(self, case):
         a, classes = case
         expected = alexander_dual(a)
-        got = _dual_from_types(a, classes)
+        got = dual_by_types(a, classes)
         assert got == expected
         # sorted, duplicate-free and an antichain, or the checked
         # constructor raises
         assert MonomialIdeal(a.ambient, got.gens) == got
-        assert mixprod.invariants.dual_by_types(a, classes) == expected
+        assert dual_by_types(a) == expected
 
 
 # --- Alexander duality inside W ----------------------------------------------

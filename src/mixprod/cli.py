@@ -61,7 +61,10 @@ def _field_arg(text: str) -> FieldSpec:
 
 
 def _fields_arg(text: str) -> tuple[FieldSpec, ...]:
-    return tuple(_field_arg(tok) for tok in text.split(","))
+    fields = tuple(_field_arg(tok) for tok in text.split(","))
+    if len(set(fields)) < len(fields):
+        raise argparse.ArgumentTypeError(f"{text!r} names a field twice")
+    return fields
 
 
 def _jobs_arg(text: str) -> int:

@@ -38,6 +38,8 @@ class SweepConfig:
                 f"sweep bounds ({self.max_n},{self.max_m}) exceed the "
                 f"{AMBIENT_CAP}-variable cap"
             )
+        if len(set(self.fields)) < len(self.fields):
+            raise ValueError("a sweep names each field once")
 
 
 def spec_to_json(spec: MixedProductSpec) -> dict:

@@ -362,6 +362,8 @@ def _canonical_facets(d: SimplicialComplex) -> tuple[int, ...]:
     support = 0
     for f in d.facets:
         support |= f
+    if support & (support + 1) == 0:  # the vertices in use are dense already
+        return d.facets
     bits = [1 << i for i in range(support.bit_length()) if support >> i & 1]
     return tuple(sum(1 << j for j, b in enumerate(bits) if f & b) for f in d.facets)
 

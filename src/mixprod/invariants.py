@@ -9,20 +9,14 @@ Depth is defined here through Auslander-Buchsbaum as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, Ambient
 from .errors import TeraiMismatch, UnsupportedIdeal
-from .homology import (
-    FieldSpec,
-    SimplicialComplex,
-    reduced_homology_ranks,
-    restrict,
-    stanley_reisner,
-)
+from .homology import FieldSpec, SimplicialComplex, _canonical_facets, reduced_homology_ranks
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,7 @@ class BettiTable:
 
     @cached_property
     def multigraded(self) -> dict[tuple[int, int], int]:
-        members = [[1 << b for b in range(c.bit_length()) if c >> b & 1] for c in self.classes]
+        members = [_members(c) for c in self.classes]
         out: dict[tuple[int, int], int] = {}
         for i, w, r in self.walk:
             parts = [
@@ -78,37 +72,37 @@ def _swap_classes(a: MonomialIdeal) -> list[int]:
     return classes
 
 
-def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> MonomialIdeal:
-    """The Alexander dual of `a` over all its variables, read off count
-    vectors: the one dual of the walk plan and of `mixprod dual`.
-    `classes` partitions the variables so that permuting inside each class
-    fixes the generator set, and defaults to _swap_classes(a).
+def _members(mask: int) -> list[int]:
+    """The single-bit masks of mask's variables, lowest first."""
+    return [1 << b for b in range(mask.bit_length()) if mask >> b & 1]
 
-    The type of a set T is (|T & C|)_C. A set U of type u contains a
-    generator exactly when u >= d for a generator type d, since the group
-    carries a generator of type d <= u into U. The grid prod [0, |C|] is
-    held as the bits of one integer, and `up`, the up-closure of the
-    generator types, is closed by a prefix OR along each class's axis. A
-    set of type c is a transversal (its complement holds no generator) iff
-    its complement's type s - c, s the class sizes, is outside `up`, and a
-    minimal one iff s - c is a maximal such type: adding a variable of any
-    class it misses lands in `up`. The dual is every set of a minimal
-    transversal type."""
-    if not a.is_proper_nonzero:
-        raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
-    if classes is None:
-        classes = _swap_classes(a)
+
+def _transversal_types(
+    sizes: Sequence[int], types: Iterable[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The minimal transversal types of a set family over classes of these
+    sizes, given the types of its members, for a family fixed by the
+    permutations inside each class.
+
+    The type of a set T is (|T & C|)_C. A set U of type u contains a member
+    exactly when u >= d for a member type d, since the group carries a
+    member of type d <= u into U. The grid prod [0, |C|] is held as the bits
+    of one integer, and `up`, the up-closure of the member types, is closed
+    by a prefix OR along each class's axis. A set of type t is a transversal
+    (its complement holds no member) iff its complement's type s - t, s the
+    class sizes, is outside `up`, and a minimal one iff s - t is a maximal
+    such type: adding a variable of any class it misses lands in `up`."""
     # mixed-radix grid index, the last class counting fastest: the digit
     # of a class has stride k and runs once over each block of k(|C|+1)
     axes = []
     points = 1
-    for cls in reversed(classes):
-        axes.append((points, points * (cls.bit_count() + 1)))
+    for size in reversed(sizes):
+        axes.append((points, points * (size + 1)))
         points = axes[-1][1]
     axes.reverse()
     up = 0
-    for g in a.gen_masks():
-        up |= 1 << sum((g & c).bit_count() * k for c, (k, _) in zip(classes, axes))
+    for d in types:
+        up |= 1 << sum(x * k for x, (k, _) in zip(d, axes))
     everything = (1 << points) - 1
     # below[i]: the points whose digit of class i is below |C_i|
     below = []
@@ -118,7 +112,7 @@ def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> Mon
         for _ in range(block // k - 1):
             up |= up << k & nonzero
         below.append(nonzero >> k)
-    free = everything ^ up  # the types of the sets holding no generator
+    free = everything ^ up  # the types of the sets holding no member
     tops = free
     for (k, _), mask in zip(axes, below):
         tops &= ~(free >> k & mask)
@@ -126,37 +120,106 @@ def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> Mon
     while tops:
         low = tops & -tops
         tops ^= low
-        c = points - low.bit_length()  # the index of s - t, t the type of low
-        parts = []
-        for cls, (k, block) in zip(classes, axes):
-            bits = [1 << b for b in range(cls.bit_length()) if cls >> b & 1]
-            parts.append([sum(t) for t in combinations(bits, c % block // k)])
+        c = points - low.bit_length()  # the index of s - u, u the type of low
+        out.append(tuple(c % block // k for k, block in axes))
+    return out
+
+
+def _sets_of_types(types: Iterable[tuple[int, ...]], members: Sequence[list[int]]) -> list[int]:
+    """Every set of each of these types over the classes whose variables
+    are `members` (single-bit masks): the unions of a t_C-subset of each
+    class C. A class's subsets are built only for the types expanded."""
+    out = []
+    for t in types:
+        parts = [[sum(s) for s in combinations(bits, k)] for bits, k in zip(members, t)]
         out.extend(sum(p) for p in product(*parts))
-    return MonomialIdeal._trusted(a.ambient, sorted(out))
+    return out
 
 
-def _face_bound(d: SimplicialComplex) -> int:
+def _gen_types(gens: Iterable[int], classes: Sequence[int]) -> set[tuple[int, ...]]:
+    """The distinct count vectors (|g & C|)_C of the generators."""
+    return {tuple((g & c).bit_count() for c in classes) for g in gens}
+
+
+@lru_cache(maxsize=1)
+def _dual(
+    ambient: Ambient, classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
+) -> MonomialIdeal:
+    """The Alexander dual of the ideal of `ambient` whose generator types
+    over `classes` are `types`: every set of a minimal transversal type
+    (_transversal_types), expanded over the class members
+    (_sets_of_types). The last one is kept, since a sweep reports on one
+    ideal over each field in turn."""
+    members = [_members(c) for c in classes]
+    tops = _transversal_types([len(m) for m in members], types)
+    return MonomialIdeal._trusted(ambient, sorted(_sets_of_types(tops, members)))
+
+
+def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> MonomialIdeal:
+    """The Alexander dual of `a` over all its variables, read off count
+    vectors (_dual), as `mixprod dual` prints it; the oracle calls _dual on
+    its plan's classes and types. `classes` partitions the variables so
+    that permuting inside each class fixes the generator set, and defaults
+    to _swap_classes(a)."""
+    if not a.is_proper_nonzero:
+        raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
+    classes = tuple(_swap_classes(a) if classes is None else classes)
+    return _dual(a.ambient, classes, tuple(sorted(_gen_types(a.gen_masks(), classes))))
+
+
+def _restricted_facets(
+    w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The facets of Delta|_W relabelled onto W's dense bits in order, read
+    off the generator types `types` of an ideal whose generator set the
+    permutations inside each of `classes` fix; no complex is restricted.
+
+    Let c be the type of W. The permutations inside each W & C fix the
+    generators inside W, which are the subsets of W of the types d <= c in
+    `types`. Those generators are the minimal non-faces of Delta|_W, so its
+    facets are the complements in W of their minimal transversals: the
+    sets of the minimal transversal types of those d over the sizes c,
+    expanded over W & C relabelled onto W's dense bits."""
+    c = [(w & cls).bit_count() for cls in classes]
+    inside = [d for d in types if all(x <= y for x, y in zip(d, c))]
+    members = [[1 << (w & (b - 1)).bit_count() for b in _members(w & cls)] for cls in classes]
+    full = (1 << w.bit_count()) - 1
+    return tuple(sorted(full ^ t for t in _sets_of_types(_transversal_types(c, inside), members)))
+
+
+def _face_bound(facets: Iterable[int]) -> int:
     """sum(2^|F|) over the facets F: at least the number of faces."""
-    return sum(1 << f.bit_count() for f in d.facets)
+    return sum(1 << f.bit_count() for f in facets)
 
 
 def _choose_side(
-    delta: SimplicialComplex, w: int, dual: SimplicialComplex
-) -> tuple[SimplicialComplex, bool]:
-    """The complex whose homology gives beta_{.,W}, Delta|_W or its
-    Alexander dual `dual` inside W (on any relabelling of W's vertices),
-    and whether it is the dual. The faces
-    of the two split the 2^|W| subsets of W between them, so a dual whose
-    face bound is at most 2^(|W|-1) has no more faces than Delta|_W and is
-    taken without restricting. Otherwise Delta|_W is restricted and the
-    side with the smaller face bound wins."""
-    bound = _face_bound(dual)
-    if bound <= 1 << (w.bit_count() - 1):
-        return dual, True
-    primal = restrict(delta, w)
-    if bound < _face_bound(primal):
-        return dual, True
-    return primal, False
+    local: tuple[int, ...], w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The complex whose homology gives beta_{.,W}, for a nonempty vertex
+    subset w whose restriction is no cone, with its generators `local`
+    relabelled onto W's dense bits (_local_gens): its facets, canonical as
+    _homology_of_faces keys them, and the degree map (shift, step) with
+    beta_{i,W} = h~_k of the side at i = shift + step * k.
+
+    The sides are Delta|_W, with i = |W| - 1 - k (Hochster), and its
+    Alexander dual inside W, with the facets W - g over the generators
+    inside W and i = k + 2 (combinatorial Alexander duality,
+    h~_k(Delta|_W) = h~_{|W|-k-3} of the dual). The faces of the two split
+    the 2^|W| subsets of W between them, so a dual whose face bound is at
+    most 2^(|W|-1) has no more faces than Delta|_W and is taken without
+    reading Delta|_W. Otherwise Delta|_W is read off the types
+    (_restricted_facets) and the side with the smaller face bound wins,
+    Delta|_W on a tie."""
+    size = w.bit_count()
+    full = (1 << size) - 1
+    facets = tuple(sorted(full ^ g for g in local))
+    degree = (2, 1)
+    bound = _face_bound(facets)
+    if bound > 1 << (size - 1):
+        primal = _restricted_facets(w, classes, types)
+        if _face_bound(primal) <= bound:
+            facets, degree = primal, (size - 1, -1)
+    return _canonical_facets(SimplicialComplex._trusted(full, facets)), degree
 
 
 def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
@@ -182,52 +245,48 @@ def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
     return tuple(local)
 
 
-# (generators inside W relabelled onto W's dense bits, field.char) -> the
-# _betti_at value; process-wide, since beta_{i,W} depends on nothing else
-_BETTI_AT: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+# generators inside W relabelled onto W's dense bits -> (the facets of the
+# side _choose_side picked, its degree map, {field.char: the _betti_at
+# value}); process-wide, since beta_{i,W} depends on nothing else
+_BETTI_AT: dict[
+    tuple[int, ...], tuple[tuple[int, ...], tuple[int, int], dict[int, dict[int, int]]]
+] = {}
 
 
 def _betti_at(
-    delta: SimplicialComplex, w: int, local: tuple[int, ...], field: FieldSpec
+    plan: _WalkPlan, w: int, local: tuple[int, ...], field: FieldSpec
 ) -> dict[int, int]:
-    """{i: beta_{i,W}(S/I)} for a nonempty vertex subset w whose
-    restriction is no cone, given its relabelled generators `local`
-    (_local_gens); an i it leaves out has beta_{i,W} = 0. The dict is
-    shared through the memo: do not change it.
+    """{i: beta_{i,W}(S/I)} for a row (w, local) of `plan`: a nonempty
+    vertex subset w whose restriction is no cone, and its relabelled
+    generators `local` (_local_gens); an i it leaves out has
+    beta_{i,W} = 0. The dict is shared through the memo: do not change it.
 
     beta_{i,W} depends only on `local` (Hochster), so the value is
-    memoized on it and on the field's characteristic. On a miss `local`
-    gives the Alexander dual inside W, with the facets W - g, and
-    combinatorial Alexander duality gives h~_k(Delta|_W) =
-    h~_{|W|-k-3} of the dual, so beta_{i,W} = h~_{|W|-i-1}(Delta|_W) =
-    h~_{i-2} of the dual. The homology is taken of whichever side
-    _choose_side picks.
-    """
-    key = (local, field.char)
-    betti = _BETTI_AT.get(key)
+    memoized on it. One entry holds the side _choose_side picks, chosen on
+    the first miss from the plan's classes and types, and one value per
+    field characteristic, each taken from the homology of that side."""
+    entry = _BETTI_AT.get(local)
+    if entry is None:
+        entry = _BETTI_AT[local] = (*_choose_side(local, w, plan.classes, plan.types), {})
+    facets, (shift, step), by_char = entry
+    betti = by_char.get(field.char)
     if betti is None:
-        full = (1 << w.bit_count()) - 1
-        dual = SimplicialComplex._trusted(full, tuple(sorted(full ^ g for g in local)))
-        side, is_dual = _choose_side(delta, w, dual)
+        side = SimplicialComplex._trusted((1 << w.bit_count()) - 1, facets)
         ranks = reduced_homology_ranks(side, field)
-        if is_dual:
-            betti = {k + 2: r for k, r in ranks.items()}
-        else:
-            betti = {w.bit_count() - 1 - k: r for k, r in ranks.items()}
-        _BETTI_AT[key] = betti
+        betti = by_char[field.char] = {shift + step * k: r for k, r in ranks.items()}
     return betti
 
 
 @dataclass(frozen=True)
 class _WalkPlan:
-    """The field-independent part of hochster_betti on one ideal: its
-    Alexander dual, its complex, its classes of interchangeable variables,
-    and one row (W, generators inside W relabelled, |W|, orbit size) per
-    orbit representative W that is neither empty nor a cone."""
+    """The field-independent part of hochster_betti on one ideal, read off
+    its generator set alone: its classes of interchangeable variables, the
+    distinct count vectors (types) of its generators over them, and one
+    row (W, generators inside W relabelled, |W|, orbit size) per orbit
+    representative W that is neither empty nor a cone."""
 
-    dual: MonomialIdeal
-    delta: SimplicialComplex
     classes: tuple[int, ...]
+    types: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, tuple[int, ...], int, int], ...]
 
 
@@ -236,28 +295,27 @@ class _WalkPlan:
 _PLANS: dict[tuple[Ambient, tuple[int, ...]], _WalkPlan] = {}
 
 
-def _walk_plan(a: MonomialIdeal, dual: MonomialIdeal | None) -> _WalkPlan:
+def _walk_plan(a: MonomialIdeal, classes: Sequence[int] | None = None) -> _WalkPlan:
     """The plan of `a`, from the last two built or built now; building a
     third drops the older, so the plan of an ideal that follows a
-    self-dual one outlives the building of its dual's. A plan built
-    without `dual` computes it by dual_by_types on the plan's classes. A
-    permutation fixes an ideal exactly when it fixes its dual, so when
-    the plan of `dual` is at hand its classes are taken and _swap_classes
-    is not run again. The representative taking k variables of a class
-    takes its lowest k, and its orbit holds prod C(|C|, k) subsets."""
+    self-dual one outlives the building of its dual's. A plan built now
+    takes `classes` when given, which must partition the variables into
+    classes whose permutations fix the generator set, and otherwise runs
+    _swap_classes: oracle_report passes the ideal's classes to its dual's
+    plan, since a permutation fixes an ideal exactly when it fixes its
+    dual. The representative taking k variables of a class takes its
+    lowest k, and its orbit holds prod C(|C|, k) subsets."""
     key = (a.ambient, a.gen_masks())
     plan = _PLANS.get(key)
     if plan is None:
         gens = key[1]
-        known = None if dual is None else _PLANS.get((dual.ambient, dual.gen_masks()))
-        classes = known.classes if known else tuple(_swap_classes(a))
+        classes = tuple(_swap_classes(a) if classes is None else classes)
         # prefixes[c][k]: the lowest k variables of class c
         prefixes = []
         for cls in classes:
             masks = [0]
-            for b in range(cls.bit_length()):
-                if cls >> b & 1:
-                    masks.append(masks[-1] | 1 << b)
+            for bit in _members(cls):
+                masks.append(masks[-1] | bit)
             prefixes.append(masks)
         rows = []
         for parts in product(*prefixes):
@@ -266,54 +324,47 @@ def _walk_plan(a: MonomialIdeal, dual: MonomialIdeal | None) -> _WalkPlan:
             if w and local is not None:
                 orbit = prod(comb(len(p) - 1, s.bit_count()) for p, s in zip(prefixes, parts))
                 rows.append((w, local, w.bit_count(), orbit))
-        if dual is None:
-            dual = dual_by_types(a, classes)
-        plan = _WalkPlan(dual, stanley_reisner(a, dual), classes, tuple(rows))
+        plan = _WalkPlan(classes, tuple(sorted(_gen_types(gens, classes))), tuple(rows))
         if len(_PLANS) >= 2:
             del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = plan
     return plan
 
 
-def hochster_betti(
-    a: MonomialIdeal, field: FieldSpec, dual: MonomialIdeal | None = None
-) -> BettiTable:
+def hochster_betti(a: MonomialIdeal, field: FieldSpec) -> BettiTable:
     """beta_{i,W}(S/I) = h~_{|W|-i-1}(Delta|_W; field) over every subset W
     of the variables, aggregated to total degree j = |W|.
 
-    The complex's facets are the complements of the dual's generators
-    (see stanley_reisner); pass `dual` when the Alexander dual of `a` is
-    known, and otherwise the plan computes it by dual_by_types.
-    oracle_report passes the ideal and its dual each other, so both of its
-    complexes come from generator complements. The walk sees only the
-    generator set: permuting the variables inside each class of
-    _swap_classes fixes the ideal, so beta_{i,W} depends only on the
-    counts |W & C| over the classes C. One representative per count
-    vector, the lowest variables of each class, prod(|C|+1) in all, is
-    evaluated, and its value counts once for every member of its orbit:
-    the totals add it times the orbit size, and the multigraded table is
-    expanded over the orbits only when read. With singleton classes this
-    is the full 2^N walk. W = {} gives beta_{0,{}} = 1, and a W whose
-    generators miss one of its vertices gives a cone and is skipped
-    without restricting. All of this depends on the generators alone, so
-    it is planned once per ideal (_walk_plan), and the plans of the last
-    ideal and of its dual are kept: a sweep asks for both once per field,
-    and the dual's plan takes the ideal's classes.
+    The walk sees only the generator set, and no Stanley-Reisner complex
+    is built: permuting the variables inside each class of _swap_classes
+    fixes the ideal, so beta_{i,W} depends only on the counts |W & C| over
+    the classes C. One representative per count vector, the lowest
+    variables of each class, prod(|C|+1) in all, is evaluated, and its
+    value counts once for every member of its orbit: the totals add it
+    times the orbit size, and the multigraded table is expanded over the
+    orbits only when read. With singleton classes this is the full 2^N
+    walk. W = {} gives beta_{0,{}} = 1, and a W whose generators miss one
+    of its vertices gives a cone and is skipped. All of this depends on
+    the generators alone, so it is planned once per ideal (_walk_plan),
+    and the plans of the last ideal and of its dual are kept: a sweep asks
+    for both once per field.
     Every other W is looked up by _betti_at in a process-wide memo under
-    the generators inside W, relabelled onto W's dense bits, and the
-    field, so a restricted ideal met before, in this walk or an earlier
-    one, costs no homology. A miss takes the homology of the Alexander
-    dual inside W outright when its face bound is at most 2^(|W|-1), and
-    otherwise of whichever of Delta|_W and that dual has the smaller face
-    bound; the dual side reads beta_{i,W} = h~_{i-2} of the dual.
+    the generators inside W, relabelled onto W's dense bits, so a
+    restricted ideal met before, in this walk or an earlier one, over
+    this field or another, chooses no side again, and over a field met
+    before costs no homology. A miss takes the homology of the Alexander
+    dual inside W, whose facets are W - g over those generators, outright
+    when its face bound is at most 2^(|W|-1), and otherwise of whichever
+    of it and Delta|_W, read off the generator types, has the smaller
+    face bound; the dual side reads beta_{i,W} = h~_{i-2} of the dual.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
-    plan = _walk_plan(a, dual)
+    plan = _walk_plan(a)
     entries = {(0, 0): 1}
     walk = [(0, 0, 1)]
     for w, local, size, orbit in plan.rows:
-        for i, r in _betti_at(plan.delta, w, local, field).items():
+        for i, r in _betti_at(plan, w, local, field).items():
             if r:
                 entries[(i, size)] = entries.get((i, size), 0) + r * orbit
                 walk.append((i, w, r))
@@ -348,20 +399,20 @@ def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
     two values are asserted equal (Terai). The dual is read off the
-    ideal's walk plan, which computes it once per ideal by dual_by_types,
-    off the count vectors over the classes. It serves the dimension and
-    both Stanley-Reisner complexes, and a report on the same ideal over
-    another field, as a sweep makes, reuses the plans of the ideal and of
-    its dual."""
+    classes and generator types of the ideal's plan (_dual), and the
+    dual's plan takes those classes too, so a report finds the classes
+    once; a report on the same ideal over another field, as a sweep
+    makes, reuses the plans of the ideal and of its dual."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars
-    dual = _walk_plan(a, None).dual
+    plan = _walk_plan(a)
+    dual = _dual(a.ambient, plan.classes, plan.types)
+    _walk_plan(dual, plan.classes)  # the Terai walk below takes the ideal's classes
     dim = nv - min(g.degree for g in dual.gens)
-    pd, reg_quotient = betti_stats(hochster_betti(a, field, dual=dual))
+    pd, reg_quotient = betti_stats(hochster_betti(a, field))
     reg_ideal = reg_quotient + 1
-    # the dual of the dual is a itself
-    dual_pd, _ = betti_stats(hochster_betti(dual, field, dual=a))
+    dual_pd, _ = betti_stats(hochster_betti(dual, field))
     if dual_pd != reg_ideal:
         raise TeraiMismatch(
             f"reg({a}) = {reg_ideal} but pd of the dual quotient is {dual_pd}"

@@ -349,3 +349,13 @@ class TestUsageErrors:
             main(["sweep", "--max-n", "1", "--max-m", "1", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    # a field named twice would run, and report, each of its cases twice
+    @pytest.mark.parametrize("fields", ["q,q", "gf2,GF2", "q,gf3,gf2,gf3"])
+    def test_repeated_field(self, capsys, fields):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--max-n", "1", "--max-m", "1", "--fields", fields])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--fields" in captured.err and "twice" in captured.err

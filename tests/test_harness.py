@@ -178,6 +178,16 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(max_n=-1, max_m=0)
 
+    def test_repeated_field_rejected(self):
+        # a field named twice would run each of its cases twice
+        with pytest.raises(ValueError, match="each field once"):
+            SweepConfig(max_n=1, max_m=1, fields=(RATIONALS, GF2, RATIONALS))
+        doc = run_sweep(SweepConfig(max_n=1, max_m=1, fields=(GF2,))).to_json_dict()
+        assert doc["cases_run"] == 6
+        doc["config"]["fields"] = ["gf2", "GF2"]
+        with pytest.raises(ValueError, match="each field once"):
+            SweepReport.from_json_dict(json.loads(json.dumps(doc)))
+
 
 class TestReportSerialization:
     def test_round_trip_clean(self):

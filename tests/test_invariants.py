@@ -1,7 +1,7 @@
 """Betti-table oracle and the derived invariant reports."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -439,9 +439,10 @@ class TestOrbitWalk:
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
     def test_one_alexander_dual_per_report(self, monkeypatch):
-        # one call of the plan's dual seam per report, and none of Berge's
-        # alexander_dual, also on ideals with more grid points than
-        # generators: the path x1-x2-y1-y2 has four singleton classes
+        # one dual per report, read off the classes and types of the
+        # ideal's plan, and none by Berge's alexander_dual, also on ideals
+        # with more grid points than generators: the path x1-x2-y1-y2 has
+        # four singleton classes
         berge = []
 
         def counting(*args, **kwargs):
@@ -451,7 +452,7 @@ class TestOrbitWalk:
         for module in (mixprod.core, mixprod.homology):
             monkeypatch.setattr(module, "alexander_dual", counting)
         monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
-        duals = spy(monkeypatch, "dual_by_types")
+        duals = spy(monkeypatch, "_dual")
         cases = [
             realize_spec(MixedProductSpec(Ambient(n, m), terms))
             for (n, m), terms in [
@@ -466,7 +467,9 @@ class TestOrbitWalk:
         for a in cases:
             duals.clear()
             oracle_report(a, GF2)
-            assert [args[0] for args in duals] == [a]
+            plan = mixprod.invariants._PLANS[(a.ambient, a.gen_masks())]
+            assert duals == [(a.ambient, plan.classes, plan.types)]
+            assert mixprod.invariants._dual(*duals[0]) == alexander_dual(a)
         duals.clear()
         oracle_report(ideal(Ambient(2, 2), "x1y1", "x2"), GF2)
         assert len(duals) == 1
@@ -563,10 +566,10 @@ class TestDualByTypes:
 
 
 # --- Alexander duality inside W ----------------------------------------------
-# hochster_betti takes, at each W, the homology of Delta|_W or of its
-# Alexander dual inside W, whichever _choose_side picks. Forcing each side
-# in turn must give the same tables as the independent oracle and the full
-# primal walk.
+# hochster_betti takes, at each W, the homology of Delta|_W, read off the
+# generator types, or of its Alexander dual inside W, whichever
+# _choose_side picks. Forcing each side in turn must give the same tables
+# as the independent oracle and the full primal walk.
 
 
 @pytest.fixture
@@ -578,16 +581,45 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
 
 
+_restricted_facets = mixprod.invariants._restricted_facets
+
+
+def canonical(facets):
+    """Facets relabelled onto the dense bits of the vertices they use, as
+    the homology memo keys them."""
+    full = 0
+    for f in facets:
+        full |= f
+    return mixprod.homology._canonical_facets(SimplicialComplex._trusted(full, tuple(facets)))
+
+
+def relabelled(facets, w):
+    """Facets inside w moved onto w's dense bits in order."""
+    bits = [b for b in range(w.bit_length()) if w >> b & 1]
+    return tuple(sorted(sum(1 << j for j, b in enumerate(bits) if f >> b & 1) for f in facets))
+
+
+def representatives(classes):
+    """Every W that takes the lowest k variables of each class, for each k."""
+    prefixes = []
+    for c in classes:
+        bits = [1 << v for v in range(c.bit_length()) if c >> v & 1]
+        prefixes.append([sum(bits[:k]) for k in range(len(bits) + 1)])
+    return [sum(parts) for parts in product(*prefixes)]
+
+
 def forced_side(monkeypatch, dual):
     """Make hochster_betti take one side at every non-cone W, on an empty
     memo; returns the list of its choices."""
     chosen = []
 
-    def choose(delta, w, dual_complex):
+    def choose(local, w, classes, types):
         chosen.append(dual)
+        size = w.bit_count()
         if dual:
-            return dual_complex, True
-        return mixprod.invariants.restrict(delta, w), False
+            full = (1 << size) - 1
+            return canonical(sorted(full ^ g for g in local)), (2, 1)
+        return canonical(_restricted_facets(w, classes, types)), (size - 1, -1)
 
     monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
     monkeypatch.setattr(mixprod.invariants, "_choose_side", choose)
@@ -678,17 +710,19 @@ class TestDualityInsideW:
             # triangle with the bound 12
             (Ambient(4, 0), ["x3", "x1x2x4"], True, True),
         ]
-        restricted = spy(monkeypatch, "restrict")
+        restricted = spy(monkeypatch, "_restricted_facets")
         for amb, gens, dual_wins, restricts in cases:
             b = ideal(amb, *gens)
             w = amb.full_mask
-            delta = mixprod.homology.stanley_reisner(b)
-            dual = SimplicialComplex._trusted(w, tuple(sorted(w ^ g for g in b.gen_masks())))
+            classes = _swap_classes(b)
+            types = sorted({tuple((g & c).bit_count() for c in classes) for g in b.gen_masks()})
+            dual = canonical(sorted(w ^ g for g in b.gen_masks()))
+            primal = canonical(restrict(mixprod.homology.stanley_reisner(b), w).facets)
             restricted.clear()
-            side, is_dual = mixprod.invariants._choose_side(delta, w, dual)
-            assert is_dual == dual_wins
-            assert side == (dual if dual_wins else restrict(delta, w))
-            assert restricted == ([(delta, w)] if restricts else [])
+            side, degree = mixprod.invariants._choose_side(b.gen_masks(), w, classes, types)
+            assert side == (dual if dual_wins else primal)
+            assert degree == ((2, 1) if dual_wins else (amb.nvars - 1, -1))
+            assert [args[0] for args in restricted] == ([w] if restricts else [])
             assert dual_bound_is_small(b.gen_masks(), w) == (not restricts)
 
 
@@ -698,11 +732,14 @@ class TestConeCheck:
     def test_generator_cover_agrees_with_facet_intersection(self, a):
         # Delta|_W is a cone iff its facets share a vertex; the walk reads
         # that off the generators inside W instead. A cone W is neither
-        # restricted nor passed to homology. On an empty memo every other
-        # W takes one homology, and restricts only when the dual's face
-        # bound is above 2^(|W|-1).
+        # read off the types nor passed to homology. On an empty memo
+        # every other W takes one homology, and reads Delta|_W off the
+        # types only when the dual's face bound is above 2^(|W|-1).
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixprod.invariants, "_PLANS", {})
+            plan = mixprod.invariants._walk_plan(a)
         for w in range(1, a.ambient.full_mask + 1):
             common = w
             for f in restrict(delta, w).facets:
@@ -711,30 +748,134 @@ class TestConeCheck:
             assert (local is None) == bool(common)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-                restricted = spy(mp, "restrict")
+                restricted = spy(mp, "_restricted_facets")
                 homologies = spy(mp, "reduced_homology_ranks")
                 if local is not None:
-                    _betti_at(delta, w, local, GF2)
+                    _betti_at(plan, w, local, GF2)
             assert len(homologies) == (0 if common else 1)
             restricts = not common and not dual_bound_is_small(gens, w)
-            assert restricted == ([(delta, w)] if restricts else [])
+            assert [args[0] for args in restricted] == ([w] if restricts else [])
+
+
+class TestNoComplexInTheWalk:
+    # The walk reads Delta|_W off the generator types: no Stanley-Reisner
+    # complex is built, none is restricted, and no dual comes from Berge.
+    def test_oracle_calls_no_complex_and_no_berge(self, fresh_memo, monkeypatch):
+        from test_homology import RP2
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the walk called a complex or Berge routine")
+
+        import mixprod as package
+
+        for module in (package, mixprod.core, mixprod.homology, mixprod.invariants):
+            for name in ("restrict", "stanley_reisner", "alexander_dual"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        cases = [
+            realize_spec(MixedProductSpec(Ambient(n, m), terms))
+            for (n, m), terms in [
+                ((3, 3), ((1, 2), (2, 1))),
+                ((4, 4), ((2, 2),)),
+                ((3, 2), ((0, 1), (3, 0))),
+            ]
+        ]
+        cases.append(ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2"))
+        cases.append(stanley_reisner_ideal(Ambient(6, 0), RP2.facets))
+        for a in cases:
+            for field in (RATIONALS, GF2):
+                report = oracle_report(a, field)
+                got = hochster_betti(a, field)
+                expected = brute_hochster(a.ambient.nvars, supports_of(a), field.char)
+                assert got.entries == expected
+                assert report.pd == max(i for i, _ in expected)
+
+    def test_structure(self):
+        import inspect
+
+        assert not hasattr(mixprod.invariants, "restrict")
+        assert not hasattr(mixprod.invariants, "stanley_reisner")
+        assert not hasattr(mixprod.invariants, "alexander_dual")
+        assert list(inspect.signature(hochster_betti).parameters) == ["a", "field"]
+        fields = mixprod.invariants._WalkPlan.__dataclass_fields__
+        assert list(fields) == ["classes", "types", "rows"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(squarefree_ideals().map(lambda a: (a, None)), stable_ideals()))
+    def test_type_read_restriction_is_restrict(self, case):
+        # at every representative W, of the ideal and of its dual, the
+        # facets read off the types are those of the reference restrict,
+        # relabelled onto W's dense bits
+        a, classes = case
+        for b in (a, alexander_dual(a)):
+            if classes is None:
+                classes = _swap_classes(b)
+            types = sorted({tuple((g & c).bit_count() for c in classes) for g in b.gen_masks()})
+            delta = mixprod.homology.stanley_reisner(b)
+            for w in representatives(classes):
+                got = _restricted_facets(w, classes, types)
+                assert got == relabelled(restrict(delta, w).facets, w), (b, w)
+
+
+# --- a memo shared by many ideals ------------------------------------------------
+# The Betti memo is keyed on the relabelled generators inside W alone, so a
+# table computed after other ideals, their duals and other fields have
+# filled it must equal the one computed on an empty memo.
+
+
+class TestWarmMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        squarefree_ideals(),
+        st.lists(squarefree_ideals(), min_size=1, max_size=4),
+        st.lists(st.sampled_from([RATIONALS, GF2, GF3]), min_size=2, max_size=2, unique=True),
+    )
+    def test_warm_table_is_the_cold_table(self, a, others, fields):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixprod.invariants, "_BETTI_AT", {})
+            mp.setattr(mixprod.invariants, "_PLANS", {})
+            cold = {f: hochster_betti(a, f) for f in fields}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixprod.invariants, "_BETTI_AT", {})
+            mp.setattr(mixprod.invariants, "_PLANS", {})
+            for b in others:
+                for f in fields:
+                    oracle_report(b, f)
+                    hochster_betti(alexander_dual(b), f)
+            for f in fields:
+                warm = hochster_betti(a, f)
+                assert warm == cold[f]
+                assert warm.multigraded == cold[f].multigraded
+                assert warm.entries == brute_hochster(a.ambient.nvars, supports_of(a), f.char)
+
+    def test_after_a_foreign_dual(self, fresh_memo):
+        # I_1J_2+I_2J_1 at 3x3 after I_1J_1 and its dual, over GF(2) and Q
+        a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
+        b = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 1),)))
+        for field in (GF2, RATIONALS):
+            oracle_report(b, field)
+            hochster_betti(alexander_dual(b), field)
+        for field in (GF2, RATIONALS):
+            got = hochster_betti(a, field)
+            assert got.entries == brute_hochster(6, supports_of(a), field.char)
+            assert got.multigraded == full_walk_multigraded(a, field)
 
 
 # --- the Betti memo ------------------------------------------------------------
 # beta_{i,W} depends only on the generators inside W, so _betti_at memoizes
-# it process-wide on those generators, relabelled onto W's dense bits, and
-# on the field's characteristic.
+# it process-wide on those generators, relabelled onto W's dense bits: one
+# entry holds the side chosen once and a value per field characteristic.
 
 
 class TestBettiMemo:
     def test_small_dual_bound_never_restricts(self, fresh_memo, monkeypatch):
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
         gens = a.gen_masks()
-        restricted = spy(monkeypatch, "restrict")
+        restricted = spy(monkeypatch, "_restricted_facets")
         walked = spy(monkeypatch, "_local_gens")
         got = hochster_betti(a, GF2)
         assert restricted
-        assert not any(dual_bound_is_small(gens, w) for _, w in restricted)
+        assert not any(dual_bound_is_small(gens, w) for w, _, _ in restricted)
         # the walk does meet nonempty non-cone W (_local_gens not None)
         # with a small dual bound
         assert any(
@@ -745,17 +886,25 @@ class TestBettiMemo:
 
     def test_second_walk_is_served_by_the_memo(self, fresh_memo, monkeypatch):
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
-        restricted = spy(monkeypatch, "restrict")
+        restricted = spy(monkeypatch, "_restricted_facets")
+        sides = spy(monkeypatch, "_choose_side")
         homologies = spy(monkeypatch, "reduced_homology_ranks")
         first = hochster_betti(a, GF3)
         assert restricted and homologies
+        assert len(sides) == len(homologies)
         restricted.clear()
         homologies.clear()
+        sides.clear()
         second = hochster_betti(a, GF3)
-        assert restricted == [] and homologies == []
+        assert restricted == [] and homologies == [] and sides == []
         assert second == first
         assert second.entries == brute_hochster(6, supports_of(a), 3)
         assert second.multigraded == full_walk_multigraded(a, GF3)
+        # another field takes the homology of each side again, but chooses
+        # no side
+        third = hochster_betti(a, GF2)
+        assert restricted == [] and sides == [] and homologies
+        assert third.entries == brute_hochster(6, supports_of(a), 2)
 
     def test_projective_plane_over_gf2_then_q(self, fresh_memo):
         # The same restricted ideals come back over the second field; the
@@ -771,11 +920,11 @@ class TestBettiMemo:
 
 
 # --- the walk plans ----------------------------------------------------------
-# What hochster_betti reads off the generators alone (Alexander dual,
-# complex, classes, representatives, orbit sizes) is planned once per
-# ideal, and the plans of the last ideal and of its dual are kept, as is
-# realize_spec's ideal of the last spec. A sweep asks for one ideal over
-# each field in turn.
+# What hochster_betti reads off the generators alone (classes, generator
+# types, representatives, orbit sizes) is planned once per ideal, and the
+# plans of the last ideal and of its dual are kept, as is realize_spec's
+# ideal of the last spec. A sweep asks for one ideal over each field in
+# turn.
 
 
 class TestSharedWalkState:
@@ -807,7 +956,8 @@ class TestSharedWalkState:
         dual = alexander_dual(a)
         key, dual_key = (a.ambient, a.gen_masks()), (dual.ambient, dual.gen_masks())
         assert set(mixprod.invariants._PLANS) == {key, dual_key}
-        assert mixprod.invariants._PLANS[key].dual == dual
+        plan = mixprod.invariants._PLANS[key]
+        assert mixprod.invariants._dual(a.ambient, plan.classes, plan.types) == dual
         assert realize_spec.cache_info().currsize == 1
         assert realize_spec(specs[49]) is a
 
@@ -819,12 +969,18 @@ class TestSharedWalkState:
         self_dual = MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110))
         assert alexander_dual(self_dual) == self_dual
         oracle_report(self_dual, RATIONALS)
-        duals, plans = spy(monkeypatch, "dual_by_types"), spy(monkeypatch, "stanley_reisner")
+        assert len(mixprod.invariants._PLANS) == 1
+        found = spy(monkeypatch, "_swap_classes")
         a = MonomialIdeal.from_masks(amb, (0b011,))
-        for field in (RATIONALS, GF2, GF3):
+        oracle_report(a, RATIONALS)
+        plans = dict(mixprod.invariants._PLANS)
+        dual = alexander_dual(a)
+        assert set(plans) == {(amb, a.gen_masks()), (amb, dual.gen_masks())}
+        for field in (GF2, GF3):
             oracle_report(a, field)
-        assert len(duals) == 1
-        assert len(plans) == 2
+            assert mixprod.invariants._PLANS == plans
+            assert all(mixprod.invariants._PLANS[k] is p for k, p in plans.items())
+        assert found == [(a,)]
 
     @pytest.mark.parametrize(
         "n, m, terms", [(4, 4, ((2, 2),)), (3, 2, ((1, 1), (2, 0))), (2, 2, ((1, 1),))]

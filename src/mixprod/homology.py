@@ -4,15 +4,17 @@ Conventions: the reduced (augmented) chain complex is used throughout, so
 the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
 homology everywhere. The void complex (no faces at all) carries no
 homology and is rejected. Homology is computed from the facets alone,
-relabelled onto dense vertex bits, which is also the cache key; the faces
-are enumerated only when the cache misses. The closed star of one vertex
-v, the vertex in the most facets and the lowest on ties, is a cone and so
+relabelled onto dense vertex bits, which is also the cache key; the cells
+are found only when the cache misses. The closed star of one vertex v,
+the vertex in the most facets and the lowest on ties, is a cone and so
 acyclic: the reduced homology of the complex is that of the relative
 complex (Delta minus v, lk v), whose cells are the faces outside the star.
-No face through v is enumerated, no face of the star is indexed, and each
-boundary map is built as sparse columns, one per cell, with the boundary
-faces that are not cells left out, never as a dense matrix: over GF(2) a
-list of the row bits 1 << r, elsewhere a {row: +-1} dict.
+Only the faces of the link are enumerated. Each boundary map is built as
+sparse columns, one per cell, never as a dense matrix: over GF(2) a list
+of the row bits 1 << r, elsewhere a {row: +-1} dict. The same walk over
+the boundary faces finds the cells one dimension down: each face outside
+the link gets a row when first seen, so no face through v is visited, no
+face of the star is indexed, and the cells take no pass of their own.
 The maps are reduced from the top dimension down, and each rank routine
 reports its pivot rows; a cell that is a pivot row of the map above it is
 a boundary modulo cells off those rows, so it gets no column in its own
@@ -32,12 +34,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import MonomialIdeal, _minimalize, alexander_dual, vars_to_mask
-from .errors import (
-    AmbientMismatch,
-    UnsupportedIdeal,
-    VerticesOutsideComplex,
-    VoidComplex,
-)
+from .errors import UnsupportedIdeal, VerticesOutsideComplex, VoidComplex
 
 
 def _is_prime(p: int) -> bool:
@@ -157,16 +154,12 @@ def _faces(facets: Iterable[int]) -> list[int]:
     return sorted(seen)
 
 
-def stanley_reisner(
-    a: MonomialIdeal, dual: MonomialIdeal | None = None
-) -> SimplicialComplex:
+def stanley_reisner(a: MonomialIdeal) -> SimplicialComplex:
     """Complex whose faces are the variable sets supporting no generator.
 
     Its facets are the complements of the minimal primes of a, which are
     the supports of the generators of the Alexander dual: no subset walk
-    is made. Pass `dual` when alexander_dual(a) is already at hand; by
-    duality the complex of the dual then has the complements of a's own
-    generators as facets. The zero ideal gives the full simplex; an ideal
+    is made. The zero ideal gives the full simplex; an ideal
     containing every variable gives {<empty>}; the unit ideal is rejected
     (its complex would be void, which homology excludes).
     """
@@ -175,10 +168,7 @@ def stanley_reisner(
     full = a.ambient.full_mask
     if a.is_zero:
         return SimplicialComplex(full, (full,))
-    if dual is None:
-        dual = alexander_dual(a)
-    elif dual.ambient != a.ambient:
-        raise AmbientMismatch("the dual lives in a different ambient")
+    dual = alexander_dual(a)
     return SimplicialComplex._trusted(full, tuple(sorted(full ^ g for g in dual.gen_masks())))
 
 
@@ -279,78 +269,76 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     The key is the facet tuple that reduced_homology_ranks relabels onto
     dense vertex bits, so complexes of the same shape, restrictions and
     their Alexander duals inside W alike, which repeat heavily across
-    Hochster walks, share one entry, and the faces are enumerated only on
-    a miss.
+    Hochster walks, share one entry, and the cells are found only on a
+    miss.
     What is reduced is the relative complex (Delta minus v, lk v) of the
     vertex v in the most facets, the lowest on ties. The closed star of v
     is a cone, so it is acyclic and h~_i(Delta) = h_i(Delta minus v, lk v):
-    the cells are the faces of the facets that miss v, less the faces of
-    the link facets F ^ v, so no face through v is enumerated and no face
-    of the star is indexed or given a column. The empty face lies in the
-    link, so h~_{-1} is 0 unless Delta is {<empty>}, and a cone has no
-    cells at all.
-    Each boundary map C_i -> C_{i-1} is built as sparse columns, one per
-    i-cell, its boundary faces that are not cells left out: over GF(2),
-    where signs do not matter, the row bits of the rest, and over any
-    other field a {row: +-1} dict; no dense matrix is made. The maps are
-    reduced from the top dimension down with clearing (Chen-Kerber,
-    "twist"): an i-cell that is a pivot row of C_{i+1} -> C_i gets no
-    column. The columns of C_{i+1} -> C_i span every vector on its pivot
-    rows, so each such cell is a boundary plus cells off those rows; its
-    image under C_i -> C_{i-1} lies in the span of the columns that are
-    built, and the rank is unchanged over every field. The name says
-    faces though the key is facets; it is kept because the benchmark's
-    tracer (perfbench/spans.py) reads its cache_info."""
+    the cells are the faces that miss v and are not in the link, whose
+    faces are the only ones enumerated. The empty face lies in the link,
+    so h~_{-1} is 0 unless Delta is {<empty>}, and a cone has no cells.
+    The maps C_i -> C_{i-1} are built from the top dimension down, each
+    as sparse columns, one per i-cell: over GF(2), where signs do not
+    matter, a list of row bits 1 << r, elsewhere a {row: +-1} dict; the
+    boundary faces in the link are left out. They are reduced with
+    clearing (Chen-Kerber, "twist"): an i-cell that is a pivot row of
+    C_{i+1} -> C_i gets no column. The columns of C_{i+1} -> C_i span
+    every vector on its pivot rows, so each such cell is a boundary plus
+    cells off those rows; its image under C_i -> C_{i-1} lies in the span
+    of the columns that are built, and the rank is unchanged over every
+    field.
+    The (i-1)-cells are the (i-1)-facets that miss v plus the boundary
+    faces outside the link that the columns of C_i -> C_{i-1} visit, each
+    given a row when first seen. No cell is missed, for two reasons:
+    1. a cell f that is not a facet lies in a facet F that misses v (were
+       v in F, f | v would be a face and f in the link), and for u in
+       F - f, f | u is a cell one dimension up (the link is closed under
+       subsets, so it does not hold f | u);
+    2. of the i-cells that contain an (i-1)-cell g, the one of lowest
+       index c* is never cleared: were it the last row of a reduced
+       column R, a boundary, then dR = 0 would need another cell of R
+       that contains g, and every other cell of R has a lower index.
+    The name says faces though the key is facets; it is kept because the
+    benchmark's tracer (perfbench/spans.py) reads its cache_info."""
     if facets == (0,):
         return ((-1, 1),)
     v = 1 << max(range(max(facets).bit_length()), key=lambda j: sum(f >> j & 1 for f in facets))
     top = max(f.bit_count() for f in facets) - 1
     link = set(_faces(f ^ v for f in facets if f & v))
-    by_dim: dict[int, list[int]] = {i: [] for i in range(-1, top + 1)}
-    for f in _faces(f for f in facets if not f & v):
-        if f not in link:
-            by_dim[f.bit_count() - 1].append(f)
+    cells: dict[int, list[int]] = {i: [] for i in range(-1, top + 1)}
+    for f in facets:
+        if not f & v:
+            cells[f.bit_count() - 1].append(f)
     field = FieldSpec(char)
     ranks: dict[int, int] = {}  # i -> rank of the boundary map C_i -> C_{i-1}
     cleared: set[int] = set()  # the i-cells that are pivot rows of C_{i+1} -> C_i
     for i in range(top, -1, -1):
-        lower = by_dim[i - 1]
+        index = {f: r for r, f in enumerate(cells[i - 1])}
         cols: list = []
-        if char == 2:
-            bit = {f: 1 << r for r, f in enumerate(lower)}
-            for f in by_dim[i]:
-                if f in cleared:
-                    continue
-                col = []
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    b = bit.get(f ^ low)
-                    if b is not None:
-                        col.append(b)
-                    rest ^= low
-                cols.append(col)
-        else:
-            index = {f: r for r, f in enumerate(lower)}
-            for f in by_dim[i]:
-                if f in cleared:
-                    continue
-                col = {}
-                sign = 1
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    r = index.get(f ^ low)
-                    if r is not None:
+        for f in cells[i]:
+            if f in cleared:
+                continue
+            col = [] if char == 2 else {}
+            sign = 1
+            rest = f
+            while rest:
+                low = rest & -rest
+                g = f ^ low
+                if g not in link:
+                    r = index.setdefault(g, len(index))
+                    if char == 2:
+                        col.append(1 << r)
+                    else:
                         col[r] = sign
-                    sign = -sign
-                    rest ^= low
-                cols.append(col)
+                sign = -sign
+                rest ^= low
+            cols.append(col)
         pivots = _matrix_rank(cols, field)
         ranks[i] = len(pivots)
+        cells[i - 1] = lower = list(index)
         cleared = {lower[r] for r in pivots}
     return tuple(
-        (i, len(by_dim[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))
+        (i, len(cells[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))
         for i in range(-1, top + 1)
     )
 

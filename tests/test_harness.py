@@ -188,6 +188,15 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="each field once"):
             SweepReport.from_json_dict(json.loads(json.dumps(doc)))
 
+    def test_no_field_rejected(self):
+        # a sweep over no field would run no case and still pass
+        with pytest.raises(ValueError, match="at least one field"):
+            SweepConfig(max_n=2, max_m=2, fields=())
+        doc = run_sweep(SweepConfig(max_n=1, max_m=1, fields=(GF2,))).to_json_dict()
+        doc["config"]["fields"] = []
+        with pytest.raises(ValueError, match="at least one field"):
+            SweepReport.from_json_dict(json.loads(json.dumps(doc)))
+
 
 class TestReportSerialization:
     def test_round_trip_clean(self):

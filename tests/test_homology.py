@@ -20,7 +20,6 @@ from mixprod import (
     GF3,
     RATIONALS,
     Ambient,
-    AmbientMismatch,
     FieldSpec,
     MonomialIdeal,
     SimplicialComplex,
@@ -128,19 +127,11 @@ class TestStanleyReisner:
     def test_facets_are_maximal_nonmembers(self, drawn):
         amb, masks = drawn
         a = MonomialIdeal.from_masks(amb, masks)
-        dual = alexander_dual(a)
-        for ideal, known_dual in ((a, dual), (dual, a)):
+        for ideal in (a, alexander_dual(a)):
             gens = ideal.gen_masks()
             faces = [s for s in range(amb.full_mask + 1) if not any(g & ~s == 0 for g in gens)]
             facets = tuple(f for f in faces if not any(f != g and f & ~g == 0 for g in faces))
             assert stanley_reisner(ideal).facets == facets
-            assert stanley_reisner(ideal, known_dual).facets == facets
-
-    def test_dual_from_another_ambient_rejected(self):
-        a = veronese_ideal(Ambient(2, 1), "x", 1)
-        other = veronese_ideal(Ambient(1, 2), "x", 1)
-        with pytest.raises(AmbientMismatch):
-            stanley_reisner(a, other)
 
 
 class TestRestrict:
@@ -564,12 +555,13 @@ class TestReferenceHomology:
     def test_larger_complexes(self, d, field):
         assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)
 
-    @settings(max_examples=80)
-    @given(small_complexes(), FIELDS)
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(small_complexes(), larger_complexes()), FIELDS)
     def test_cleared_faces_get_no_column(self, d, field):
         # the maps of the relative complex are reduced from the top down,
         # and C_i -> C_{i-1} gets a column for every i-cell but the
-        # rank(C_{i+1} -> C_i) pivot rows
+        # rank(C_{i+1} -> C_i) pivot rows; the cells are found by the
+        # boundary walk, so a missed one would show as a missing column
         calls = recorded_rank_calls(d, field)
         cells = relative_cells(d)
         assert len(calls) == d.dim + 1
@@ -606,6 +598,24 @@ class TestRelativeComplex:
             calls = recorded_rank_calls(d, field)
             assert calls == [([], [])] * (d.dim + 1)
             assert reduced_homology_ranks(d, field) == {i: 0 for i in range(-1, d.dim + 1)}
+
+    def test_only_the_link_is_enumerated(self, field, monkeypatch):
+        # the cells are found by the boundary walk that builds the
+        # columns; _faces runs once, on the link facets F ^ v
+        real = homology._faces
+        calls = []
+
+        def spy(facets):
+            calls.append(list(facets))
+            return real(calls[-1])
+
+        monkeypatch.setattr(homology, "_faces", spy)
+        for d in (RP2, HOLLOW_TRIANGLE, *CONES, *SPHERES):
+            facets = homology._canonical_facets(d)
+            v = star_vertex(SimplicialComplex((1 << max(facets).bit_length()) - 1, facets))
+            calls.clear()
+            homology._homology_of_faces.__wrapped__(facets, field.char)
+            assert calls == [[f ^ v for f in facets if f & v]]
 
     def test_sphere_has_one_cell(self, field):
         # every vertex is in all facets but one; the lowest is v, and the

@@ -235,6 +235,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fields=args.fields,
         include_witness_checks=not args.skip_witnesses,
     )
+    if args.out:
+        # a sweep can run for minutes: an unwritable path fails before the first case
+        open(args.out, "a", encoding="utf-8").close()
     report = run_sweep(cfg, jobs=args.jobs)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2), args.out)

@@ -272,7 +272,8 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     Hochster walks, share one entry, and the cells are found only on a
     miss.
     What is reduced is the relative complex (Delta minus v, lk v) of the
-    vertex v in the most facets, the lowest on ties. The closed star of v
+    vertex v in the most facets, the lowest on ties, which _star_vertex
+    finds in one pass over the facets. The closed star of v
     is a cone, so it is acyclic and h~_i(Delta) = h_i(Delta minus v, lk v):
     the cells are the faces that miss v and are not in the link, whose
     faces are the only ones enumerated. The empty face lies in the link,
@@ -302,7 +303,7 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     benchmark's tracer (perfbench/spans.py) reads its cache_info."""
     if facets == (0,):
         return ((-1, 1),)
-    v = 1 << max(range(max(facets).bit_length()), key=lambda j: sum(f >> j & 1 for f in facets))
+    v = _star_vertex(facets)
     top = max(f.bit_count() for f in facets) - 1
     link = set(_faces(f ^ v for f in facets if f & v))
     cells: dict[int, list[int]] = {i: [] for i in range(-1, top + 1)}
@@ -343,17 +344,65 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     )
 
 
+def _star_vertex(facets: Iterable[int]) -> int:
+    """The bit of the vertex in the most of these facets, the lowest on
+    ties, from one pass over the facets. The counts are kept bit-sliced:
+    planes[k] holds bit k of every vertex's count, and a facet is added by
+    a ripple carry through the planes, which are about log2 of the number
+    of facets. The vertices of the largest count are then narrowed down
+    plane by plane from the top."""
+    planes: list[int] = []
+    for f in facets:
+        k = 0
+        while f:
+            if k == len(planes):
+                planes.append(f)
+                break
+            planes[k], f = planes[k] ^ f, planes[k] & f
+            k += 1
+    top = -1
+    for plane in reversed(planes):
+        if top & plane:
+            top &= plane
+    return top & -top
+
+
+def _relabel(masks: Iterable[int], support: int) -> list[int]:
+    """The masks, each inside `support`, moved onto its dense bits in
+    order: bit b goes to the bit that counts support's bits below b. The
+    support is split once into its runs of consecutive bits, and each mask
+    moves down one run at a time, by a mask and a shift."""
+    runs = []
+    below = 0  # support's bits below the run
+    rest = support
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)  # adding low carries through the run
+        runs.append((run, low.bit_length() - 1 - below))
+        below += run.bit_count()
+        rest ^= run
+    if len(runs) == 1:
+        ((_, shift),) = runs
+        return [m >> shift for m in masks]
+    out = []
+    for m in masks:
+        h = 0
+        for run, shift in runs:
+            h |= (m & run) >> shift
+        out.append(h)
+    return out
+
+
 def _canonical_facets(d: SimplicialComplex) -> tuple[int, ...]:
-    """Facets relabelled onto dense vertex bits. The relabelling keeps the
-    vertex order, so the tuple stays sorted, and complexes equal up to
-    such a renaming get the same key."""
+    """Facets relabelled onto dense vertex bits (_relabel over their
+    support). The relabelling keeps the vertex order, so the tuple stays
+    sorted, and complexes equal up to such a renaming get the same key."""
     support = 0
     for f in d.facets:
         support |= f
     if support & (support + 1) == 0:  # the vertices in use are dense already
         return d.facets
-    bits = [1 << i for i in range(support.bit_length()) if support >> i & 1]
-    return tuple(sum(1 << j for j, b in enumerate(bits) if f & b) for f in d.facets)
+    return tuple(_relabel(d.facets, support))
 
 
 def reduced_homology_ranks(d: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

@@ -8,6 +8,7 @@ Depth is defined here through Auslander-Buchsbaum as
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -16,7 +17,13 @@ from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, Ambient
 from .errors import TeraiMismatch, UnsupportedIdeal
-from .homology import FieldSpec, SimplicialComplex, _canonical_facets, reduced_homology_ranks
+from .homology import (
+    FieldSpec,
+    SimplicialComplex,
+    _canonical_facets,
+    _relabel,
+    reduced_homology_ranks,
+)
 
 
 @dataclass(frozen=True)
@@ -224,25 +231,20 @@ def _choose_side(
 
 def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
     """The generators inside the vertex subset w, relabelled onto w's
-    dense bits in order, or None when Delta|_W is a cone. The minimal
-    non-faces of Delta|_W are the generators inside W, so it is a cone,
-    hence acyclic, exactly when they miss a vertex of W."""
-    inside = [g for g in gens if g & ~w == 0]
+    dense bits in order (_relabel, a shift per run of w's bits: at most
+    two for a W of a mixed product), or None when Delta|_W is a cone. The
+    minimal non-faces of Delta|_W are the generators inside W, so it is a
+    cone, hence acyclic, exactly when they miss a vertex of W. The
+    generator masks come sorted ascending, as gen_masks gives them, so
+    only those up to w can lie inside it."""
+    outside = ~w
+    inside = [g for g in gens[: bisect_right(gens, w)] if not g & outside]
     cover = 0
     for g in inside:
         cover |= g
     if cover != w:
         return None
-    # bit b of g moves to the bit that counts W's vertices below b
-    local = []
-    for g in inside:
-        h = 0
-        while g:
-            low = g & -g
-            h |= 1 << (w & (low - 1)).bit_count()
-            g ^= low
-        local.append(h)
-    return tuple(local)
+    return tuple(_relabel(inside, w))
 
 
 # generators inside W relabelled onto W's dense bits -> (the facets of the

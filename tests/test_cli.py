@@ -190,6 +190,26 @@ class TestSweep:
         doc = json.loads(target.read_text())
         assert doc["cases_run"] == 6
 
+    def test_unwritable_out_fails_before_the_first_case(self, capsys, monkeypatch, tmp_path):
+        real = mixprod.harness._evaluate_case
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mixprod.harness, "_evaluate_case", counting)
+        argv = ["sweep", "--max-n", "1", "--max-m", "1", "--format", "json", "--out"]
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, *argv, str(target))
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.exists()
+        # the spy sees the cases of a sweep whose path can be written
+        code, out, _ = run(capsys, *argv, str(tmp_path / "report.json"))
+        assert (code, out, len(calls)) == (0, "", 6)
+        assert json.loads((tmp_path / "report.json").read_text())["cases_run"] == 6
+
     def test_table_summary(self, capsys):
         code, out, _ = run(capsys, "sweep", "--max-n", "1", "--max-m", "1")
         assert code == 0

@@ -628,3 +628,93 @@ class TestRelativeComplex:
             assert [len(cols) for cols, _ in calls] == [1] + [0] * d.dim
             assert not calls[0][0][0]
             assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)
+
+
+# --- relabelling and the star vertex, against bit-by-bit references --------------
+
+
+def bit_by_bit(mask, support):
+    """mask, inside support, moved onto support's dense bits one bit at a
+    time: bit b goes to the bit that counts support's bits below b."""
+    return sum(1 << (support & (1 << b) - 1).bit_count() for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+@st.composite
+def supports(draw):
+    """A nonzero mask of up to 20 bits: arbitrary, so mostly many runs of
+    bits, as a W with singleton classes is; one run above bit 0; or dense,
+    one run from bit 0, which _canonical_facets passes through."""
+    kind = draw(st.sampled_from(["runs", "one run", "dense"]))
+    if kind == "runs":
+        return draw(st.integers(1, (1 << 20) - 1))
+    size = draw(st.integers(1, 19))
+    shift = 0 if kind == "dense" else draw(st.integers(1, 20 - size))
+    return ((1 << size) - 1) << shift
+
+
+def submasks(support):
+    return st.integers(0, support).map(lambda m: m & support)
+
+
+class TestRelabel:
+    @settings(max_examples=200)
+    @given(supports(), st.data())
+    def test_relabel_is_bit_by_bit(self, support, data):
+        masks = data.draw(st.lists(submasks(support), max_size=12))
+        assert homology._relabel(masks, support) == [bit_by_bit(m, support) for m in masks]
+
+    @settings(max_examples=200)
+    @given(supports(), st.data())
+    def test_canonical_facets_are_bit_by_bit(self, support, data):
+        drawn = set(data.draw(st.lists(submasks(support), min_size=1, max_size=12)))
+        union = 0
+        for f in drawn:
+            union |= f
+        drawn.add(support & ~union)  # the facets cover the whole support
+        facets = tuple(sorted(f for f in drawn if not any(g != f and f & ~g == 0 for g in drawn)))
+        d = SimplicialComplex._trusted(support, facets)
+        got = homology._canonical_facets(d)
+        assert got == tuple(bit_by_bit(f, support) for f in facets)
+        assert got == tuple(sorted(got))
+        if support & (support + 1) == 0:
+            assert got is facets
+
+
+def most_frequent_vertex(facets):
+    n = max(facets).bit_length()
+    return 1 << max(range(n), key=lambda j: sum(f >> j & 1 for f in facets))
+
+
+@st.composite
+def facet_lists(draw):
+    """Facets on up to 24 vertices; or with a tie on every vertex count, as
+    a copy of the facets moved above their vertices adds, on up to 32."""
+    tied = draw(st.booleans())
+    n = draw(st.integers(1, 16 if tied else 24))
+    facets = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=30))
+    if tied:
+        facets += [f << n for f in facets]
+    return facets
+
+
+class TestStarVertex:
+    @settings(max_examples=300)
+    @given(facet_lists())
+    def test_one_pass_equals_the_per_vertex_count(self, facets):
+        assert homology._star_vertex(facets) == most_frequent_vertex(facets)
+
+    def test_ties_take_the_lowest(self):
+        assert homology._star_vertex(HOLLOW_TRIANGLE.facets) == 1
+        assert homology._star_vertex([1 << 20, 1 << 17]) == 1 << 17
+        assert homology._star_vertex([0b11 << 18, 0b110 << 16]) == 1 << 18
+
+    @pytest.mark.parametrize("field", [RATIONALS, GF2, GF3], ids=str)
+    def test_twenty_vertices(self, field):
+        # a 20-cycle with 17 chords from vertex 20: a graph whose star
+        # vertex lies above bit 16, with 37 - 20 + 1 = 18 independent cycles
+        cycle = [{j, j % 20 + 1} for j in range(1, 21)]
+        d = complex_of(*cycle, *({20, j} for j in range(2, 19)))
+        assert d.vertices == (1 << 20) - 1
+        assert homology._star_vertex(d.facets) == 1 << 19 == star_vertex(d)
+        assert reduced_homology_ranks(d, field) == {-1: 0, 0: 0, 1: 18}
+        assert reduced_homology_ranks(d, field) == reference_homology(d, field.char)

@@ -1,8 +1,10 @@
 """Betti-table oracle and the derived invariant reports."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import prod
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,6 +35,7 @@ from mixprod import (
     restrict,
     veronese_ideal,
 )
+from test_homology import bit_by_bit, submasks, supports
 
 
 def ideal(ambient, *monomials):
@@ -755,6 +758,25 @@ class TestConeCheck:
             assert len(homologies) == (0 if common else 1)
             restricts = not common and not dual_bound_is_small(gens, w)
             assert [args[0] for args in restricted] == ([w] if restricts else [])
+
+
+class TestLocalGens:
+    @settings(max_examples=200)
+    @given(supports(), st.data())
+    def test_bit_by_bit(self, w, data):
+        # sorted generators, some inside w, covering it or not, and some
+        # sticking out of it; those inside are relabelled onto w's dense
+        # bits, or the cone gives None
+        inside = data.draw(st.lists(submasks(w), max_size=10))
+        if data.draw(st.booleans()):
+            inside.append(w & ~reduce(or_, inside, 0))
+        others = st.integers(1, (1 << 21) - 1).filter(lambda g: g & ~w)
+        gens = tuple(sorted(set(inside + data.draw(st.lists(others, max_size=10))) - {0}))
+        expected = [g for g in gens if g & ~w == 0]
+        if reduce(or_, expected, 0) == w:
+            assert _local_gens(gens, w) == tuple(bit_by_bit(g, w) for g in expected)
+        else:
+            assert _local_gens(gens, w) is None
 
 
 class TestNoComplexInTheWalk:

@@ -206,7 +206,7 @@ class MonomialIdeal:
     gens: tuple[SqFreeMonomial, ...]
 
     def __post_init__(self) -> None:
-        masks = [g.mask for g in self.gens]
+        masks = tuple(g.mask for g in self.gens)
         if list(masks) != sorted(set(masks)):
             raise ValueError("generators must be sorted and duplicate-free")
         for g in self.gens:
@@ -215,15 +215,28 @@ class MonomialIdeal:
         for a, b in combinations(masks, 2):
             if a & ~b == 0 or b & ~a == 0:
                 raise ValueError("generators are not an antichain")
+        object.__setattr__(self, "_masks", masks)
 
     @classmethod
     def _trusted(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":
         """Build from masks the package has just made into a sorted,
         duplicate-free antichain, skipping the quadratic checks of
-        __post_init__. Each mask is still checked against the ambient."""
+        __post_init__ and the __init__ of each generator. Each mask is
+        still checked against the ambient."""
+        masks = tuple(masks)
+        outside = ~ambient.full_mask
+        gens = []
+        for m in masks:
+            if m & outside:
+                raise ValueError("monomial support outside its ambient")
+            g = object.__new__(SqFreeMonomial)
+            object.__setattr__(g, "ambient", ambient)
+            object.__setattr__(g, "mask", m)
+            gens.append(g)
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "ambient", ambient)
-        object.__setattr__(ideal, "gens", tuple(SqFreeMonomial(ambient, m) for m in masks))
+        object.__setattr__(ideal, "gens", tuple(gens))
+        object.__setattr__(ideal, "_masks", masks)
         return ideal
 
     @classmethod
@@ -264,7 +277,8 @@ class MonomialIdeal:
         return bool(self.gens) and not self.is_unit
 
     def gen_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.gens)
+        """The generator masks, ascending; made once, when the ideal is."""
+        return self._masks
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -454,19 +468,24 @@ def canonicalize_spec(raw: MixedProductSpec) -> MixedProductSpec:
 
 @lru_cache(maxsize=1)
 def realize_spec(spec: MixedProductSpec) -> MonomialIdeal:
-    """The actual ideal: sum over terms of I_k * J_l. Each term's
-    generators are the unions of a k-subset of the x-block with an
-    l-subset of the y-block; the union over all terms is minimalized once,
-    so non-canonical specs give the same ideal as their canonical form.
-    The ideal of the last spec is kept: a sweep realizes each spec once
-    per field, one field after the other."""
+    """The actual ideal: sum over terms of I_k * J_l, taken over the
+    canonical form of the spec, so a non-canonical spec gives the ideal of
+    its canonical form. Each term's generators are the unions of a
+    k-subset of the x-block with an l-subset of the y-block. The terms of
+    a canonical spec are pairwise incomparable, so a generator of one term
+    has another (x-degree, y-degree) than those of the others and lies
+    inside none of them: the sorted union of the terms' generators is the
+    minimal generating set as it stands. The ideal of the last spec is
+    kept: a sweep realizes each spec once per field, one field after the
+    other."""
     amb = spec.ambient
     masks: list[int] = []
-    for k, l in spec.terms:
+    for k, l in canonicalize_spec(spec).terms:
         xs = [vars_to_mask(c) for c in combinations(range(1, amb.n + 1), k)]
         ys = [vars_to_mask(c) for c in combinations(range(amb.n + 1, amb.nvars + 1), l)]
         masks += [x | y for x in xs for y in ys]
-    return MonomialIdeal._trusted(amb, _minimalize(masks))
+    masks.sort()
+    return MonomialIdeal._trusted(amb, masks)
 
 
 def swap_blocks(spec: MixedProductSpec) -> MixedProductSpec:

@@ -142,6 +142,11 @@ class SimplicialComplex:
 
 def _faces(facets: Iterable[int]) -> list[int]:
     """Every face of the complex with these facets, sorted ascending."""
+    return sorted(_face_set(facets))
+
+
+def _face_set(facets: Iterable[int]) -> set[int]:
+    """Every face of the complex with these facets, as a set."""
     seen: set[int] = set()
     for f in facets:
         sub = f
@@ -151,7 +156,7 @@ def _faces(facets: Iterable[int]) -> list[int]:
             if sub == 0:
                 break
             sub = (sub - 1) & f
-    return sorted(seen)
+    return seen
 
 
 def stanley_reisner(a: MonomialIdeal) -> SimplicialComplex:
@@ -305,7 +310,7 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
         return ((-1, 1),)
     v = _star_vertex(facets)
     top = max(f.bit_count() for f in facets) - 1
-    link = set(_faces(f ^ v for f in facets if f & v))
+    link = _face_set(f ^ v for f in facets if f & v)
     cells: dict[int, list[int]] = {i: [] for i in range(-1, top + 1)}
     for f in facets:
         if not f & v:

@@ -174,24 +174,41 @@ def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> Mon
     return _dual(a.ambient, classes, tuple(sorted(_gen_types(a.gen_masks(), classes))))
 
 
-def _restricted_facets(
+def _restricted_types(
     w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """The facets of Delta|_W relabelled onto W's dense bits in order, read
-    off the generator types `types` of an ideal whose generator set the
-    permutations inside each of `classes` fix; no complex is restricted.
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The type c of W over `classes`, and the types of the complements in
+    W of the facets of Delta|_W, read off the generator types `types` of an
+    ideal whose generator set the permutations inside each of `classes`
+    fix; no complex is restricted and no facet is built.
 
-    Let c be the type of W. The permutations inside each W & C fix the
-    generators inside W, which are the subsets of W of the types d <= c in
-    `types`. Those generators are the minimal non-faces of Delta|_W, so its
-    facets are the complements in W of their minimal transversals: the
-    sets of the minimal transversal types of those d over the sizes c,
-    expanded over W & C relabelled onto W's dense bits."""
+    The permutations inside each W & C fix the generators inside W, which
+    are the subsets of W of the types d <= c in `types`. Those generators
+    are the minimal non-faces of Delta|_W, so its facets are the
+    complements in W of their minimal transversals: the sets of the
+    minimal transversal types of those d over the sizes c."""
     c = [(w & cls).bit_count() for cls in classes]
     inside = [d for d in types if all(x <= y for x, y in zip(d, c))]
+    return c, _transversal_types(c, inside)
+
+
+def _types_bound(c: Sequence[int], tops: Iterable[tuple[int, ...]]) -> int:
+    """_face_bound of Delta|_W counted from its types (_restricted_types):
+    the facet W - T has 2^(|W| - |T|) subsets, and W has
+    prod C(c_C, t_C) sets T of type t."""
+    size = sum(c)
+    return sum(prod(map(comb, c, t)) << (size - sum(t)) for t in tops)
+
+
+def _restricted_facets(
+    w: int, classes: Sequence[int], tops: Iterable[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The facets of Delta|_W relabelled onto W's dense bits in order: the
+    complements in W of every set of the types `tops` (_restricted_types),
+    expanded over W & C relabelled onto W's dense bits."""
     members = [[1 << (w & (b - 1)).bit_count() for b in _members(w & cls)] for cls in classes]
     full = (1 << w.bit_count()) - 1
-    return tuple(sorted(full ^ t for t in _sets_of_types(_transversal_types(c, inside), members)))
+    return tuple(sorted(full ^ t for t in _sets_of_types(tops, members)))
 
 
 def _face_bound(facets: Iterable[int]) -> int:
@@ -214,18 +231,19 @@ def _choose_side(
     h~_k(Delta|_W) = h~_{|W|-k-3} of the dual). The faces of the two split
     the 2^|W| subsets of W between them, so a dual whose face bound is at
     most 2^(|W|-1) has no more faces than Delta|_W and is taken without
-    reading Delta|_W. Otherwise Delta|_W is read off the types
-    (_restricted_facets) and the side with the smaller face bound wins,
-    Delta|_W on a tie."""
+    reading Delta|_W. Otherwise the face bound of Delta|_W is counted from
+    its types (_restricted_types, _types_bound), the side with the smaller
+    bound wins, Delta|_W on a tie, and the facets of Delta|_W are expanded
+    (_restricted_facets) only when it wins."""
     size = w.bit_count()
     full = (1 << size) - 1
     facets = tuple(sorted(full ^ g for g in local))
     degree = (2, 1)
     bound = _face_bound(facets)
     if bound > 1 << (size - 1):
-        primal = _restricted_facets(w, classes, types)
-        if _face_bound(primal) <= bound:
-            facets, degree = primal, (size - 1, -1)
+        c, tops = _restricted_types(w, classes, types)
+        if _types_bound(c, tops) <= bound:
+            facets, degree = _restricted_facets(w, classes, tops), (size - 1, -1)
     return _canonical_facets(SimplicialComplex._trusted(full, facets)), degree
 
 
@@ -357,8 +375,10 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec) -> BettiTable:
     before costs no homology. A miss takes the homology of the Alexander
     dual inside W, whose facets are W - g over those generators, outright
     when its face bound is at most 2^(|W|-1), and otherwise of whichever
-    of it and Delta|_W, read off the generator types, has the smaller
-    face bound; the dual side reads beta_{i,W} = h~_{i-2} of the dual.
+    of it and Delta|_W has the smaller face bound, Delta|_W on a tie. The
+    bound of Delta|_W is counted from the generator types, and its facets
+    are read off them only when it wins; the dual side reads
+    beta_{i,W} = h~_{i-2} of the dual.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")

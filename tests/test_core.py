@@ -92,14 +92,17 @@ def wide_ideals(draw):
     return MonomialIdeal.from_masks(amb, [vars_to_mask(s) for s in supports])
 
 
+# term lists as a user may give them, over ambients up to 5x5: unsorted,
+# with repeated terms, terms inside others and (0, 0)
 @st.composite
 def raw_specs(draw):
-    n = draw(st.integers(0, 4))
-    m = draw(st.integers(1 if n == 0 else 0, 4))
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(1 if n == 0 else 0, 5))
     terms = draw(
-        st.lists(st.tuples(st.integers(0, n), st.integers(0, m)), min_size=1, max_size=3)
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, m)), min_size=1, max_size=4)
     )
-    return MixedProductSpec(Ambient(n, m), tuple(terms))
+    terms += draw(st.lists(st.sampled_from(terms), max_size=2))
+    return MixedProductSpec(Ambient(n, m), tuple(draw(st.permutations(terms))))
 
 
 class TestVeronese:
@@ -366,6 +369,34 @@ class TestPublicConstructors:
         with pytest.raises(AmbientMismatch):
             MonomialIdeal.from_monomials(self.AMB, [other])
 
+    @pytest.mark.parametrize("masks", [[0b1000], [0b01, 0b1000], [1 << 20]])
+    def test_trusted_rejects_a_mask_outside_the_ambient(self, masks):
+        # the package's own constructor skips the antichain checks, not
+        # the ambient check
+        with pytest.raises(ValueError, match="outside its ambient"):
+            MonomialIdeal._trusted(self.AMB, masks)
+        with pytest.raises(ValueError, match="outside its ambient"):
+            MonomialIdeal.from_masks(self.AMB, masks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_ideals(), raw_specs())
+    def test_gen_masks_are_the_generators_masks(self, a, spec):
+        amb = a.ambient
+        built = (
+            a,
+            MonomialIdeal(amb, a.gens),
+            MonomialIdeal.from_monomials(amb, a.gens),
+            MonomialIdeal.zero(amb),
+            MonomialIdeal.unit(amb),
+            veronese_ideal(amb, "x", 1),
+            ideal_sum(a, a),
+            ideal_product(a, a),
+            alexander_dual(a),
+            realize_spec(spec),
+        )
+        for b in built:
+            assert b.gen_masks() == tuple(g.mask for g in b.gens)
+
     @settings(max_examples=60, deadline=None)
     @given(wide_ideals(), raw_specs(), st.integers(0, 2**8 - 1))
     def test_internal_values_pass_the_public_checks(self, a, spec, w):
@@ -456,6 +487,26 @@ class TestSpec:
         got = realize_spec(MixedProductSpec(amb, ((1, 2), (2, 1))))
         assert gens_of(got) == {"x1y1y2", "x2y1y2", "x1x2y1", "x1x2y2"}
         assert gens_of(realize_spec(MixedProductSpec(amb, ((0, 2),)))) == {"y1y2"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_specs())
+    def test_realize_raw_terms(self, spec):
+        # the generators of I_k J_l are the unions of a k-subset of the
+        # x-block with an l-subset of the y-block; a raw term list gives
+        # the minimalized union of its terms' generators, which is the
+        # ideal of its canonical form
+        amb = spec.ambient
+        xs, ys = amb.variables()[: amb.n], amb.variables()[amb.n :]
+        union = [
+            vars_to_mask(a + b)
+            for k, l in spec.terms
+            for a in combinations(xs, k)
+            for b in combinations(ys, l)
+        ]
+        got = realize_spec(spec)
+        assert got == MonomialIdeal.from_masks(amb, union)
+        assert got == realize_spec(canonicalize_spec(spec))
+        assert MonomialIdeal(amb, got.gens) == got
 
     def test_realize_degrees(self):
         # generators are exactly the monomials with (x,y)-degree matching a term

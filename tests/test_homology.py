@@ -601,15 +601,15 @@ class TestRelativeComplex:
 
     def test_only_the_link_is_enumerated(self, field, monkeypatch):
         # the cells are found by the boundary walk that builds the
-        # columns; _faces runs once, on the link facets F ^ v
-        real = homology._faces
+        # columns; _face_set runs once, on the link facets F ^ v
+        real = homology._face_set
         calls = []
 
         def spy(facets):
             calls.append(list(facets))
             return real(calls[-1])
 
-        monkeypatch.setattr(homology, "_faces", spy)
+        monkeypatch.setattr(homology, "_face_set", spy)
         for d in (RP2, HOLLOW_TRIANGLE, *CONES, *SPHERES):
             facets = homology._canonical_facets(d)
             v = star_vertex(SimplicialComplex((1 << max(facets).bit_length()) - 1, facets))

@@ -584,7 +584,16 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
 
 
+_restricted_types = mixprod.invariants._restricted_types
 _restricted_facets = mixprod.invariants._restricted_facets
+_types_bound = mixprod.invariants._types_bound
+_face_bound = mixprod.invariants._face_bound
+
+
+def primal_facets(w, classes, types):
+    """The facets of Delta|_W read off the generator types, as _choose_side
+    expands them when Delta|_W wins."""
+    return _restricted_facets(w, classes, _restricted_types(w, classes, types)[1])
 
 
 def canonical(facets):
@@ -622,7 +631,7 @@ def forced_side(monkeypatch, dual):
         if dual:
             full = (1 << size) - 1
             return canonical(sorted(full ^ g for g in local)), (2, 1)
-        return canonical(_restricted_facets(w, classes, types)), (size - 1, -1)
+        return canonical(primal_facets(w, classes, types)), (size - 1, -1)
 
     monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
     monkeypatch.setattr(mixprod.invariants, "_choose_side", choose)
@@ -642,11 +651,24 @@ def spy(monkeypatch, name):
     return calls
 
 
+def dual_bound(gens, w):
+    """The face bound of the dual inside W, with the facets W - g over the
+    generators g inside W."""
+    return sum(1 << (w ^ g).bit_count() for g in gens if g & ~w == 0)
+
+
 def dual_bound_is_small(gens, w):
-    """Whether the dual inside W, with the facets W - g over the
-    generators g inside W, has the face bound at most 2^(|W|-1)."""
-    inside = [g for g in gens if g & ~w == 0]
-    return sum(1 << (w ^ g).bit_count() for g in inside) <= 1 << (w.bit_count() - 1)
+    """Whether the dual inside W has the face bound at most 2^(|W|-1)."""
+    return dual_bound(gens, w) <= 1 << (w.bit_count() - 1)
+
+
+def primal_wins(delta, gens, w):
+    """Whether _choose_side takes Delta|_W at a non-cone W: the dual's face
+    bound is above 2^(|W|-1) and not below that of Delta|_W, the reference
+    restrict(delta, w)."""
+    return not dual_bound_is_small(gens, w) and _face_bound(
+        restrict(delta, w).facets
+    ) <= dual_bound(gens, w)
 
 
 def stanley_reisner_ideal(ambient, facets):
@@ -710,23 +732,51 @@ class TestDualityInsideW:
             # Delta|_W, the join of two triangle boundaries, is not built
             (Ambient(3, 3), ["x1x2x3", "y1y2y3"], True, False),
             # the dual's bound 8 + 2 passes 2^3, but Delta|_W is a hollow
-            # triangle with the bound 12
+            # triangle with the bound 12: it is counted, not expanded
             (Ambient(4, 0), ["x3", "x1x2x4"], True, True),
+            # I_2 at three variables: both sides are three points, the
+            # bounds tie at 6 > 2^2, and the tie goes to Delta|_W
+            (Ambient(3, 0), ["x1x2", "x1x3", "x2x3"], False, True),
         ]
-        restricted = spy(monkeypatch, "_restricted_facets")
-        for amb, gens, dual_wins, restricts in cases:
+        counted = spy(monkeypatch, "_restricted_types")
+        expanded = spy(monkeypatch, "_restricted_facets")
+        for amb, gens, dual_wins, counts in cases:
             b = ideal(amb, *gens)
             w = amb.full_mask
             classes = _swap_classes(b)
             types = sorted({tuple((g & c).bit_count() for c in classes) for g in b.gen_masks()})
             dual = canonical(sorted(w ^ g for g in b.gen_masks()))
             primal = canonical(restrict(mixprod.homology.stanley_reisner(b), w).facets)
-            restricted.clear()
+            counted.clear()
+            expanded.clear()
             side, degree = mixprod.invariants._choose_side(b.gen_masks(), w, classes, types)
             assert side == (dual if dual_wins else primal)
             assert degree == ((2, 1) if dual_wins else (amb.nvars - 1, -1))
-            assert [args[0] for args in restricted] == ([w] if restricts else [])
-            assert dual_bound_is_small(b.gen_masks(), w) == (not restricts)
+            # Delta|_W is counted only past the dual's small bound, and
+            # expanded only when it wins
+            assert [args[0] for args in counted] == ([w] if counts else [])
+            assert [args[0] for args in expanded] == ([] if dual_wins else [w])
+            assert dual_bound_is_small(b.gen_masks(), w) == (not counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(squarefree_ideals())
+    def test_choice_matches_both_sides_expanded(self, a):
+        # at every non-cone representative W, _choose_side, which counts the
+        # bound of Delta|_W from the types, picks what a reference picks
+        # that expands both sides, Delta|_W by restrict
+        gens = a.gen_masks()
+        delta = mixprod.homology.stanley_reisner(a)
+        classes = _swap_classes(a)
+        types = sorted({tuple((g & c).bit_count() for c in classes) for g in gens})
+        for w in representatives(classes):
+            local = _local_gens(gens, w)
+            if not w or local is None:
+                continue
+            size = w.bit_count()
+            dual = canonical(sorted(((1 << size) - 1) ^ g for g in local))
+            primal = canonical(relabelled(restrict(delta, w).facets, w))
+            expected = (primal, (size - 1, -1)) if primal_wins(delta, gens, w) else (dual, (2, 1))
+            assert mixprod.invariants._choose_side(local, w, classes, types) == expected, (a, w)
 
 
 class TestConeCheck:
@@ -736,8 +786,9 @@ class TestConeCheck:
         # Delta|_W is a cone iff its facets share a vertex; the walk reads
         # that off the generators inside W instead. A cone W is neither
         # read off the types nor passed to homology. On an empty memo
-        # every other W takes one homology, and reads Delta|_W off the
-        # types only when the dual's face bound is above 2^(|W|-1).
+        # every other W takes one homology, counts Delta|_W off the
+        # types only when the dual's face bound is above 2^(|W|-1), and
+        # expands it only when it wins.
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
         with pytest.MonkeyPatch.context() as mp:
@@ -751,13 +802,16 @@ class TestConeCheck:
             assert (local is None) == bool(common)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-                restricted = spy(mp, "_restricted_facets")
+                counted = spy(mp, "_restricted_types")
+                expanded = spy(mp, "_restricted_facets")
                 homologies = spy(mp, "reduced_homology_ranks")
                 if local is not None:
                     _betti_at(plan, w, local, GF2)
             assert len(homologies) == (0 if common else 1)
-            restricts = not common and not dual_bound_is_small(gens, w)
-            assert [args[0] for args in restricted] == ([w] if restricts else [])
+            counts = not common and not dual_bound_is_small(gens, w)
+            expands = not common and primal_wins(delta, gens, w)
+            assert [args[0] for args in counted] == ([w] if counts else [])
+            assert [args[0] for args in expanded] == ([w] if expands else [])
 
 
 class TestLocalGens:
@@ -835,8 +889,10 @@ class TestNoComplexInTheWalk:
             types = sorted({tuple((g & c).bit_count() for c in classes) for g in b.gen_masks()})
             delta = mixprod.homology.stanley_reisner(b)
             for w in representatives(classes):
-                got = _restricted_facets(w, classes, types)
+                got = primal_facets(w, classes, types)
                 assert got == relabelled(restrict(delta, w).facets, w), (b, w)
+                # the bound counted from the types is that of the facets
+                assert _types_bound(*_restricted_types(w, classes, types)) == _face_bound(got)
 
 
 # --- a memo shared by many ideals ------------------------------------------------
@@ -893,11 +949,17 @@ class TestBettiMemo:
     def test_small_dual_bound_never_restricts(self, fresh_memo, monkeypatch):
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
         gens = a.gen_masks()
-        restricted = spy(monkeypatch, "_restricted_facets")
+        delta = mixprod.homology.stanley_reisner(a)
+        counted = spy(monkeypatch, "_restricted_types")
+        expanded = spy(monkeypatch, "_restricted_facets")
         walked = spy(monkeypatch, "_local_gens")
         got = hochster_betti(a, GF2)
-        assert restricted
-        assert not any(dual_bound_is_small(gens, w) for w, _, _ in restricted)
+        assert counted and expanded
+        assert not any(dual_bound_is_small(gens, w) for w, _, _ in counted)
+        # Delta|_W is expanded exactly at the counted W where it wins
+        assert [w for w, _, _ in expanded] == [
+            w for w, _, _ in counted if primal_wins(delta, gens, w)
+        ]
         # the walk does meet nonempty non-cone W (_local_gens not None)
         # with a small dual bound
         assert any(

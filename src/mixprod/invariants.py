@@ -17,13 +17,7 @@ from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, Ambient
 from .errors import TeraiMismatch, UnsupportedIdeal
-from .homology import (
-    FieldSpec,
-    SimplicialComplex,
-    _canonical_facets,
-    _relabel,
-    reduced_homology_ranks,
-)
+from .homology import FieldSpec, _canonical_facets, _homology_of_faces, _relabel
 
 
 @dataclass(frozen=True)
@@ -115,23 +109,14 @@ def _members(mask: int) -> list[int]:
     return [1 << b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
-def _transversal_types(
+def _up_set(
     sizes: Sequence[int], types: Iterable[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """The minimal transversal types of a set family over classes of these
-    sizes, given the types of its members, for a family fixed by the
-    permutations inside each class.
-
-    The type of a set T is (|T & C|)_C. A set U of type u contains a member
-    exactly when u >= d for a member type d, since the group carries a
-    member of type d <= u into U. The grid prod [0, |C|] is held as the bits
-    of one integer, and `up`, the up-closure of the member types, is closed
-    by a prefix OR along each class's axis. A set of type t is a transversal
-    (its complement holds no member) iff its complement's type s - t, s the
-    class sizes, is outside `up`, and a minimal one iff s - t is a maximal
-    such type: adding a variable of any class it misses lands in `up`."""
-    # mixed-radix grid index, the last class counting fastest: the digit
-    # of a class has stride k and runs once over each block of k(|C|+1)
+) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """The up-closure of `types` in the grid prod [0, s_C] over these class
+    sizes, held as the bits of one integer, with its mixed-radix axes
+    (stride k, block k(s_C + 1)) per class, the last class counting
+    fastest, and per class the points whose digit of that class is at
+    least 1. The up-closure is closed by a prefix OR along each axis."""
     axes = []
     points = 1
     for size in reversed(sizes):
@@ -142,18 +127,35 @@ def _transversal_types(
     for d in types:
         up |= 1 << sum(x * k for x, (k, _) in zip(d, axes))
     everything = (1 << points) - 1
-    # below[i]: the points whose digit of class i is below |C_i|
-    below = []
+    nonzero = []
     for k, block in axes:
-        # the points whose digit of class i is at least 1: bits k.. of each block
-        nonzero = (everything // ((1 << block) - 1)) * ((1 << block) - (1 << k))
+        # the points whose digit of this class is at least 1: bits k.. of each block
+        nonzero.append((everything // ((1 << block) - 1)) * ((1 << block) - (1 << k)))
         for _ in range(block // k - 1):
-            up |= up << k & nonzero
-        below.append(nonzero >> k)
-    free = everything ^ up  # the types of the sets holding no member
+            up |= up << k & nonzero[-1]
+    return up, axes, nonzero
+
+
+def _transversal_types(
+    sizes: Sequence[int], types: Iterable[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The minimal transversal types of a set family over classes of these
+    sizes, given the types of its members, for a family fixed by the
+    permutations inside each class.
+
+    The type of a set T is (|T & C|)_C. A set U of type u contains a member
+    exactly when u >= d for a member type d, since the group carries a
+    member of type d <= u into U: it lies in the up-closure `up` of the
+    member types (_up_set). A set of type t is a transversal (its
+    complement holds no member) iff its complement's type s - t, s the
+    class sizes, is outside `up`, and a minimal one iff s - t is a maximal
+    such type: adding a variable of any class it misses lands in `up`."""
+    up, axes, nonzero = _up_set(sizes, types)
+    points = axes[0][1]
+    free = ((1 << points) - 1) ^ up  # the types of the sets holding no member
     tops = free
-    for (k, _), mask in zip(axes, below):
-        tops &= ~(free >> k & mask)
+    for (k, _), mask in zip(axes, nonzero):
+        tops &= ~(free >> k & mask >> k)
     out = []
     while tops:
         low = tops & -tops
@@ -211,76 +213,6 @@ def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> Mon
     return _dual(a.ambient, classes, _dual_types(classes, _gen_types(a.gen_masks(), classes)))
 
 
-def _restricted_types(
-    w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The type c of W over `classes`, and the types of the complements in
-    W of the facets of Delta|_W, read off the generator types `types` of an
-    ideal whose generator set the permutations inside each of `classes`
-    fix; no complex is restricted and no facet is built.
-
-    The permutations inside each W & C fix the generators inside W, which
-    are the subsets of W of the types d <= c in `types`. Those generators
-    are the minimal non-faces of Delta|_W, so its facets are the
-    complements in W of their minimal transversals: the sets of the
-    minimal transversal types of those d over the sizes c."""
-    c = [(w & cls).bit_count() for cls in classes]
-    inside = [d for d in types if all(x <= y for x, y in zip(d, c))]
-    return c, _transversal_types(c, inside)
-
-
-def _types_bound(c: Sequence[int], tops: Iterable[tuple[int, ...]]) -> int:
-    """The face bound of Delta|_W, sum(2^|F|) over its facets F, which is
-    at least its number of faces, counted from its types
-    (_restricted_types): the facet W - T has 2^(|W| - |T|) subsets, and W
-    has prod C(c_C, t_C) sets T of type t."""
-    size = sum(c)
-    return sum(prod(map(comb, c, t)) << (size - sum(t)) for t in tops)
-
-
-def _restricted_facets(
-    w: int, classes: Sequence[int], tops: Iterable[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """The facets of Delta|_W relabelled onto W's dense bits in order: the
-    complements in W of every set of the types `tops` (_restricted_types),
-    expanded over W & C relabelled onto W's dense bits."""
-    members = [[1 << (w & (b - 1)).bit_count() for b in _members(w & cls)] for cls in classes]
-    full = (1 << w.bit_count()) - 1
-    return tuple(sorted(full ^ t for t in _sets_of_types(tops, members)))
-
-
-def _choose_side(
-    local: tuple[int, ...], w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """The complex whose homology gives beta_{.,W}, for a nonempty vertex
-    subset w whose restriction is no cone, with its generators `local`
-    relabelled onto W's dense bits (_local_gens): its facets, canonical as
-    _homology_of_faces keys them, and the degree map (shift, step) with
-    beta_{i,W} = h~_k of the side at i = shift + step * k.
-
-    The sides are Delta|_W, with i = |W| - 1 - k (Hochster), and its
-    Alexander dual inside W, with the facets W - g over the generators
-    inside W and i = k + 2 (combinatorial Alexander duality,
-    h~_k(Delta|_W) = h~_{|W|-k-3} of the dual). Both face bounds are
-    counted before either side is built: the dual's is the sum of
-    2^(|W| - |g|) over the generators g inside W, since W - g has that
-    many subsets. The faces of the two split the 2^|W| subsets of W
-    between them, so a dual whose bound is at most 2^(|W|-1) has no more
-    faces than Delta|_W and is taken without reading Delta|_W. Otherwise
-    the bound of Delta|_W is counted from its types (_restricted_types,
-    _types_bound), and the side with the smaller bound wins, Delta|_W on a
-    tie. Only the winner's facets are built: those of Delta|_W expanded
-    from its types (_restricted_facets), those of the dual sorted."""
-    size = w.bit_count()
-    bound = sum(1 << (size - g.bit_count()) for g in local)
-    if bound > 1 << (size - 1):
-        c, tops = _restricted_types(w, classes, types)
-        if _types_bound(c, tops) <= bound:
-            return _canonical_facets(_restricted_facets(w, classes, tops)), (size - 1, -1)
-    full = (1 << size) - 1
-    return _canonical_facets(tuple(sorted(full ^ g for g in local))), (2, 1)
-
-
 def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
     """The generators inside the vertex subset w, relabelled onto w's
     dense bits in order (_relabel, a shift per run of w's bits: at most
@@ -299,12 +231,68 @@ def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
     return tuple(_relabel(inside, w))
 
 
-# generators inside W relabelled onto W's dense bits -> (the facets of the
-# side _choose_side picked, its degree map, {field.char: the _betti_at
-# value}); process-wide, since beta_{i,W} depends on nothing else
-_BETTI_AT: dict[
-    tuple[int, ...], tuple[tuple[int, ...], tuple[int, int], dict[int, dict[int, int]]]
-] = {}
+_Parts = tuple[tuple[tuple[int, ...], int, int], ...]
+
+
+def _type_cubes(w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]) -> _Parts:
+    """beta_{.,W}(S/I) for a nonempty vertex subset w, read off the
+    generator types `types` of an ideal over `classes`, whose permutations
+    fix its generator set, as parts (facets, base, multiplicity), facets
+    canonical as _homology_of_faces keys them: beta_{i,W} is the sum of
+    multiplicity * h~_{i-base} of those complexes. No complex on W is built.
+
+    Let c = (|W & C|)_C over the classes C that meet W. A set inside W is a
+    face of Delta|_W iff its type lies in the down-set R of the t <= c with
+    no generator type d <= t. The augmented chain complex of the simplex on
+    W is the tensor product over C of those of the simplices on W & C, each
+    split exact: the sum of C(c_C - 1, k_C - 1) two-term complexes in sizes
+    k_C and k_C - 1, k_C = 1..c_C. The splitting keeps types, so C~(Delta|_W)
+    is the sum of the cubes of corners k, cut to R. A cube is all in R or
+    all outside it unless k is outside R and k - 1 inside: a corner of the
+    up-closure of the d <= c (_up_set). There a vertex k - e, e a set of
+    classes, is outside R iff e lies in U_d = {C : d_C < k_C} for some
+    d <= k, so the cut cube is the full cube, acyclic, modulo the cochains
+    of the complex Gamma_k with the facets U_d: its homology in size
+    |k| - j - 2 has the rank h~_j(Gamma_k), which Hochster's formula puts
+    at i = |W| - |k| + 2 + j; a cone Gamma_k is acyclic and left out. With
+    singleton classes k = W, and Gamma_k is the Alexander dual of Delta|_W
+    inside W, with the facets W - g over the generators g inside W."""
+    counts = [(w & cls).bit_count() for cls in classes]
+    meets = [j for j, x in enumerate(counts) if x]
+    c = [counts[j] for j in meets]
+    inside = [[d[j] for j in meets] for d in types if all(map(int.__le__, d, counts))]
+    up, axes, nonzero = _up_set(c, inside)
+    corners = up & ~up << sum(k for k, _ in axes)  # k - 1 lies outside up
+    for mask in nonzero:
+        corners &= mask
+    base, bits = w.bit_count() + 2, [1 << j for j in range(len(c))]
+    parts: dict[tuple[tuple[int, ...], int], int] = {}
+    while corners:
+        low = corners & -corners
+        corners ^= low
+        k = [(low.bit_length() - 1) % block // stride for stride, block in axes]
+        facets = set()
+        for d in inside:
+            if all(map(int.__le__, d, k)):
+                facets.add(sum(b for b, x, y in zip(bits, d, k) if x < y))
+        # the U_d that no other holds, by size, larger first
+        kept: list[int] = []
+        common = -1
+        for u in sorted(facets, key=int.bit_count, reverse=True):
+            if all(u & ~v for v in kept):
+                kept.append(u)
+                common &= u
+        if common:
+            continue
+        key = (_canonical_facets(tuple(sorted(kept))), base - sum(k))
+        parts[key] = parts.get(key, 0) + prod(comb(x - 1, y - 1) for x, y in zip(c, k))
+    return tuple((*key, mult) for key, mult in parts.items())
+
+
+# generators inside W relabelled onto W's dense bits -> (the parts
+# _type_cubes reads off the types, {field.char: the _betti_at value});
+# process-wide, since beta_{i,W} depends on nothing else
+_BETTI_AT: dict[tuple[int, ...], tuple[_Parts, dict[int, dict[int, int]]]] = {}
 
 
 def _betti_at(
@@ -316,18 +304,22 @@ def _betti_at(
     beta_{i,W} = 0. The dict is shared through the memo: do not change it.
 
     beta_{i,W} depends only on `local` (Hochster), so the value is
-    memoized on it. One entry holds the side _choose_side picks, chosen on
-    the first miss from the plan's classes and types, and one value per
-    field characteristic, each taken from the homology of that side."""
+    memoized on it. One entry holds the parts _type_cubes reads off the
+    plan's classes and types on the first miss, and one value per field
+    characteristic, summed from the homology of the parts' complexes and
+    sorted by i, since the parts depend on the classes of the first plan."""
     entry = _BETTI_AT.get(local)
     if entry is None:
-        entry = _BETTI_AT[local] = (*_choose_side(local, w, plan.classes, plan.types), {})
-    facets, (shift, step), by_char = entry
+        entry = _BETTI_AT[local] = (_type_cubes(w, plan.classes, plan.types), {})
+    parts, by_char = entry
     betti = by_char.get(field.char)
     if betti is None:
-        side = SimplicialComplex._trusted((1 << w.bit_count()) - 1, facets)
-        ranks = reduced_homology_ranks(side, field)
-        betti = by_char[field.char] = {shift + step * k: r for k, r in ranks.items()}
+        betti = {}
+        for facets, base, mult in parts:
+            for j, h in _homology_of_faces(facets, field.char):
+                if h:
+                    betti[base + j] = betti.get(base + j, 0) + mult * h
+        betti = by_char[field.char] = dict(sorted(betti.items()))
     return betti
 
 
@@ -401,14 +393,13 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     Every other W is looked up by _betti_at in a process-wide memo under
     the generators inside W, relabelled onto W's dense bits, so a
     restricted ideal met before, in this walk or an earlier one, over
-    this field or another, chooses no side again, and over a field met
-    before costs no homology. A miss takes the homology of the Alexander
-    dual inside W, whose facets are W - g over those generators, outright
-    when its face bound is at most 2^(|W|-1), and otherwise of whichever
-    of it and Delta|_W has the smaller face bound, Delta|_W on a tie. The
-    bound of Delta|_W is counted from the generator types, and its facets
-    are read off them only when it wins; the dual side reads
-    beta_{i,W} = h~_{i-2} of the dual.
+    this field or another, is not read off the types again, and over a
+    field met before costs no homology. A miss splits the chain complex
+    of the simplex on W over the classes (_type_cubes): beta_{i,W} is a
+    sum of the homologies of small complexes Gamma_k on the classes that
+    meet W, one per corner k of the type grid, times binomial
+    multiplicities. With singleton classes Gamma_k is the Alexander dual
+    of Delta|_W inside W.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
@@ -459,14 +450,18 @@ def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]
     plan's classes and types (_dual_types, _dual), the dual's plan and the
     dimension. A permutation fixes an ideal exactly when it fixes its dual,
     so the dual's plan takes the ideal's classes and the dual types, and the
-    dimension is nv minus the least sum of a dual type."""
+    dimension is nv minus the least sum of a dual type. A self-dual ideal's
+    plan serves as its dual's."""
     key = (a.ambient, a.gen_masks())
     set_up = _SET_UP.get(key)
     if set_up is None:
         plan = _plan_of(a)
         dual_types = _dual_types(plan.classes, plan.types)
         dual = _dual(a.ambient, plan.classes, dual_types)
-        dual_plan = _walk_plan(dual.gen_masks(), plan.classes, dual_types)
+        if dual.gen_masks() == plan.gens:  # self-dual: the same plan
+            dual_plan = plan
+        else:
+            dual_plan = _walk_plan(dual.gen_masks(), plan.classes, dual_types)
         set_up = (plan, dual, dual_plan, a.ambient.nvars - min(map(sum, dual_types)))
         _SET_UP.clear()
         _SET_UP[key] = set_up

@@ -497,8 +497,11 @@ class TestSparseRank:
         assert made and made[0] in ((1, 2), (1, -2))
 
     def test_rationals_stay_integral_on_mixed_product_ideals(self, monkeypatch):
-        # every pivot entry of their boundary maps is +-1, so the reports
-        # over Q make no Fraction; fresh caches make every rank run here
+        # every pivot entry of the boundary maps of their restrictions is
+        # +-1, so ranking them over Q makes no Fraction: the reference
+        # sides restrict(stanley_reisner(b), W) at every row of the walks
+        # of each ideal and of its dual are ranked here, on a fresh cache
+        # so that each reaches the kernel, and so are the reports
         made = fractions_made(monkeypatch)
         monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
         monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
@@ -507,8 +510,14 @@ class TestSparseRank:
         specs = [s for s in enumerate_specs(6, 6) if s.ambient.nvars <= 6]
         assert len(specs) == 392
         for spec in specs:
-            oracle_report(realize_spec(spec), RATIONALS)
-        assert fresh.cache_info().misses > 0
+            a = realize_spec(spec)
+            plan, dual, dual_plan, _ = mixprod.invariants._set_up(a)
+            for b, walk in ((a, plan), (dual, dual_plan)):
+                delta = stanley_reisner(b)
+                for w, _, _, _ in walk.rows:
+                    reduced_homology_ranks(restrict(delta, w), RATIONALS)
+            oracle_report(a, RATIONALS)
+        assert fresh.cache_info().misses > 200
         assert not made
 
     def test_importing_the_cli_loads_no_fractions_or_decimal(self):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from operator import or_
 
 import pytest
@@ -689,11 +689,13 @@ class TestDualTypes:
                 check_dual_types(realize_spec(spec), mp)
 
 
-# --- Alexander duality inside W ----------------------------------------------
-# hochster_betti takes, at each W, the homology of Delta|_W, read off the
-# generator types, or of its Alexander dual inside W, whichever
-# _choose_side picks. Forcing each side in turn must give the same tables
-# as the independent oracle and the full primal walk.
+# --- Betti numbers read off the type grid ------------------------------------
+# At each W the walk reads beta_{.,W} off the generator types over the
+# classes (_type_cubes): a sum over the corners k of the type grid of the
+# homology of small complexes Gamma_k on the classes, which with singleton
+# classes is the Alexander dual of Delta|_W inside W. Its values are
+# checked against the reference restrict(stanley_reisner(b), W), against
+# that dual inside W, and against the independent oracle.
 
 
 @pytest.fixture
@@ -705,32 +707,41 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
 
 
-_restricted_types = mixprod.invariants._restricted_types
-_restricted_facets = mixprod.invariants._restricted_facets
-_types_bound = mixprod.invariants._types_bound
+_type_cubes = mixprod.invariants._type_cubes
 
 
-def _face_bound(facets):
-    """sum(2^|F|) over the facets F: at least the number of faces."""
-    return sum(1 << f.bit_count() for f in facets)
+def by_types(w, classes, types, field):
+    """{i: beta_{i,W}} summed, zeros left out, from the parts _type_cubes
+    reads off the types; each part's complex is built with the checks of
+    SimplicialComplex, so its facets must be a sorted antichain."""
+    out = {}
+    for facets, base, mult in _type_cubes(w, classes, types):
+        gamma = SimplicialComplex(reduce(or_, facets, 0), facets)
+        for j, h in reduced_homology_ranks(gamma, field).items():
+            if h:
+                out[base + j] = out.get(base + j, 0) + mult * h
+    return out
 
 
-def primal_facets(w, classes, types):
-    """The facets of Delta|_W read off the generator types, as _choose_side
-    expands them when Delta|_W wins."""
-    return _restricted_facets(w, classes, _restricted_types(w, classes, types)[1])
+def by_restrict(delta, w, field):
+    """{i: beta_{i,W}} from the reference restrict(delta, w), by Hochster:
+    beta_{i,W} = h~_{|W|-i-1}(Delta|_W)."""
+    size = w.bit_count()
+    ranks = reduced_homology_ranks(restrict(delta, w), field)
+    return {size - 1 - k: r for k, r in ranks.items() if r}
 
 
-def canonical(facets):
-    """Facets relabelled onto the dense bits of the vertices they use, as
-    the homology memo keys them."""
-    return mixprod.homology._canonical_facets(tuple(facets))
+def by_dual_inside(gens, w, field):
+    """{i: beta_{i,W}} from the Alexander dual of Delta|_W inside W, whose
+    facets are W - g over the generators g inside W, by combinatorial
+    Alexander duality: beta_{i,W} = h~_{i-2} of the dual."""
+    facets = tuple(sorted(w ^ g for g in gens if g & ~w == 0))
+    ranks = reduced_homology_ranks(SimplicialComplex(w, facets), field)
+    return {k + 2: r for k, r in ranks.items() if r}
 
 
-def relabelled(facets, w):
-    """Facets inside w moved onto w's dense bits in order."""
-    bits = [b for b in range(w.bit_length()) if w >> b & 1]
-    return tuple(sorted(sum(1 << j for j, b in enumerate(bits) if f >> b & 1) for f in facets))
+def gen_types(gens, classes):
+    return sorted({tuple((g & c).bit_count() for c in classes) for g in gens})
 
 
 def representatives(classes):
@@ -740,24 +751,6 @@ def representatives(classes):
         bits = [1 << v for v in range(c.bit_length()) if c >> v & 1]
         prefixes.append([sum(bits[:k]) for k in range(len(bits) + 1)])
     return [sum(parts) for parts in product(*prefixes)]
-
-
-def forced_side(monkeypatch, dual):
-    """Make hochster_betti take one side at every non-cone W, on an empty
-    memo; returns the list of its choices."""
-    chosen = []
-
-    def choose(local, w, classes, types):
-        chosen.append(dual)
-        size = w.bit_count()
-        if dual:
-            full = (1 << size) - 1
-            return canonical(sorted(full ^ g for g in local)), (2, 1)
-        return canonical(primal_facets(w, classes, types)), (size - 1, -1)
-
-    monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
-    monkeypatch.setattr(mixprod.invariants, "_choose_side", choose)
-    return chosen
 
 
 def spy(monkeypatch, name):
@@ -773,26 +766,6 @@ def spy(monkeypatch, name):
     return calls
 
 
-def dual_bound(gens, w):
-    """The face bound of the dual inside W, with the facets W - g over the
-    generators g inside W."""
-    return sum(1 << (w ^ g).bit_count() for g in gens if g & ~w == 0)
-
-
-def dual_bound_is_small(gens, w):
-    """Whether the dual inside W has the face bound at most 2^(|W|-1)."""
-    return dual_bound(gens, w) <= 1 << (w.bit_count() - 1)
-
-
-def primal_wins(delta, gens, w):
-    """Whether _choose_side takes Delta|_W at a non-cone W: the dual's face
-    bound is above 2^(|W|-1) and not below that of Delta|_W, the reference
-    restrict(delta, w)."""
-    return not dual_bound_is_small(gens, w) and _face_bound(
-        restrict(delta, w).facets
-    ) <= dual_bound(gens, w)
-
-
 def stanley_reisner_ideal(ambient, facets):
     """The ideal of the non-faces of the complex with these facets."""
     full = ambient.full_mask
@@ -801,104 +774,141 @@ def stanley_reisner_ideal(ambient, facets):
     )
 
 
+@st.composite
+def many_class_ideals(draw):
+    """An ideal on 3 to 9 variables fixed by the permutations inside each
+    of 3 to 5 classes, some of them singletons, with those classes: the
+    sets of a few random nonzero count vectors, minimalized."""
+    k = draw(st.integers(3, 5))
+    nvars = draw(st.integers(k, 9))
+    extra = st.lists(st.integers(0, k - 1), min_size=nvars - k, max_size=nvars - k)
+    labels = draw(st.permutations(list(range(k)) + draw(extra)))
+    classes = [sum(1 << v for v, lab in enumerate(labels) if lab == c) for c in range(k)]
+    count = st.tuples(*(st.integers(0, c.bit_count()) for c in classes))
+    types = set(draw(st.lists(count, min_size=1, max_size=6))) - {(0,) * k}
+    assume(types)
+    masks = [
+        s for s in range(1 << nvars) if tuple((s & c).bit_count() for c in classes) in types
+    ]
+    n = draw(st.integers(0, nvars))
+    return MonomialIdeal.from_masks(Ambient(n, nvars - n), masks), classes
+
+
 class TestDualityInsideW:
     @settings(max_examples=60, deadline=None)
     @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
     def test_each_side_matches_independent_oracle_and_full_walk(self, a, field):
-        expected = full_walk_multigraded(a, field)
-        for dual in (False, True):
+        # both walks of a report, on the ideal and on its Alexander dual,
+        # read every W off the types on an empty memo
+        for b in (a, alexander_dual(a)):
             with pytest.MonkeyPatch.context() as mp:
-                chosen = forced_side(mp, dual)
-                got = hochster_betti(a, field)
-            assert chosen and set(chosen) == {dual}
-            assert got.multigraded == expected
-            if field == RATIONALS or a.ambient.nvars <= 5:
-                assert got.entries == brute_hochster(a.ambient.nvars, supports_of(a))
+                mp.setattr(mixprod.invariants, "_BETTI_AT", {})
+                read = spy(mp, "_type_cubes")
+                got = hochster_betti(b, field)
+            # one read per distinct set of generators inside W, relabelled
+            rows = mixprod.invariants._plan_of(b).rows
+            assert len(read) == len({local for _, local, _, _ in rows})
+            assert got.multigraded == full_walk_multigraded(b, field)
+            if field == RATIONALS or b.ambient.nvars <= 5:
+                assert got.entries == brute_hochster(b.ambient.nvars, supports_of(b), field.char)
 
     @pytest.mark.parametrize("field", [RATIONALS, GF2])
     @pytest.mark.parametrize("dual", [False, True])
-    def test_projective_plane(self, monkeypatch, field, dual):
+    def test_projective_plane(self, fresh_memo, field, dual):
         # RP2 itself is the restriction to all six vertices: over GF(2) it
         # has h~_1 = h~_2 = 1, so beta_{4,V} = beta_{3,V} = 1; over Q none.
+        # Its Alexander dual has h~_j = h~_{3-j} of RP2, which puts the
+        # same two numbers at V. No transposition fixes RP2, so every
+        # class is a singleton and the walk ranks the dual inside W.
         from test_homology import RP2
 
         amb = Ambient(6, 0)
         a = stanley_reisner_ideal(amb, RP2.facets)
-        chosen = forced_side(monkeypatch, dual)
-        got = hochster_betti(a, field)
-        assert chosen and set(chosen) == {dual}
-        assert got.multigraded == full_walk_multigraded(a, field)
+        b = alexander_dual(a) if dual else a
+        assert _swap_classes(b) == [1 << v for v in range(6)]
+        got = hochster_betti(b, field)
+        assert got.multigraded == full_walk_multigraded(b, field)
         top = {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask}
         assert top == ({3: 1, 4: 1} if field == GF2 else {})
         if field == RATIONALS:
-            assert got.entries == brute_hochster(6, supports_of(a))
+            assert got.entries == brute_hochster(6, supports_of(b))
 
-    @pytest.mark.parametrize("dual", [False, True])
-    def test_vertex_in_every_generator_inside_w(self, monkeypatch, dual):
-        # At W = {1,2,3} both generators hold x1, so the dual inside W,
-        # with facets {3} and {2}, does not reach x1; the shift still
-        # counts |W| = 3: two points, h~_0 = 1, give beta_{2,W} = 1.
+    @pytest.mark.parametrize("singletons", [False, True])
+    def test_vertex_in_every_generator_inside_w(self, fresh_memo, singletons):
+        # At W = {1,2,3} both generators hold x1. Over the swap classes
+        # {x1}, {x2,x3} the one corner k = (1,1) that is no cone has
+        # Gamma_k = {<empty>}; over singleton classes Gamma_k is the dual
+        # inside W, with facets {3} and {2}, which does not reach x1: two
+        # points, h~_0 = 1. Either way beta_{2,W} = 1.
         a = ideal(Ambient(3, 0), "x1x2", "x1x3")
-        chosen = forced_side(monkeypatch, dual)
-        got = hochster_betti(a, GF2)
-        assert chosen and set(chosen) == {dual}
+        classes = (0b001, 0b010, 0b100) if singletons else tuple(_swap_classes(a))
+        assert len(classes) == (3 if singletons else 2)
+        types = tuple(gen_types(a.gen_masks(), classes))
+        parts = _type_cubes(0b111, classes, types)
+        assert parts == ((((0b01, 0b10), 2, 1),) if singletons else (((0,), 3, 1),))
+        plan = mixprod.invariants._walk_plan(a.gen_masks(), classes, types)
+        got = hochster_betti(a, GF2, plan)
         assert got.multigraded == {(0, 0): 1, (1, 0b011): 1, (1, 0b101): 1, (2, 0b111): 1}
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
-    def test_smaller_face_bound_wins(self, monkeypatch):
+    def test_hand_computed_corners(self):
         cases = [
-            # I_1J_1 at 3x3: Delta|_W is two disjoint triangles (bound 16),
-            # the dual has the nine facets W - x_i y_j (bound 144 > 2^5)
-            (Ambient(3, 3), [f"x{i}y{j}" for i in (1, 2, 3) for j in (1, 2, 3)], False, True),
-            # I_3 + J_3: the dual is two disjoint triangles, 16 <= 2^5, so
-            # Delta|_W, the join of two triangle boundaries, is not built
-            (Ambient(3, 3), ["x1x2x3", "y1y2y3"], True, False),
-            # the dual's bound 8 + 2 passes 2^3, but Delta|_W is a hollow
-            # triangle with the bound 12: it is counted, not expanded
-            (Ambient(4, 0), ["x3", "x1x2x4"], True, True),
-            # I_2 at three variables: both sides are three points, the
-            # bounds tie at 6 > 2^2, and the tie goes to Delta|_W
-            (Ambient(3, 0), ["x1x2", "x1x3", "x2x3"], False, True),
+            # I_1J_1 at 3x3: Delta is two disjoint triangles, h~_0 = 1;
+            # the corner (1,1) has Gamma = {<empty>}, the other corners
+            # (1,2), (1,3), (2,1), (3,1) give cones
+            (Ambient(3, 3), [f"x{i}y{j}" for i in (1, 2, 3) for j in (1, 2, 3)], (((0,), 6, 1),)),
+            # I_3 + J_3: the join of two triangle boundaries, h~_3 = 1;
+            # at the corner (3,3) Gamma is two points
+            (Ambient(3, 3), ["x1x2x3", "y1y2y3"], (((0b01, 0b10), 2, 1),)),
+            # x3 and x1x2x4, classes {x1,x2,x4} and {x3}: Delta is a
+            # hollow triangle, and Gamma at the corner (3,1) two points
+            (Ambient(4, 0), ["x3", "x1x2x4"], (((0b01, 0b10), 2, 1),)),
+            # I_2 at three variables: one class, the corner k = 2 with
+            # Gamma = {<empty>} and multiplicity C(2, 1); three points
+            (Ambient(3, 0), ["x1x2", "x1x3", "x2x3"], (((0,), 3, 2),)),
         ]
-        counted = spy(monkeypatch, "_restricted_types")
-        expanded = spy(monkeypatch, "_restricted_facets")
-        for amb, gens, dual_wins, counts in cases:
+        for amb, gens, expected in cases:
             b = ideal(amb, *gens)
-            w = amb.full_mask
             classes = _swap_classes(b)
-            types = sorted({tuple((g & c).bit_count() for c in classes) for g in b.gen_masks()})
-            dual = canonical(sorted(w ^ g for g in b.gen_masks()))
-            primal = canonical(restrict(mixprod.homology.stanley_reisner(b), w).facets)
-            counted.clear()
-            expanded.clear()
-            side, degree = mixprod.invariants._choose_side(b.gen_masks(), w, classes, types)
-            assert side == (dual if dual_wins else primal)
-            assert degree == ((2, 1) if dual_wins else (amb.nvars - 1, -1))
-            # Delta|_W is counted only past the dual's small bound, and
-            # expanded only when it wins
-            assert [args[0] for args in counted] == ([w] if counts else [])
-            assert [args[0] for args in expanded] == ([] if dual_wins else [w])
-            assert dual_bound_is_small(b.gen_masks(), w) == (not counts)
+            types = gen_types(b.gen_masks(), classes)
+            assert _type_cubes(amb.full_mask, classes, types) == expected
+            delta = mixprod.homology.stanley_reisner(b)
+            for field in (RATIONALS, GF2):
+                got = by_types(amb.full_mask, classes, types, field)
+                assert got == by_restrict(delta, amb.full_mask, field)
 
     @settings(max_examples=100, deadline=None)
-    @given(squarefree_ideals())
-    def test_choice_matches_both_sides_expanded(self, a):
-        # at every non-cone representative W, _choose_side, which counts the
-        # bound of Delta|_W from the types, picks what a reference picks
-        # that expands both sides, Delta|_W by restrict
+    @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
+    def test_choice_matches_both_sides_expanded(self, a, field):
+        # at every non-cone representative W the type route gives what
+        # both old sides give expanded: Delta|_W by restrict, and the
+        # Alexander dual inside W
         gens = a.gen_masks()
         delta = mixprod.homology.stanley_reisner(a)
         classes = _swap_classes(a)
-        types = sorted({tuple((g & c).bit_count() for c in classes) for g in gens})
+        types = gen_types(gens, classes)
         for w in representatives(classes):
-            local = _local_gens(gens, w)
-            if not w or local is None:
+            if not w or _local_gens(gens, w) is None:
                 continue
-            size = w.bit_count()
-            dual = canonical(sorted(((1 << size) - 1) ^ g for g in local))
-            primal = canonical(relabelled(restrict(delta, w).facets, w))
-            expected = (primal, (size - 1, -1)) if primal_wins(delta, gens, w) else (dual, (2, 1))
-            assert mixprod.invariants._choose_side(local, w, classes, types) == expected, (a, w)
+            got = by_types(w, classes, types, field)
+            assert got == by_restrict(delta, w, field) == by_dual_inside(gens, w, field), (a, w)
+
+
+class TestTypeCubes:
+    def test_skeleton_of_a_simplex(self):
+        # the (s-1)-skeleton on c vertices has h~_{s-1} = C(c-1, s), the
+        # multiplicity of the one corner k = s + 1 of its Stanley-Reisner
+        # ideal I_{s+1}: the s + 1 sets are the minimal non-faces
+        for c in range(1, 8):
+            full = (1 << c) - 1
+            for s in range(c + 1):
+                facets = tuple(m for m in range(full + 1) if m.bit_count() == s)
+                for field in (RATIONALS, GF2, GF3):
+                    h = reduced_homology_ranks(SimplicialComplex(full, facets), field)
+                    assert h == {i: (comb(c - 1, s) if i == s - 1 else 0) for i in range(-1, s)}
+                if s < c:
+                    parts = _type_cubes(full, (full,), ((s + 1,),))
+                    assert parts == (((0,), c + 1 - s, comb(c - 1, s)),)
 
 
 class TestConeCheck:
@@ -906,11 +916,9 @@ class TestConeCheck:
     @given(squarefree_ideals())
     def test_generator_cover_agrees_with_facet_intersection(self, a):
         # Delta|_W is a cone iff its facets share a vertex; the walk reads
-        # that off the generators inside W instead. A cone W is neither
-        # read off the types nor passed to homology. On an empty memo
-        # every other W takes one homology, counts Delta|_W off the
-        # types only when the dual's face bound is above 2^(|W|-1), and
-        # expands it only when it wins.
+        # that off the generators inside W instead. A cone W is not read
+        # off the types; on an empty memo every other W is, once, and the
+        # homology it takes is of complexes on the classes that meet W
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
         plan = mixprod.invariants._plan_of(a)
@@ -922,16 +930,14 @@ class TestConeCheck:
             assert (local is None) == bool(common)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-                counted = spy(mp, "_restricted_types")
-                expanded = spy(mp, "_restricted_facets")
-                homologies = spy(mp, "reduced_homology_ranks")
+                read = spy(mp, "_type_cubes")
+                homologies = spy(mp, "_homology_of_faces")
                 if local is not None:
-                    _betti_at(plan, w, local, GF2)
-            assert len(homologies) == (0 if common else 1)
-            counts = not common and not dual_bound_is_small(gens, w)
-            expands = not common and primal_wins(delta, gens, w)
-            assert [args[0] for args in counted] == ([w] if counts else [])
-            assert [args[0] for args in expanded] == ([w] if expands else [])
+                    got = _betti_at(plan, w, local, GF2)
+                    assert {i: r for i, r in got.items() if r} == by_restrict(delta, w, GF2)
+            assert len(read) == (0 if common else 1)
+            meeting = sum(1 for c in plan.classes if c & w)
+            assert all(reduce(or_, facets, 0) >> meeting == 0 for facets, _ in homologies)
 
 
 class TestLocalGens:
@@ -992,27 +998,39 @@ class TestNoComplexInTheWalk:
         assert not hasattr(mixprod.invariants, "restrict")
         assert not hasattr(mixprod.invariants, "stanley_reisner")
         assert not hasattr(mixprod.invariants, "alexander_dual")
+        # the walk builds no complex on W and has no side to choose
+        for name in (
+            "SimplicialComplex", "reduced_homology_ranks", "_choose_side", "_types_bound",
+            "_restricted_facets", "_restricted_types",
+        ):
+            assert not hasattr(mixprod.invariants, name)
         assert list(inspect.signature(hochster_betti).parameters) == ["a", "field", "plan"]
         fields = mixprod.invariants._WalkPlan.__dataclass_fields__
         assert list(fields) == ["gens", "classes", "types", "rows"]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(squarefree_ideals().map(lambda a: (a, None)), stable_ideals()))
+    @given(
+        st.one_of(
+            squarefree_ideals().map(lambda a: (a, None)), stable_ideals(), many_class_ideals()
+        )
+    )
     def test_type_read_restriction_is_restrict(self, case):
-        # at every representative W, of the ideal and of its dual, the
-        # facets read off the types are those of the reference restrict,
-        # relabelled onto W's dense bits
-        a, classes = case
+        # at every nonempty representative W, every row of the walk among
+        # them, of the ideal and of its dual, over the given classes or the
+        # swap classes, singletons and three or more classes among them,
+        # the Betti numbers read off the types are those of the reference
+        # restrict over Q, GF(2) and GF(3); a cone W reads none
+        a, given = case
         for b in (a, alexander_dual(a)):
-            if classes is None:
-                classes = _swap_classes(b)
-            types = sorted({tuple((g & c).bit_count() for c in classes) for g in b.gen_masks()})
+            classes = tuple(_swap_classes(b) if given is None else given)
+            types = gen_types(b.gen_masks(), classes)
             delta = mixprod.homology.stanley_reisner(b)
             for w in representatives(classes):
-                got = primal_facets(w, classes, types)
-                assert got == relabelled(restrict(delta, w).facets, w), (b, w)
-                # the bound counted from the types is that of the facets
-                assert _types_bound(*_restricted_types(w, classes, types)) == _face_bound(got)
+                if not w:
+                    continue
+                for field in (RATIONALS, GF2, GF3):
+                    got = by_types(w, classes, types, field)
+                    assert got == by_restrict(delta, w, field), (b, classes, w)
 
 
 # --- a memo shared by many ideals ------------------------------------------------
@@ -1046,6 +1064,21 @@ class TestWarmMemo:
                 assert warm.multigraded == cold[f].multigraded
                 assert warm.entries == brute_hochster(a.ambient.nvars, supports_of(a), f.char)
 
+    def test_walk_order_does_not_depend_on_the_plan_that_filled_the_memo(self, fresh_memo):
+        # J_3 + I_1J_1 at 1x3: at W = all four variables the parts read over
+        # the swap classes give beta_{3,W} before beta_{2,W}, those over
+        # singleton classes the reverse; the memo value is sorted by i, so
+        # a table, its walk included, is the same whichever plan filled it
+        a = realize_spec(MixedProductSpec(Ambient(1, 3), ((0, 3), (1, 1))))
+        singletons = tuple(1 << v for v in range(4))
+        types = tuple(gen_types(a.gen_masks(), singletons))
+        plan = mixprod.invariants._walk_plan(a.gen_masks(), singletons, types)
+        cold = hochster_betti(a, GF2, plan)
+        mixprod.invariants._BETTI_AT.clear()
+        hochster_betti(a, GF2)
+        assert hochster_betti(a, GF2, plan) == cold
+        assert [i for i, w, _ in cold.walk if w == 0b1111] == [2, 3]
+
     def test_after_a_foreign_dual(self, fresh_memo):
         # I_1J_2+I_2J_1 at 3x3 after I_1J_1 and its dual, over GF(2) and Q
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
@@ -1062,52 +1095,43 @@ class TestWarmMemo:
 # --- the Betti memo ------------------------------------------------------------
 # beta_{i,W} depends only on the generators inside W, so _betti_at memoizes
 # it process-wide on those generators, relabelled onto W's dense bits: one
-# entry holds the side chosen once and a value per field characteristic.
+# entry holds the parts read off the types once and a value per field
+# characteristic.
 
 
 class TestBettiMemo:
-    def test_small_dual_bound_never_restricts(self, fresh_memo, monkeypatch):
+    def test_misses_rank_only_complexes_on_the_classes(self, fresh_memo, monkeypatch):
+        # every miss reads the types once and ranks only complexes Gamma_k
+        # on the two classes, never a complex on W: I_1J_2+I_2J_1 at 3x3
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
-        gens = a.gen_masks()
-        delta = mixprod.homology.stanley_reisner(a)
-        counted = spy(monkeypatch, "_restricted_types")
-        expanded = spy(monkeypatch, "_restricted_facets")
-        walked = spy(monkeypatch, "_local_gens")
+        read = spy(monkeypatch, "_type_cubes")
+        homologies = spy(monkeypatch, "_homology_of_faces")
         got = hochster_betti(a, GF2)
-        assert counted and expanded
-        assert not any(dual_bound_is_small(gens, w) for w, _, _ in counted)
-        # Delta|_W is expanded exactly at the counted W where it wins
-        assert [w for w, _, _ in expanded] == [
-            w for w, _, _ in counted if primal_wins(delta, gens, w)
-        ]
-        # the walk does meet nonempty non-cone W (_local_gens not None)
-        # with a small dual bound
-        assert any(
-            w and _local_gens(g, w) is not None and dual_bound_is_small(gens, w)
-            for g, w in walked
-        )
+        rows = mixprod.invariants._plan_of(a).rows
+        assert len(read) == len({local for _, local, _, _ in rows}) > 0
+        assert homologies and all(reduce(or_, facets, 0) < 0b100 for facets, _ in homologies)
         assert got.entries == brute_hochster(6, supports_of(a))
+        assert got.multigraded == full_walk_multigraded(a, GF2)
 
     def test_second_walk_is_served_by_the_memo(self, fresh_memo, monkeypatch):
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
-        restricted = spy(monkeypatch, "_restricted_facets")
-        sides = spy(monkeypatch, "_choose_side")
-        homologies = spy(monkeypatch, "reduced_homology_ranks")
+        read = spy(monkeypatch, "_type_cubes")
+        homologies = spy(monkeypatch, "_homology_of_faces")
         first = hochster_betti(a, GF3)
-        assert restricted and homologies
-        assert len(sides) == len(homologies)
-        restricted.clear()
+        assert read and homologies
+        assert all(char == 3 for _, char in homologies)
+        read.clear()
         homologies.clear()
-        sides.clear()
         second = hochster_betti(a, GF3)
-        assert restricted == [] and homologies == [] and sides == []
+        assert read == [] and homologies == []
         assert second == first
         assert second.entries == brute_hochster(6, supports_of(a), 3)
         assert second.multigraded == full_walk_multigraded(a, GF3)
-        # another field takes the homology of each side again, but chooses
-        # no side
+        # another field takes the homology of each part again, but reads
+        # no types
         third = hochster_betti(a, GF2)
-        assert restricted == [] and sides == [] and homologies
+        assert read == [] and homologies
+        assert all(char == 2 for _, char in homologies)
         assert third.entries == brute_hochster(6, supports_of(a), 2)
 
     def test_projective_plane_over_gf2_then_q(self, fresh_memo):
@@ -1188,6 +1212,20 @@ class TestSharedWalkState:
             assert found == [(a,)]
             assert counted == [(a.gen_masks(), tuple(_swap_classes(a)))]
             assert len(duals) == 1
+
+    def test_a_self_dual_ideal_is_planned_once(self, fresh_memo, monkeypatch):
+        # I_2 at three variables is its own dual: its plan serves both walks
+        a = MonomialIdeal.from_masks(Ambient(3, 0), (0b011, 0b101, 0b110))
+        assert alexander_dual(a) == a
+        planned = spy(monkeypatch, "_walk_plan")
+        report = oracle_report(a, GF2)
+        assert len(planned) == 1
+        plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+        assert dual == a and dual_plan is plan
+        assert report.reg_of_ideal == 2 and report.pd == 2
+        # a dual that is not the ideal takes a plan of its own
+        oracle_report(realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 1),))), GF2)
+        assert len(planned) == 3
 
     @pytest.mark.parametrize(
         "n, m, terms", [(4, 4, ((2, 2),)), (3, 2, ((1, 1), (2, 0))), (2, 2, ((1, 1),))]

@@ -163,34 +163,19 @@ def _minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     """Antichain of minimal supports under inclusion (sorted, deduplicated).
 
     The masks are taken by number of variables, so only a kept mask with
-    fewer variables can divide m. When m has fewer subsets than there are
-    such masks, as when restricting to W the many facets of a complex, its
-    proper submasks are looked up in the set of kept masks; otherwise the
-    kept masks are scanned."""
+    fewer variables can divide m, and only those are scanned."""
     kept: list[int] = []
-    kept_set: set[int] = set()
     below = 0  # kept[:below] have fewer variables than m; no other can divide it
     for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
         size = m.bit_count()
         while below < len(kept) and kept[below].bit_count() < size:
             below += 1
-        if 1 << size < below:
-            sub = m
-            while sub:
-                sub = (sub - 1) & m
-                if sub in kept_set:
-                    break
-            else:
-                kept.append(m)
-                kept_set.add(m)
+        outside = ~m
+        for k in islice(kept, below):
+            if not k & outside:
+                break
         else:
-            outside = ~m
-            for k in islice(kept, below):
-                if not k & outside:
-                    break
-            else:
-                kept.append(m)
-                kept_set.add(m)
+            kept.append(m)
     return tuple(sorted(kept))
 
 

@@ -8,7 +8,6 @@ Depth is defined here through Auslander-Buchsbaum as
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, Ambient
 from .errors import TeraiMismatch, UnsupportedIdeal
-from .homology import FieldSpec, _canonical_facets, _homology_of_faces, _relabel
+from .homology import FieldSpec, _canonical_facets, _homology_of_faces
 
 
 @dataclass(frozen=True)
@@ -213,59 +212,42 @@ def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> Mon
     return _dual(a.ambient, classes, _dual_types(classes, _gen_types(a.gen_masks(), classes)))
 
 
-def _local_gens(gens: tuple[int, ...], w: int) -> tuple[int, ...] | None:
-    """The generators inside the vertex subset w, relabelled onto w's
-    dense bits in order (_relabel, a shift per run of w's bits: at most
-    two for a W of a mixed product), or None when Delta|_W is a cone. The
-    minimal non-faces of Delta|_W are the generators inside W, so it is a
-    cone, hence acyclic, exactly when they miss a vertex of W. The
-    generator masks come sorted ascending, as gen_masks gives them, so
-    only those up to w can lie inside it."""
-    outside = ~w
-    inside = [g for g in gens[: bisect_right(gens, w)] if not g & outside]
-    cover = 0
-    for g in inside:
-        cover |= g
-    if cover != w:
-        return None
-    return tuple(_relabel(inside, w))
-
-
+# (the counts c of W over the classes that meet it, the generator types
+# inside W over those classes): a row's description of W (_walk_plan)
+_Key = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 _Parts = tuple[tuple[tuple[int, ...], int, int], ...]
 
 
-def _type_cubes(w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]) -> _Parts:
-    """beta_{.,W}(S/I) for a nonempty vertex subset w, read off the
-    generator types `types` of an ideal over `classes`, whose permutations
-    fix its generator set, as parts (facets, base, multiplicity), facets
-    canonical as _homology_of_faces keys them: beta_{i,W} is the sum of
-    multiplicity * h~_{i-base} of those complexes. No complex on W is built.
+def _type_cubes(c: tuple[int, ...], inside: Sequence[tuple[int, ...]]) -> _Parts:
+    """beta_{.,W}(S/I) at a nonempty vertex subset W of type c over the
+    classes that meet it, read off the types `inside` of the generators
+    inside W over those classes, for an ideal whose generator set is fixed
+    by the permutations inside each class, as parts (facets, base,
+    multiplicity), facets canonical as _homology_of_faces keys them:
+    beta_{i,W} is the sum of multiplicity * h~_{i-base} of those
+    complexes. No complex on W is built.
 
-    Let c = (|W & C|)_C over the classes C that meet W. A set inside W is a
-    face of Delta|_W iff its type lies in the down-set R of the t <= c with
-    no generator type d <= t. The augmented chain complex of the simplex on
-    W is the tensor product over C of those of the simplices on W & C, each
-    split exact: the sum of C(c_C - 1, k_C - 1) two-term complexes in sizes
-    k_C and k_C - 1, k_C = 1..c_C. The splitting keeps types, so C~(Delta|_W)
-    is the sum of the cubes of corners k, cut to R. A cube is all in R or
-    all outside it unless k is outside R and k - 1 inside: a corner of the
-    up-closure of the d <= c (_up_set). There a vertex k - e, e a set of
-    classes, is outside R iff e lies in U_d = {C : d_C < k_C} for some
-    d <= k, so the cut cube is the full cube, acyclic, modulo the cochains
-    of the complex Gamma_k with the facets U_d: its homology in size
-    |k| - j - 2 has the rank h~_j(Gamma_k), which Hochster's formula puts
-    at i = |W| - |k| + 2 + j; a cone Gamma_k is acyclic and left out. With
-    singleton classes k = W, and Gamma_k is the Alexander dual of Delta|_W
-    inside W, with the facets W - g over the generators g inside W."""
-    counts = [(w & cls).bit_count() for cls in classes]
-    meets = [j for j, x in enumerate(counts) if x]
-    c = [counts[j] for j in meets]
-    inside = [[d[j] for j in meets] for d in types if all(map(int.__le__, d, counts))]
+    A set inside W is a face of Delta|_W iff its type lies in the down-set
+    R of the t <= c with no inside type d <= t. The augmented chain complex
+    of the simplex on W is the tensor product over C of those of the
+    simplices on W & C, each split exact: the sum of C(c_C - 1, k_C - 1)
+    two-term complexes in sizes k_C and k_C - 1, k_C = 1..c_C. The
+    splitting keeps types, so C~(Delta|_W) is the sum of the cubes of
+    corners k, cut to R. A cube is all in R or all outside it unless k is
+    outside R and k - 1 inside: a corner of the up-closure of the inside
+    types (_up_set). There a vertex k - e, e a set of classes, is outside R
+    iff e lies in U_d = {C : d_C < k_C} for some d <= k, so the cut cube is
+    the full cube, acyclic, modulo the cochains of the complex Gamma_k with
+    the facets U_d: its homology in size |k| - j - 2 has the rank
+    h~_j(Gamma_k), which Hochster's formula puts at i = |W| - |k| + 2 + j;
+    a cone Gamma_k is acyclic and left out. With singleton classes k = W,
+    and Gamma_k is the Alexander dual of Delta|_W inside W, with the facets
+    W - g over the generators g inside W."""
     up, axes, nonzero = _up_set(c, inside)
     corners = up & ~up << sum(k for k, _ in axes)  # k - 1 lies outside up
     for mask in nonzero:
         corners &= mask
-    base, bits = w.bit_count() + 2, [1 << j for j in range(len(c))]
+    base, bits = sum(c) + 2, [1 << j for j in range(len(c))]
     parts: dict[tuple[tuple[int, ...], int], int] = {}
     while corners:
         low = corners & -corners
@@ -289,28 +271,26 @@ def _type_cubes(w: int, classes: Sequence[int], types: Iterable[tuple[int, ...]]
     return tuple((*key, mult) for key, mult in parts.items())
 
 
-# generators inside W relabelled onto W's dense bits -> (the parts
-# _type_cubes reads off the types, {field.char: the _betti_at value});
-# process-wide, since beta_{i,W} depends on nothing else
-_BETTI_AT: dict[tuple[int, ...], tuple[_Parts, dict[int, dict[int, int]]]] = {}
+# a row's key (_Key) -> (the parts _type_cubes reads off it, {field.char:
+# the _betti_at value}); process-wide, since beta_{i,W} depends on nothing
+# else
+_BETTI_AT: dict[_Key, tuple[_Parts, dict[int, dict[int, int]]]] = {}
 
 
-def _betti_at(
-    plan: _WalkPlan, w: int, local: tuple[int, ...], field: FieldSpec
-) -> dict[int, int]:
-    """{i: beta_{i,W}(S/I)} for a row (w, local) of `plan`: a nonempty
-    vertex subset w whose restriction is no cone, and its relabelled
-    generators `local` (_local_gens); an i it leaves out has
-    beta_{i,W} = 0. The dict is shared through the memo: do not change it.
+def _betti_at(key: _Key, field: FieldSpec) -> dict[int, int]:
+    """{i: beta_{i,W}(S/I)} at the W of a plan row whose key is `key`; an i
+    it leaves out has beta_{i,W} = 0. The dict is shared through the memo:
+    do not change it.
 
-    beta_{i,W} depends only on `local` (Hochster), so the value is
-    memoized on it. One entry holds the parts _type_cubes reads off the
-    plan's classes and types on the first miss, and one value per field
-    characteristic, summed from the homology of the parts' complexes and
-    sorted by i, since the parts depend on the classes of the first plan."""
-    entry = _BETTI_AT.get(local)
+    beta_{i,W} depends only on the key (_type_cubes), so the value is
+    memoized on it. One entry holds the parts _type_cubes reads off the key
+    on the first miss, and one value per field characteristic, summed from
+    the homology of the parts' complexes. The value is sorted by i, so a
+    table's walk lists each W's Betti numbers in ascending i whatever the
+    order of the parts."""
+    entry = _BETTI_AT.get(key)
     if entry is None:
-        entry = _BETTI_AT[local] = (_type_cubes(w, plan.classes, plan.types), {})
+        entry = _BETTI_AT[key] = (_type_cubes(*key), {})
     parts, by_char = entry
     betti = by_char.get(field.char)
     if betti is None:
@@ -328,13 +308,14 @@ class _WalkPlan:
     """The field-independent part of hochster_betti on one ideal, read off
     its generator masks `gens` alone: their classes of interchangeable
     variables, the distinct count vectors (types) of the generators over
-    them, sorted, and one row (W, generators inside W relabelled, |W|,
-    orbit size) per orbit representative W that is neither empty nor a cone."""
+    them, sorted, and one row (W, key, |W|, orbit size) per orbit
+    representative W that is neither empty nor a cone, its key the type of
+    W and the generator types inside W over the classes that meet W."""
 
     gens: tuple[int, ...]
     classes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[int, tuple[int, ...], int, int], ...]
+    rows: tuple[tuple[int, _Key, int, int], ...]
 
 
 def _walk_plan(
@@ -343,24 +324,43 @@ def _walk_plan(
     """The plan of the ideal with the ascending generator masks `gens`,
     given classes that partition its variables so that permuting inside
     each fixes the generator set, and its sorted generator types over them.
-    The representative taking k variables of a class takes its lowest k,
-    and its orbit holds prod C(|C|, k) subsets, multiplied out over the
-    classes' binomial rows once for all representatives."""
-    # the representatives and their orbit sizes in one order, the last
-    # class counting fastest
-    reps, orbits = [0], [1]
-    for cls in classes:
+
+    The representatives are the points of the type grid, built class by
+    class, the last class counting fastest: the one taking k variables of a
+    class takes its lowest k, and its orbit holds prod C(|C|, k) subsets.
+    Each point carries the generator types inside it, the d <= its type;
+    taking k variables of class C keeps those with d_C <= k. A point with
+    no type left, W = {} among them for a proper ideal, is dropped with
+    every point it grows to: no generator lies inside it. The generator
+    set is a union of type orbits, so the generators inside W cover W, and
+    Delta|_W is no cone, iff each class meeting W is hit by an inside type.
+    A row's key is W's type and its inside types, projected onto the
+    classes that meet W: with singleton classes that is the set of
+    generators inside W relabelled onto W's bits."""
+    # (W, its counts over the classes it meets, those classes, its orbit
+    # size, the generator types inside it)
+    points = [(0, (), (), 1, types)]
+    for j, cls in enumerate(classes):
         prefixes = [0]
         for bit in _members(cls):
             prefixes.append(prefixes[-1] | bit)
-        binomials = [comb(len(prefixes) - 1, k) for k in range(len(prefixes))]
-        reps = [w | p for w in reps for p in prefixes]
-        orbits = [o * b for o in orbits for b in binomials]
+        size = len(prefixes) - 1
+        binomials = [comb(size, k) for k in range(size + 1)]
+        grown = []
+        for w, c, meets, orbit, inside in points:
+            narrowed = [d for d in inside if not d[j]]
+            if narrowed:
+                grown.append((w, c, meets, orbit, narrowed))
+            for k in range(1, size + 1):
+                narrowed = [d for d in inside if d[j] <= k] if k < size else inside
+                if narrowed:
+                    grown.append((w | prefixes[k], (*c, k), (*meets, j), orbit * binomials[k], narrowed))
+        points = grown
     rows = []
-    for w, orbit in zip(reps, orbits):
-        local = _local_gens(gens, w)
-        if w and local is not None:
-            rows.append((w, local, w.bit_count(), orbit))
+    for w, c, meets, orbit, inside in points:
+        inside = tuple([tuple([d[j] for j in meets]) for d in inside])
+        if all(map(any, zip(*inside))):
+            rows.append((w, (c, inside), w.bit_count(), orbit))
     return _WalkPlan(gens, classes, types, tuple(rows))
 
 
@@ -386,15 +386,16 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     orbits only when read. With singleton classes this is the full 2^N
     walk. W = {} gives beta_{0,{}} = 1, and a W whose generators miss one
     of its vertices gives a cone and is skipped. All of this depends on
-    the generators alone, so it is planned (_walk_plan) before the walk:
-    `plan` when oracle_report passes the one its set-up built, which must
-    be that of a's generator masks and variables (ValueError otherwise),
-    and a plan built now when it is None.
+    the generator types alone, so it is planned (_walk_plan) before the
+    walk: `plan` when oracle_report passes the one its set-up built, which
+    must be that of a's generator masks and variables (ValueError
+    otherwise), and a plan built now when it is None.
     Every other W is looked up by _betti_at in a process-wide memo under
-    the generators inside W, relabelled onto W's dense bits, so a
-    restricted ideal met before, in this walk or an earlier one, over
-    this field or another, is not read off the types again, and over a
-    field met before costs no homology. A miss splits the chain complex
+    its row's key, the type of W and the generator types inside W over
+    the classes that meet W, so a restricted ideal met before over the
+    same classes, in this walk or an earlier one, over this field or
+    another, is not read off the types again, and over a field met before
+    costs no homology. A miss splits the chain complex
     of the simplex on W over the classes (_type_cubes): beta_{i,W} is a
     sum of the homologies of small complexes Gamma_k on the classes that
     meet W, one per corner k of the type grid, times binomial
@@ -409,8 +410,8 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
         raise ValueError("the walk plan is that of another ideal")
     entries = {(0, 0): 1}
     walk = [(0, 0, 1)]
-    for w, local, size, orbit in plan.rows:
-        for i, r in _betti_at(plan, w, local, field).items():
+    for w, key, size, orbit in plan.rows:
+        for i, r in _betti_at(key, field).items():
             if r:
                 entries[(i, size)] = entries.get((i, size), 0) + r * orbit
                 walk.append((i, w, r))

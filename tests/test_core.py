@@ -229,8 +229,8 @@ def masks_of_size(lo, hi):
 
 
 # masks of 10 variables: a few singletons, 10 to 40 pairs and up to 40
-# larger masks, so that a larger mask often has fewer subsets than the
-# masks kept below it, and _minimalize walks its submasks
+# larger masks, so that a larger mask is often divided by a kept mask and
+# often by none of the many masks kept below it
 mask_families = st.tuples(
     st.lists(masks_of_size(1, 1), max_size=2),
     st.lists(masks_of_size(2, 2), min_size=10, max_size=40),
@@ -244,9 +244,10 @@ class TestAntichain:
     def test_minimalize_matches_brute_force(self, masks):
         assert _minimalize(masks) == brute_minimal(masks)
 
-    def test_minimalize_by_submasks(self):
-        # each 3- and 4-mask has fewer subsets (8, 16) than the 28 pairs kept
-        # before it, so it is tested by looking its submasks up
+    def test_minimalize_past_many_smaller_masks(self):
+        # each 3- and 4-mask is scanned against the 28 pairs kept before
+        # it: the first quad holds a pair and the last the triple, while the
+        # triple and the quad with one variable of 1..8 are kept
         pairs = [vars_to_mask(p) for p in combinations(range(1, 9), 2)]
         triple = vars_to_mask({9, 10, 11})
         kept_quad = vars_to_mask({1, 9, 10, 12})  # holds one variable of 1..8

@@ -35,7 +35,7 @@ from mixprod import (
     restrict,
     veronese_ideal,
 )
-from test_homology import bit_by_bit, submasks, supports
+from test_homology import bit_by_bit
 
 
 def ideal(ambient, *monomials):
@@ -346,22 +346,38 @@ def canonical_specs(draw):
 
 
 _betti_at = mixprod.invariants._betti_at
-_local_gens = mixprod.invariants._local_gens
 
 
-@pytest.fixture
-def subsets_walked(monkeypatch):
-    """Counts the vertex subsets W at which hochster_betti evaluates: the
-    representatives that the walk plan it builds reads the generators
-    inside of."""
-    calls = []
+def record_plans(monkeypatch):
+    """Record the walk plans hochster_betti builds, in order."""
+    plans = []
+    build = mixprod.invariants._walk_plan
 
-    def counting(gens, w):
-        calls.append(w)
-        return _local_gens(gens, w)
+    def recording(*args):
+        plans.append(build(*args))
+        return plans[-1]
 
-    monkeypatch.setattr(mixprod.invariants, "_local_gens", counting)
-    return calls
+    monkeypatch.setattr(mixprod.invariants, "_walk_plan", recording)
+    return plans
+
+
+def rows_by_scan(gens, classes):
+    """The rows of a walk plan from a scan of the generators at every
+    representative W (representatives, prod(|C| + 1) of them): each
+    nonempty W that the generators inside it cover, with its key (the
+    count vector of W and the distinct count vectors of those generators,
+    both over the classes that meet W), |W| and its orbit size."""
+    rows = []
+    for w in representatives(classes):
+        inside = [g for g in gens if g & ~w == 0]
+        if not w or reduce(or_, inside, 0) != w:
+            continue
+        meets = [c for c in classes if c & w]
+        types = {tuple((g & c).bit_count() for c in meets) for g in inside}
+        key = (tuple((w & c).bit_count() for c in meets), tuple(sorted(types)))
+        orbit = prod(comb(c.bit_count(), (w & c).bit_count()) for c in classes)
+        rows.append((w, key, w.bit_count(), orbit))
+    return tuple(rows)
 
 
 @st.composite
@@ -398,16 +414,13 @@ class TestOrbitWalk:
     @settings(max_examples=80, deadline=None)
     @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
     def test_any_ideal_walks_one_subset_per_orbit(self, a, field):
-        walked = []
-
-        def counting(gens, w):
-            walked.append(w)
-            return _local_gens(gens, w)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_local_gens", counting)
+            plans = record_plans(mp)
             got = hochster_betti(a, field)
-        assert len(walked) == prod(size + 1 for size in swap_classes_by_pairs(a))
+        (plan,) = plans
+        grid = prod(c.bit_count() + 1 for c in plan.classes)
+        assert grid == prod(size + 1 for size in swap_classes_by_pairs(a))
+        assert plan.rows == rows_by_scan(a.gen_masks(), plan.classes)
         # No complex on at most five vertices has torsion, so there the
         # rational table is the table over every field.
         if field == RATIONALS or a.ambient.nvars <= 5:
@@ -432,10 +445,13 @@ class TestOrbitWalk:
             (2, 2, ("x1x2", "x2y1", "y1y2"), 16),
         ],
     )
-    def test_symmetry_gate(self, subsets_walked, n, m, gens, walked):
+    def test_symmetry_gate(self, monkeypatch, n, m, gens, walked):
         a = ideal(Ambient(n, m), *gens)
+        plans = record_plans(monkeypatch)
         got = hochster_betti(a, GF2)
-        assert len(subsets_walked) == walked
+        (plan,) = plans
+        assert prod(c.bit_count() + 1 for c in plan.classes) == walked
+        assert plan.rows == rows_by_scan(a.gen_masks(), plan.classes)
         assert got.entries == brute_hochster(n + m, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
@@ -707,7 +723,15 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
 
 
-_type_cubes = mixprod.invariants._type_cubes
+def cubes_at(w, classes, types):
+    """The parts _type_cubes reads at w off the key a plan row at w has:
+    the count vector of w and the sorted generator types d <= it, both
+    over the classes that meet w."""
+    t = [(w & c).bit_count() for c in classes]
+    meets = [j for j, x in enumerate(t) if x]
+    inside = [d for d in sorted(types) if all(x <= y for x, y in zip(d, t))]
+    key = (tuple(t[j] for j in meets), tuple(tuple(d[j] for j in meets) for d in inside))
+    return mixprod.invariants._type_cubes(*key)
 
 
 def by_types(w, classes, types, field):
@@ -715,7 +739,7 @@ def by_types(w, classes, types, field):
     reads off the types; each part's complex is built with the checks of
     SimplicialComplex, so its facets must be a sorted antichain."""
     out = {}
-    for facets, base, mult in _type_cubes(w, classes, types):
+    for facets, base, mult in cubes_at(w, classes, types):
         gamma = SimplicialComplex(reduce(or_, facets, 0), facets)
         for j, h in reduced_homology_ranks(gamma, field).items():
             if h:
@@ -805,9 +829,9 @@ class TestDualityInsideW:
                 mp.setattr(mixprod.invariants, "_BETTI_AT", {})
                 read = spy(mp, "_type_cubes")
                 got = hochster_betti(b, field)
-            # one read per distinct set of generators inside W, relabelled
+            # one read per distinct row key
             rows = mixprod.invariants._plan_of(b).rows
-            assert len(read) == len({local for _, local, _, _ in rows})
+            assert len(read) == len({key for _, key, _, _ in rows})
             assert got.multigraded == full_walk_multigraded(b, field)
             if field == RATIONALS or b.ambient.nvars <= 5:
                 assert got.entries == brute_hochster(b.ambient.nvars, supports_of(b), field.char)
@@ -844,7 +868,7 @@ class TestDualityInsideW:
         classes = (0b001, 0b010, 0b100) if singletons else tuple(_swap_classes(a))
         assert len(classes) == (3 if singletons else 2)
         types = tuple(gen_types(a.gen_masks(), classes))
-        parts = _type_cubes(0b111, classes, types)
+        parts = cubes_at(0b111, classes, types)
         assert parts == ((((0b01, 0b10), 2, 1),) if singletons else (((0,), 3, 1),))
         plan = mixprod.invariants._walk_plan(a.gen_masks(), classes, types)
         got = hochster_betti(a, GF2, plan)
@@ -871,7 +895,7 @@ class TestDualityInsideW:
             b = ideal(amb, *gens)
             classes = _swap_classes(b)
             types = gen_types(b.gen_masks(), classes)
-            assert _type_cubes(amb.full_mask, classes, types) == expected
+            assert cubes_at(amb.full_mask, classes, types) == expected
             delta = mixprod.homology.stanley_reisner(b)
             for field in (RATIONALS, GF2):
                 got = by_types(amb.full_mask, classes, types, field)
@@ -887,9 +911,7 @@ class TestDualityInsideW:
         delta = mixprod.homology.stanley_reisner(a)
         classes = _swap_classes(a)
         types = gen_types(gens, classes)
-        for w in representatives(classes):
-            if not w or _local_gens(gens, w) is None:
-                continue
+        for w, _, _, _ in rows_by_scan(gens, classes):
             got = by_types(w, classes, types, field)
             assert got == by_restrict(delta, w, field) == by_dual_inside(gens, w, field), (a, w)
 
@@ -907,7 +929,7 @@ class TestTypeCubes:
                     h = reduced_homology_ranks(SimplicialComplex(full, facets), field)
                     assert h == {i: (comb(c - 1, s) if i == s - 1 else 0) for i in range(-1, s)}
                 if s < c:
-                    parts = _type_cubes(full, (full,), ((s + 1,),))
+                    parts = cubes_at(full, (full,), ((s + 1,),))
                     assert parts == (((0,), c + 1 - s, comb(c - 1, s)),)
 
 
@@ -915,48 +937,73 @@ class TestConeCheck:
     @settings(max_examples=80, deadline=None)
     @given(squarefree_ideals())
     def test_generator_cover_agrees_with_facet_intersection(self, a):
-        # Delta|_W is a cone iff its facets share a vertex; the walk reads
-        # that off the generators inside W instead. A cone W is not read
-        # off the types; on an empty memo every other W is, once, and the
-        # homology it takes is of complexes on the classes that meet W
+        # a nonempty representative W is a row iff the facets of
+        # restrict(Delta, W) share no vertex, Delta|_W being a cone
+        # otherwise; the plan reads that off the generator types inside W.
+        # Over singleton classes every W is a representative. On an empty
+        # memo each row is read off the types once, and the homology it
+        # takes is of complexes on the classes that meet W
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
-        plan = mixprod.invariants._plan_of(a)
-        for w in range(1, a.ambient.full_mask + 1):
-            common = w
-            for f in restrict(delta, w).facets:
-                common &= f
-            local = _local_gens(gens, w)
-            assert (local is None) == bool(common)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-                read = spy(mp, "_type_cubes")
-                homologies = spy(mp, "_homology_of_faces")
-                if local is not None:
-                    got = _betti_at(plan, w, local, GF2)
-                    assert {i: r for i, r in got.items() if r} == by_restrict(delta, w, GF2)
-            assert len(read) == (0 if common else 1)
-            meeting = sum(1 for c in plan.classes if c & w)
-            assert all(reduce(or_, facets, 0) >> meeting == 0 for facets, _ in homologies)
+        singletons = tuple(1 << v for v in range(a.ambient.nvars))
+        for plan in (
+            mixprod.invariants._plan_of(a),
+            mixprod.invariants._walk_plan(gens, singletons, tuple(gen_types(gens, singletons))),
+        ):
+            keys = {w: key for w, key, _, _ in plan.rows}
+            for w in representatives(plan.classes):
+                if not w:
+                    continue
+                common = w
+                for f in restrict(delta, w).facets:
+                    common &= f
+                assert (w in keys) == (not common)
+                if common:
+                    continue
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(mixprod.invariants, "_BETTI_AT", {})
+                    read = spy(mp, "_type_cubes")
+                    homologies = spy(mp, "_homology_of_faces")
+                    got = _betti_at(keys[w], GF2)
+                assert {i: r for i, r in got.items() if r} == by_restrict(delta, w, GF2)
+                assert len(read) == 1
+                meeting = sum(1 for c in plan.classes if c & w)
+                assert all(reduce(or_, facets, 0) >> meeting == 0 for facets, _ in homologies)
 
 
-class TestLocalGens:
-    @settings(max_examples=200)
-    @given(supports(), st.data())
-    def test_bit_by_bit(self, w, data):
-        # sorted generators, some inside w, covering it or not, and some
-        # sticking out of it; those inside are relabelled onto w's dense
-        # bits, or the cone gives None
-        inside = data.draw(st.lists(submasks(w), max_size=10))
-        if data.draw(st.booleans()):
-            inside.append(w & ~reduce(or_, inside, 0))
-        others = st.integers(1, (1 << 21) - 1).filter(lambda g: g & ~w)
-        gens = tuple(sorted(set(inside + data.draw(st.lists(others, max_size=10))) - {0}))
-        expected = [g for g in gens if g & ~w == 0]
-        if reduce(or_, expected, 0) == w:
-            assert _local_gens(gens, w) == tuple(bit_by_bit(g, w) for g in expected)
-        else:
-            assert _local_gens(gens, w) is None
+class TestPlanRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            squarefree_ideals().map(lambda a: (a, None)),
+            many_class_ideals(),
+            canonical_specs().map(lambda spec: (realize_spec(spec), None)),
+        ),
+        st.booleans(),
+    )
+    def test_rows_by_generator_scan(self, case, singletons):
+        # the rows of the ideal's plan and of its dual's, over the swap
+        # classes, the given classes or singleton classes, are the nonempty
+        # non-cone representatives with the keys a scan of the generators
+        # finds: every grid point the plan drops holds no generator, so it
+        # and the points it grows to are cones or empty. Over singleton
+        # classes a key's inside types, read as masks, are the generators
+        # inside W relabelled onto W's dense bits
+        a, given = case
+        for b in (a, alexander_dual(a)):
+            gens = b.gen_masks()
+            if singletons:
+                classes = tuple(1 << v for v in range(b.ambient.nvars))
+            else:
+                classes = tuple(_swap_classes(b) if given is None else given)
+            plan = mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes)))
+            assert plan.rows == rows_by_scan(gens, classes)
+            if singletons:
+                for w, (c, inside), _, _ in plan.rows:
+                    assert c == (1,) * w.bit_count()
+                    relabelled = sorted(bit_by_bit(g, w) for g in gens if g & ~w == 0)
+                    masks = [sum(x << v for v, x in enumerate(d)) for d in inside]
+                    assert sorted(masks) == relabelled
 
 
 class TestNoComplexInTheWalk:
@@ -1001,7 +1048,7 @@ class TestNoComplexInTheWalk:
         # the walk builds no complex on W and has no side to choose
         for name in (
             "SimplicialComplex", "reduced_homology_ranks", "_choose_side", "_types_bound",
-            "_restricted_facets", "_restricted_types",
+            "_restricted_facets", "_restricted_types", "_local_gens",
         ):
             assert not hasattr(mixprod.invariants, name)
         assert list(inspect.signature(hochster_betti).parameters) == ["a", "field", "plan"]
@@ -1068,16 +1115,24 @@ class TestWarmMemo:
         # J_3 + I_1J_1 at 1x3: at W = all four variables the parts read over
         # the swap classes give beta_{3,W} before beta_{2,W}, those over
         # singleton classes the reverse; the memo value is sorted by i, so
-        # a table, its walk included, is the same whichever plan filled it
+        # a table, its walk included, is the same whichever plan filled the
+        # memo, and lists i ascending at W over either classes
         a = realize_spec(MixedProductSpec(Ambient(1, 3), ((0, 3), (1, 1))))
         singletons = tuple(1 << v for v in range(4))
         types = tuple(gen_types(a.gen_masks(), singletons))
         plan = mixprod.invariants._walk_plan(a.gen_masks(), singletons, types)
+        swapped = mixprod.invariants._plan_of(a)
+        assert len(swapped.classes) == 2
+        (top,) = [key for w, key, _, _ in swapped.rows if w == 0b1111]
+        # Gamma_k = {<empty>} gives i = 4 - 1, listed first; two points give i = 2 + 0
+        assert [base for _, base, _ in mixprod.invariants._type_cubes(*top)] == [4, 2]
         cold = hochster_betti(a, GF2, plan)
         mixprod.invariants._BETTI_AT.clear()
-        hochster_betti(a, GF2)
+        swap_walk = hochster_betti(a, GF2)
         assert hochster_betti(a, GF2, plan) == cold
-        assert [i for i, w, _ in cold.walk if w == 0b1111] == [2, 3]
+        assert swap_walk.multigraded == cold.multigraded
+        for table in (cold, swap_walk):
+            assert [i for i, w, _ in table.walk if w == 0b1111] == [2, 3]
 
     def test_after_a_foreign_dual(self, fresh_memo):
         # I_1J_2+I_2J_1 at 3x3 after I_1J_1 and its dual, over GF(2) and Q
@@ -1108,7 +1163,7 @@ class TestBettiMemo:
         homologies = spy(monkeypatch, "_homology_of_faces")
         got = hochster_betti(a, GF2)
         rows = mixprod.invariants._plan_of(a).rows
-        assert len(read) == len({local for _, local, _, _ in rows}) > 0
+        assert len(read) == len({key for _, key, _, _ in rows}) > 0
         assert homologies and all(reduce(or_, facets, 0) < 0b100 for facets, _ in homologies)
         assert got.entries == brute_hochster(6, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, GF2)

@@ -216,47 +216,57 @@ def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> Mon
 # inside W over those classes): a row's description of W (_walk_plan)
 _Key = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 _Parts = tuple[tuple[tuple[int, ...], int, int], ...]
+# (k - 1 at a corner k of the type grid, the canonical facets of Gamma_k, |k|)
+_Corners = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
 
-def _type_cubes(c: tuple[int, ...], inside: Sequence[tuple[int, ...]]) -> _Parts:
-    """beta_{.,W}(S/I) at a nonempty vertex subset W of type c over the
-    classes that meet it, read off the types `inside` of the generators
-    inside W over those classes, for an ideal whose generator set is fixed
-    by the permutations inside each class, as parts (facets, base,
-    multiplicity), facets canonical as _homology_of_faces keys them:
-    beta_{i,W} is the sum of multiplicity * h~_{i-base} of those
-    complexes. No complex on W is built.
+def _corners(sizes: Sequence[int], types: Sequence[tuple[int, ...]]) -> _Corners:
+    """The corners k of the up-closure U of the generator types `types` in
+    the grid prod [0, s_C] over these class sizes, each with the facets of
+    its complex Gamma_k, canonical as _homology_of_faces keys them, and
+    |k|, in ascending order of k, for an ideal whose generator set is fixed
+    by the permutations inside each class. A corner whose Gamma_k is a
+    cone is left out. _parts reads beta_{.,W} off them at any W of type
+    c <= s over these classes.
 
     A set inside W is a face of Delta|_W iff its type lies in the down-set
-    R of the t <= c with no inside type d <= t. The augmented chain complex
-    of the simplex on W is the tensor product over C of those of the
-    simplices on W & C, each split exact: the sum of C(c_C - 1, k_C - 1)
+    R of the t <= c with no generator type d <= t. The augmented chain
+    complex of the simplex on W is the tensor product over C of those of
+    the simplices on W & C, each split exact: the sum of C(c_C - 1, k_C - 1)
     two-term complexes in sizes k_C and k_C - 1, k_C = 1..c_C. The
     splitting keeps types, so C~(Delta|_W) is the sum of the cubes of
-    corners k, cut to R. A cube is all in R or all outside it unless k is
-    outside R and k - 1 inside: a corner of the up-closure of the inside
-    types (_up_set). There a vertex k - e, e a set of classes, is outside R
-    iff e lies in U_d = {C : d_C < k_C} for some d <= k, so the cut cube is
-    the full cube, acyclic, modulo the cochains of the complex Gamma_k with
-    the facets U_d: its homology in size |k| - j - 2 has the rank
+    corners k <= c, cut to R. A cube is all in R or all outside it unless
+    k is outside R and k - 1 inside: a corner of U (_up_set) with k <= c,
+    since U meets the box [0, c] in the up-closure of the types inside W.
+    There a vertex k - e, e a set of classes, is outside R iff e lies in
+    U_d = {C : d_C < k_C} for some d <= k, so the cut cube is the full
+    cube, acyclic, modulo the cochains of the complex Gamma_k with the
+    facets U_d: its homology in size |k| - j - 2 has the rank
     h~_j(Gamma_k), which Hochster's formula puts at i = |W| - |k| + 2 + j;
-    a cone Gamma_k is acyclic and left out. With singleton classes k = W,
-    and Gamma_k is the Alexander dual of Delta|_W inside W, with the facets
-    W - g over the generators g inside W."""
-    up, axes, nonzero = _up_set(c, inside)
+    a cone Gamma_k is acyclic. Gamma_k depends on k and the types d <= k
+    alone, not on W. With singleton classes k = W, and Gamma_k is the
+    Alexander dual of Delta|_W inside W, with the facets W - g over the
+    generators g inside W."""
+    up, axes, nonzero = _up_set(sizes, types)
     corners = up & ~up << sum(k for k, _ in axes)  # k - 1 lies outside up
     for mask in nonzero:
         corners &= mask
-    base, bits = sum(c) + 2, [1 << j for j in range(len(c))]
-    parts: dict[tuple[tuple[int, ...], int], int] = {}
+    bits = [1 << j for j in range(len(sizes))]
+    out = []
     while corners:
         low = corners & -corners
         corners ^= low
         k = [(low.bit_length() - 1) % block // stride for stride, block in axes]
         facets = set()
-        for d in inside:
-            if all(map(int.__le__, d, k)):
-                facets.add(sum(b for b, x, y in zip(bits, d, k) if x < y))
+        for d in types:  # U_d for each d <= k
+            u = 0
+            for b, x, y in zip(bits, d, k):
+                if x > y:
+                    break
+                if x < y:
+                    u |= b
+            else:
+                facets.add(u)
         # the U_d that no other holds, by size, larger first
         kept: list[int] = []
         common = -1
@@ -264,17 +274,34 @@ def _type_cubes(c: tuple[int, ...], inside: Sequence[tuple[int, ...]]) -> _Parts
             if all(u & ~v for v in kept):
                 kept.append(u)
                 common &= u
-        if common:
-            continue
-        key = (_canonical_facets(tuple(sorted(kept))), base - sum(k))
-        parts[key] = parts.get(key, 0) + prod(comb(x - 1, y - 1) for x, y in zip(c, k))
+        if not common:
+            out.append((tuple([x - 1 for x in k]), _canonical_facets(tuple(sorted(kept))), sum(k)))
+    return tuple(out)
+
+
+def _parts(c: tuple[int, ...], corners: _Corners) -> _Parts:
+    """beta_{.,W}(S/I) at a nonempty W of type c, read off the corners of
+    the type grid over the classes that meet W (_corners) on any box that
+    holds c, as parts (facets, base, multiplicity) merged on (facets,
+    base): beta_{i,W} is the sum of multiplicity * h~_{i-base} of those
+    complexes. Only the corners k <= c count, each with the multiplicity
+    prod_C C(c_C - 1, k_C - 1) and the base |c| + 2 - |k|. No complex on W
+    is built."""
+    base, below = sum(c) + 2, [x - 1 for x in c]
+    parts: dict[tuple[tuple[int, ...], int], int] = {}
+    for below_k, facets, size in corners:
+        mult = prod(map(comb, below, below_k))  # 0 unless k <= c
+        if mult:
+            key = (facets, base - size)
+            parts[key] = parts.get(key, 0) + mult
     return tuple((*key, mult) for key, mult in parts.items())
 
 
-# a row's key (_Key) -> (the parts _type_cubes reads off it, {field.char:
-# the _betti_at value}); process-wide, since beta_{i,W} depends on nothing
+# a row's key (_Key) -> (the parts _parts reads at it, {field.char: the
+# value _betti_of sums}); process-wide, since beta_{i,W} depends on nothing
 # else
-_BETTI_AT: dict[_Key, tuple[_Parts, dict[int, dict[int, int]]]] = {}
+_Entry = tuple[_Parts, dict[int, dict[int, int]]]
+_BETTI_AT: dict[_Key, _Entry] = {}
 
 
 def _betti_at(key: _Key, field: FieldSpec) -> dict[int, int]:
@@ -282,24 +309,31 @@ def _betti_at(key: _Key, field: FieldSpec) -> dict[int, int]:
     it leaves out has beta_{i,W} = 0. The dict is shared through the memo:
     do not change it.
 
-    beta_{i,W} depends only on the key (_type_cubes), so the value is
-    memoized on it. One entry holds the parts _type_cubes reads off the key
-    on the first miss, and one value per field characteristic, summed from
-    the homology of the parts' complexes. The value is sorted by i, so a
-    table's walk lists each W's Betti numbers in ascending i whatever the
-    order of the parts."""
+    beta_{i,W} depends only on the key, so the value is memoized on it. One
+    entry holds the parts read at the key, and one value per field
+    characteristic, summed from the homology of the parts' complexes. A
+    walk fills an entry's parts from its corner table (hochster_betti); a
+    miss here reads them off the corners of the key's own box, the grid
+    [0, c] with the generator types inside W (_corners, _parts). The value
+    is sorted by i, so a table's walk lists each W's Betti numbers in
+    ascending i whatever the order of the parts."""
     entry = _BETTI_AT.get(key)
     if entry is None:
-        entry = _BETTI_AT[key] = (_type_cubes(*key), {})
+        entry = _BETTI_AT[key] = (_parts(key[0], _corners(*key)), {})
+    betti = entry[1].get(field.char)
+    return _betti_of(entry, field.char) if betti is None else betti
+
+
+def _betti_of(entry: _Entry, char: int) -> dict[int, int]:
+    """The value of a memo entry over the field of characteristic `char`,
+    summed from the homology of its parts' complexes and stored in it."""
     parts, by_char = entry
-    betti = by_char.get(field.char)
-    if betti is None:
-        betti = {}
-        for facets, base, mult in parts:
-            for j, h in _homology_of_faces(facets, field.char):
-                if h:
-                    betti[base + j] = betti.get(base + j, 0) + mult * h
-        betti = by_char[field.char] = dict(sorted(betti.items()))
+    betti: dict[int, int] = {}
+    for facets, base, mult in parts:
+        for j, h in _homology_of_faces(facets, char):
+            if h:
+                betti[base + j] = betti.get(base + j, 0) + mult * h
+    betti = by_char[char] = dict(sorted(betti.items()))
     return betti
 
 
@@ -310,7 +344,9 @@ class _WalkPlan:
     variables, the distinct count vectors (types) of the generators over
     them, sorted, and one row (W, key, |W|, orbit size) per orbit
     representative W that is neither empty nor a cone, its key the type of
-    W and the generator types inside W over the classes that meet W."""
+    W and the generator types inside W over the classes that meet W. The
+    rows whose W meets the same classes M read their parts off one corner
+    table, built on the key of the row at the union of M (_top_key)."""
 
     gens: tuple[int, ...]
     classes: tuple[int, ...]
@@ -372,6 +408,19 @@ def _plan_of(a: MonomialIdeal) -> _WalkPlan:
     return _walk_plan(gens, classes, tuple(sorted(_gen_types(gens, classes))))
 
 
+def _top_key(plan: _WalkPlan, w: int) -> _Key:
+    """The key of the plan row at the union of the classes M that W meets,
+    a row whenever W is one: M's sizes and the generator types supported in
+    M, projected onto M. Its box holds the type of every W meeting M, so
+    the corners read at it (_corners) serve all of them."""
+    meets = [j for j, cls in enumerate(plan.classes) if w & cls]
+    types = [tuple([d[j] for j in meets]) for d in plan.types]
+    return (
+        tuple([plan.classes[j].bit_count() for j in meets]),
+        tuple([t for t, d in zip(types, plan.types) if sum(t) == sum(d)]),
+    )
+
+
 def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = None) -> BettiTable:
     """beta_{i,W}(S/I) = h~_{|W|-i-1}(Delta|_W; field) over every subset W
     of the variables, aggregated to total degree j = |W|.
@@ -390,17 +439,20 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     walk: `plan` when oracle_report passes the one its set-up built, which
     must be that of a's generator masks and variables (ValueError
     otherwise), and a plan built now when it is None.
-    Every other W is looked up by _betti_at in a process-wide memo under
+    Every other W is looked up in the process-wide memo of _betti_at under
     its row's key, the type of W and the generator types inside W over
-    the classes that meet W, so a restricted ideal met before over the
-    same classes, in this walk or an earlier one, over this field or
-    another, is not read off the types again, and over a field met before
-    costs no homology. A miss splits the chain complex
-    of the simplex on W over the classes (_type_cubes): beta_{i,W} is a
-    sum of the homologies of small complexes Gamma_k on the classes that
-    meet W, one per corner k of the type grid, times binomial
-    multiplicities. With singleton classes Gamma_k is the Alexander dual
-    of Delta|_W inside W.
+    the classes that meet W, by one dict lookup, so a restricted ideal met
+    before over the same classes, in this walk or an earlier one, over
+    this field or another, is not read off the types again, and over a
+    field met before costs no homology. A miss splits the chain complex of
+    the simplex on W over the classes (_corners): beta_{i,W} is a sum of
+    the homologies of small complexes Gamma_k on the classes M that meet
+    W, one per corner k <= c of the type grid, c the type of W, times
+    binomial multiplicities (_parts). Gamma_k depends on k and the
+    generator types d <= k alone, so the corners are read once per walk
+    and per M, on the first miss among M's rows, on the box of M's full
+    sizes (_top_key), and each miss keeps those below its type. With
+    singleton classes Gamma_k is the Alexander dual of Delta|_W inside W.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
@@ -410,8 +462,20 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
         raise ValueError("the walk plan is that of another ideal")
     entries = {(0, 0): 1}
     walk = [(0, 0, 1)]
+    char = field.char
+    tables: dict[int, _Corners] = {}  # the union of the classes a W meets -> their corners
     for w, key, size, orbit in plan.rows:
-        for i, r in _betti_at(key, field).items():
+        entry = _BETTI_AT.get(key)
+        if entry is None:
+            top = sum(cls for cls in plan.classes if w & cls)
+            corners = tables.get(top)
+            if corners is None:  # at W = top the row's key is the top key
+                corners = tables[top] = _corners(*(key if w == top else _top_key(plan, w)))
+            entry = _BETTI_AT[key] = (_parts(key[0], corners), {})
+        betti = entry[1].get(char)
+        if betti is None:
+            betti = _betti_of(entry, char)
+        for i, r in betti.items():
             if r:
                 entries[(i, size)] = entries.get((i, size), 0) + r * orbit
                 walk.append((i, w, r))

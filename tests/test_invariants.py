@@ -707,11 +707,14 @@ class TestDualTypes:
 
 # --- Betti numbers read off the type grid ------------------------------------
 # At each W the walk reads beta_{.,W} off the generator types over the
-# classes (_type_cubes): a sum over the corners k of the type grid of the
-# homology of small complexes Gamma_k on the classes, which with singleton
-# classes is the Alexander dual of Delta|_W inside W. Its values are
-# checked against the reference restrict(stanley_reisner(b), W), against
-# that dual inside W, and against the independent oracle.
+# classes (_corners, _parts): a sum over the corners k of the type grid of
+# the homology of small complexes Gamma_k on the classes, which with
+# singleton classes is the Alexander dual of Delta|_W inside W. A walk
+# builds the corners once per set of classes met, on the box of their full
+# sizes, and each row keeps those below its type. Its values are checked
+# against the reference restrict(stanley_reisner(b), W), against that dual
+# inside W, against the independent oracle, and its parts against a
+# reference corner pass on each row's own box (type_cubes_by_box).
 
 
 @pytest.fixture
@@ -723,20 +726,79 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
 
 
-def cubes_at(w, classes, types):
-    """The parts _type_cubes reads at w off the key a plan row at w has:
-    the count vector of w and the sorted generator types d <= it, both
-    over the classes that meet w."""
+def key_at(w, classes, types):
+    """The key a plan row at w has: the count vector of w and the sorted
+    generator types d <= it, both over the classes that meet w."""
     t = [(w & c).bit_count() for c in classes]
     meets = [j for j, x in enumerate(t) if x]
     inside = [d for d in sorted(types) if all(x <= y for x, y in zip(d, t))]
-    key = (tuple(t[j] for j in meets), tuple(tuple(d[j] for j in meets) for d in inside))
-    return mixprod.invariants._type_cubes(*key)
+    return (tuple(t[j] for j in meets), tuple(tuple(d[j] for j in meets) for d in inside))
+
+
+def parts_on_own_box(key):
+    """The parts read at a key off the corners of its own box [0, c], as
+    a _betti_at miss reads them."""
+    c, inside = key
+    return mixprod.invariants._parts(c, mixprod.invariants._corners(c, inside))
+
+
+def cubes_at(w, classes, types):
+    """The parts read at w off the key a plan row at w has (key_at)."""
+    return parts_on_own_box(key_at(w, classes, types))
+
+
+def type_cubes_by_box(c, inside):
+    """Reference: beta_{.,W} at a W of type c as parts (facets, base,
+    multiplicity), read row by row off W's own box [0, c] and the types
+    inside W: the up-closure of the inside types, its corners, and each
+    corner's Gamma_k, its cones left out, merged on (facets, base)."""
+    up, axes, nonzero = mixprod.invariants._up_set(c, inside)
+    corners = up & ~up << sum(k for k, _ in axes)
+    for mask in nonzero:
+        corners &= mask
+    base, bits = sum(c) + 2, [1 << j for j in range(len(c))]
+    parts = {}
+    while corners:
+        low = corners & -corners
+        corners ^= low
+        k = [(low.bit_length() - 1) % block // stride for stride, block in axes]
+        facets = set()
+        for d in inside:
+            if all(map(int.__le__, d, k)):
+                facets.add(sum(b for b, x, y in zip(bits, d, k) if x < y))
+        kept = []
+        common = -1
+        for u in sorted(facets, key=int.bit_count, reverse=True):
+            if all(u & ~v for v in kept):
+                kept.append(u)
+                common &= u
+        if common:
+            continue
+        key = (mixprod.homology._canonical_facets(tuple(sorted(kept))), base - sum(k))
+        parts[key] = parts.get(key, 0) + prod(comb(x - 1, y - 1) for x, y in zip(c, k))
+    return tuple((*key, mult) for key, mult in parts.items())
+
+
+def meets_of(w, classes):
+    """The union of the classes that meet w."""
+    return sum(c for c in classes if c & w)
+
+
+def tables_on_a_cold_walk(plan):
+    """The sets of classes, each as the union of its classes, that a walk
+    of the plan on an empty memo builds a corner table for: those met by a
+    row whose key no earlier row has."""
+    seen, out = set(), set()
+    for w, key, _, _ in plan.rows:
+        if key not in seen:
+            seen.add(key)
+            out.add(meets_of(w, plan.classes))
+    return out
 
 
 def by_types(w, classes, types, field):
-    """{i: beta_{i,W}} summed, zeros left out, from the parts _type_cubes
-    reads off the types; each part's complex is built with the checks of
+    """{i: beta_{i,W}} summed, zeros left out, from the parts read off the
+    types (cubes_at); each part's complex is built with the checks of
     SimplicialComplex, so its facets must be a sorted antichain."""
     out = {}
     for facets, base, mult in cubes_at(w, classes, types):
@@ -823,15 +885,24 @@ class TestDualityInsideW:
     @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
     def test_each_side_matches_independent_oracle_and_full_walk(self, a, field):
         # both walks of a report, on the ideal and on its Alexander dual,
-        # read every W off the types on an empty memo
+        # read every W off the types on an empty memo, and a second walk
+        # off the memo
         for b in (a, alexander_dual(a)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-                read = spy(mp, "_type_cubes")
+                read = spy(mp, "_corners")
                 got = hochster_betti(b, field)
-            # one read per distinct row key
-            rows = mixprod.invariants._plan_of(b).rows
-            assert len(read) == len({key for _, key, _, _ in rows})
+                plan = mixprod.invariants._plan_of(b)
+                # one corner table per set of classes met by a row whose
+                # key no earlier row has, on the box of the classes' sizes
+                built = tables_on_a_cold_walk(plan)
+                assert len(read) == len(built) <= len({meets_of(w, plan.classes) for w, *_ in plan.rows})
+                sizes = sorted(sorted(args[0]) for args in read)
+                assert sizes == sorted(sorted(c.bit_count() for c in plan.classes if c & m) for m in built)
+                assert all(key in mixprod.invariants._BETTI_AT for _, key, _, _ in plan.rows)
+                read.clear()
+                assert hochster_betti(b, field) == got
+                assert read == []
             assert got.multigraded == full_walk_multigraded(b, field)
             if field == RATIONALS or b.ambient.nvars <= 5:
                 assert got.entries == brute_hochster(b.ambient.nvars, supports_of(b), field.char)
@@ -962,11 +1033,12 @@ class TestConeCheck:
                     continue
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-                    read = spy(mp, "_type_cubes")
+                    read = spy(mp, "_corners")
                     homologies = spy(mp, "_homology_of_faces")
                     got = _betti_at(keys[w], GF2)
                 assert {i: r for i, r in got.items() if r} == by_restrict(delta, w, GF2)
-                assert len(read) == 1
+                # a miss outside a walk reads the corners of the key's own box
+                assert read == [keys[w]]
                 meeting = sum(1 for c in plan.classes if c & w)
                 assert all(reduce(or_, facets, 0) >> meeting == 0 for facets, _ in homologies)
 
@@ -1004,6 +1076,42 @@ class TestPlanRows:
                     relabelled = sorted(bit_by_bit(g, w) for g in gens if g & ~w == 0)
                     masks = [sum(x << v for v, x in enumerate(d)) for d in inside]
                     assert sorted(masks) == relabelled
+
+
+class TestCornerTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            squarefree_ideals().map(lambda a: (a, None)),
+            many_class_ideals(),
+            canonical_specs().map(lambda spec: (realize_spec(spec), None)),
+        ),
+        st.booleans(),
+    )
+    def test_walk_parts_are_the_parts_on_each_rows_box(self, case, singletons):
+        # at every row of the plan of the ideal and of its dual, over the
+        # swap classes, the given classes or singleton classes, the parts
+        # a walk on an empty memo keeps, summed from the corner table of
+        # the classes the row meets, are those read off the row's key
+        # alone, by the corner pass on W's own box and by a _betti_at miss
+        a, given = case
+        for b in (a, alexander_dual(a)):
+            gens = b.gen_masks()
+            if singletons:
+                classes = tuple(1 << v for v in range(b.ambient.nvars))
+            else:
+                classes = tuple(_swap_classes(b) if given is None else given)
+            plan = mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mixprod.invariants, "_BETTI_AT", {})
+                hochster_betti(b, GF2, plan)
+                walked = dict(mixprod.invariants._BETTI_AT)
+            for w, key, _, _ in plan.rows:
+                expected = type_cubes_by_box(*key)
+                assert walked[key][0] == expected, (b, classes, w)
+                table = mixprod.invariants._corners(*mixprod.invariants._top_key(plan, w))
+                assert mixprod.invariants._parts(key[0], table) == expected
+                assert parts_on_own_box(key) == expected
 
 
 class TestNoComplexInTheWalk:
@@ -1048,7 +1156,7 @@ class TestNoComplexInTheWalk:
         # the walk builds no complex on W and has no side to choose
         for name in (
             "SimplicialComplex", "reduced_homology_ranks", "_choose_side", "_types_bound",
-            "_restricted_facets", "_restricted_types", "_local_gens",
+            "_restricted_facets", "_restricted_types", "_local_gens", "_type_cubes",
         ):
             assert not hasattr(mixprod.invariants, name)
         assert list(inspect.signature(hochster_betti).parameters) == ["a", "field", "plan"]
@@ -1125,7 +1233,7 @@ class TestWarmMemo:
         assert len(swapped.classes) == 2
         (top,) = [key for w, key, _, _ in swapped.rows if w == 0b1111]
         # Gamma_k = {<empty>} gives i = 4 - 1, listed first; two points give i = 2 + 0
-        assert [base for _, base, _ in mixprod.invariants._type_cubes(*top)] == [4, 2]
+        assert [base for _, base, _ in parts_on_own_box(top)] == [4, 2]
         cold = hochster_betti(a, GF2, plan)
         mixprod.invariants._BETTI_AT.clear()
         swap_walk = hochster_betti(a, GF2)
@@ -1156,24 +1264,29 @@ class TestWarmMemo:
 
 class TestBettiMemo:
     def test_misses_rank_only_complexes_on_the_classes(self, fresh_memo, monkeypatch):
-        # every miss reads the types once and ranks only complexes Gamma_k
-        # on the two classes, never a complex on W: I_1J_2+I_2J_1 at 3x3
+        # the misses read the types once, into one corner table for the
+        # one set of classes the rows meet, both classes, on the box of
+        # their sizes, and rank only complexes Gamma_k on the two classes,
+        # never a complex on W: I_1J_2+I_2J_1 at 3x3
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
-        read = spy(monkeypatch, "_type_cubes")
+        read = spy(monkeypatch, "_corners")
         homologies = spy(monkeypatch, "_homology_of_faces")
         got = hochster_betti(a, GF2)
-        rows = mixprod.invariants._plan_of(a).rows
-        assert len(read) == len({key for _, key, _, _ in rows}) > 0
+        plan = mixprod.invariants._plan_of(a)
+        assert {meets_of(w, plan.classes) for w, *_ in plan.rows} == {0b111111}
+        assert len({key for _, key, _, _ in plan.rows}) > 1
+        assert read == [((3, 3), plan.types)]
         assert homologies and all(reduce(or_, facets, 0) < 0b100 for facets, _ in homologies)
         assert got.entries == brute_hochster(6, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
     def test_second_walk_is_served_by_the_memo(self, fresh_memo, monkeypatch):
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
-        read = spy(monkeypatch, "_type_cubes")
+        read = spy(monkeypatch, "_corners")
         homologies = spy(monkeypatch, "_homology_of_faces")
         first = hochster_betti(a, GF3)
-        assert read and homologies
+        # one corner table on the cold walk, for its one set of classes
+        assert len(read) == 1 and homologies
         assert all(char == 3 for _, char in homologies)
         read.clear()
         homologies.clear()
@@ -1182,8 +1295,8 @@ class TestBettiMemo:
         assert second == first
         assert second.entries == brute_hochster(6, supports_of(a), 3)
         assert second.multigraded == full_walk_multigraded(a, GF3)
-        # another field takes the homology of each part again, but reads
-        # no types
+        # another field takes the homology of each part again, but builds
+        # no corner table
         third = hochster_betti(a, GF2)
         assert read == [] and homologies
         assert all(char == 2 for _, char in homologies)

@@ -103,11 +103,15 @@ class SqFreeMonomial:
 
     @classmethod
     def parse(cls, ambient: Ambient, text: str) -> "SqFreeMonomial":
-        """Parse notation like 'x1x2y1' ('1' is the unit monomial)."""
+        """Parse notation like 'x1x2y1' ('1' is the unit monomial, and text
+        with no variable, such as '' or '*', is an error)."""
         if text.strip() == "1":
             return cls(ambient, 0)
+        parts = text.replace("*", " ").replace("x", " x").replace("y", " y").split()
+        if not parts:
+            raise ValueError(f"cannot parse monomial {text!r}")
         indices = []
-        for part in text.replace("*", " ").replace("x", " x").replace("y", " y").split():
+        for part in parts:
             block, num = part[0], part[1:]
             if block not in "xy" or not num.isdigit():
                 raise ValueError(f"cannot parse monomial {text!r}")

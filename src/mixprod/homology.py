@@ -15,28 +15,21 @@ the vertex in the most facets and the lowest on ties, is a cone and so
 acyclic: the reduced homology of the complex is that of the relative
 complex (Delta minus v, lk v), whose cells are the faces outside the star.
 Only the faces of the link are enumerated. Each boundary map is built as
-sparse columns, one per cell, never as a dense matrix: over GF(2) an int
-with bit r set for each row r, elsewhere a {row: +-1} dict. The same walk
-over the boundary faces finds the cells one dimension down: each face outside
-the link gets a row when first seen, so no face through v is visited, no
-face of the star is indexed, and the cells take no pass of their own.
-The maps are reduced from the top dimension down, and each rank routine
-reports its pivot rows; a cell that is a pivot row of the map above it is
-a boundary modulo cells off those rows, so it gets no column in its own
-map (clearing), which leaves every rank unchanged over every field.
-All ranks are exact and come from one column reduction: each column is
-reduced against the columns kept before it, each keyed by its last row,
-and joins them if it survives. Over GF(2) the columns are built packed
-into ints, whose last row is the highest bit; over Q and GF(p), p > 2,
-they are sparse dicts, and over Q only a pivot entry other than +-1 makes
-a Fraction.
+sparse columns {row: +-1}, one per cell, over every field, never as a
+dense matrix. The same walk over the boundary faces finds the cells one
+dimension down: each face outside the link gets a row when first seen,
+so no face through v is visited, no face of the star is indexed, and the
+cells take no pass of their own. All ranks are exact and come from one
+column reduction, _matrix_rank: each column is reduced against the
+columns kept before it, each keyed by its last row, and joins them if it
+survives; over Q only a pivot entry other than +-1 makes a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, _minimalize, alexander_dual, vars_to_mask
 from .errors import UnsupportedIdeal, VerticesOutsideComplex, VoidComplex
@@ -195,37 +188,19 @@ def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
 # --- exact rank computations -------------------------------------------------
 
 
-def _rank_gf2(cols: list[int]) -> list[int]:
-    """Pivot rows over GF(2), one per unit of rank, of the matrix whose
-    columns are packed into ints, bit r set for each nonzero entry in row
-    r: each column is reduced against a basis keyed by the highest row of
-    each vector, as _rank_sparse keys by its last row; a column that
-    survives joins the basis. The basis is triangular on its keys with a
-    unit diagonal, so the columns span every vector on the pivot rows."""
-    basis: dict[int, int] = {}
-    for v in cols:
-        while v:
-            high = v.bit_length()
-            b = basis.get(high)
-            if b is None:
-                basis[high] = v
-                break
-            v ^= b
-    return [high - 1 for high in basis]
-
-
-def _rank_sparse(cols: list[dict[int, int]], p: int) -> list[int]:
-    """Pivot rows over Q (p = 0) or GF(p), one per unit of rank, by the
-    column reduction _rank_gf2 makes on packed bits (Edelsbrunner-Harer,
-    ch. VII), here on sparse columns {row: entry}: each column is reduced
-    against a basis keyed by the last row of each vector, the "low" of
-    the book, and a column that survives joins the basis. Each basis
-    vector is kept with the inverse of its entry there, so the multiplier
-    v[r] * inverse is exact: +-1 over Q for a +-1 pivot entry, a residue
-    over GF(p), and a Fraction only for another pivot entry over Q, which
-    torsion such as RP2's makes. The basis is triangular on its keys, so
-    the columns span every vector there. Keying by the first row instead
-    made about six times as many entry updates on boundary maps over Q."""
+def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> int:
+    """Rank over Q or GF(p) of the matrix with these sparse columns
+    {row: entry}, by column reduction (Edelsbrunner-Harer, ch. VII): each
+    column is reduced against a basis keyed by the last row of each
+    vector, the "low" of the book, and a column that survives joins the
+    basis. Each basis vector is kept with the inverse of its entry there,
+    so the multiplier v[r] * inverse is exact: +-1 over Q for a +-1 pivot
+    entry, a residue over GF(p), and a Fraction only for another pivot
+    entry over Q, which torsion such as RP2's makes. Keying by the first
+    row instead made about six times as many entry updates on boundary
+    maps over Q. The benchmark's tracer (perfbench/spans.py) wraps this
+    name and reads the length of the first column."""
+    p = field.char
     basis: dict[int, tuple[dict[int, int], int]] = {}
     for col in cols:
         v = {j: e % p for j, e in col.items() if e % p} if p else dict(col)
@@ -255,17 +230,7 @@ def _rank_sparse(cols: list[dict[int, int]], p: int) -> list[int]:
                     v[j] = w
                 else:
                     del v[j]
-    return list(basis)
-
-
-def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> list[int]:
-    """Pivot rows of the matrix with these sparse columns {row: entry}: as
-    many as its rank, and the columns span every vector on them. The
-    homology kernel ranks through here over Q and GF(p), p > 2; over GF(2)
-    it builds its columns as ints and hands them to _rank_gf2 itself, so
-    every column that passes here is a dict, whose length the benchmark's
-    tracer (perfbench/spans.py) reads."""
-    return _rank_sparse(cols, field.char)
+    return len(basis)
 
 
 # --- reduced homology --------------------------------------------------------
@@ -281,34 +246,21 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     repeat heavily across walks, share one entry, and the cells are found
     only on a miss.
     What is reduced is the relative complex (Delta minus v, lk v) of the
-    vertex v in the most facets, the lowest on ties, which _star_vertex
-    finds in one pass over the facets. The closed star of v
-    is a cone, so it is acyclic and h~_i(Delta) = h_i(Delta minus v, lk v):
-    the cells are the faces that miss v and are not in the link, whose
-    faces are the only ones enumerated. The empty face lies in the link,
-    so h~_{-1} is 0 unless Delta is {<empty>}, and a cone has no cells.
-    The maps C_i -> C_{i-1} are built from the top dimension down, each
-    as sparse columns, one per i-cell: over GF(2), where signs do not
-    matter, an int into which each row r is ORed as 1 << r, elsewhere a
-    {row: +-1} dict; the boundary faces in the link are left out. The
-    GF(2) columns go to _rank_gf2, the others to _matrix_rank. They are
-    reduced with clearing (Chen-Kerber, "twist"): an i-cell that is a
-    pivot row of C_{i+1} -> C_i gets no column. The columns of
-    C_{i+1} -> C_i span every vector on its pivot rows, so each such cell
-    is a boundary plus cells off those rows; its image under
-    C_i -> C_{i-1} lies in the span of the columns that are built, and the
-    rank is unchanged over every field.
-    The (i-1)-cells are the (i-1)-facets that miss v plus the boundary
-    faces outside the link that the columns of C_i -> C_{i-1} visit, each
-    given a row when first seen. No cell is missed, for two reasons:
-    1. a cell f that is not a facet lies in a facet F that misses v (were
-       v in F, f | v would be a face and f in the link), and for u in
-       F - f, f | u is a cell one dimension up (the link is closed under
-       subsets, so it does not hold f | u);
-    2. of the i-cells that contain an (i-1)-cell g, the one of lowest
-       index c* is never cleared: were it the last row of a reduced
-       column R, a boundary, then dR = 0 would need another cell of R
-       that contains g, and every other cell of R has a lower index.
+    vertex v in the most facets, the lowest on ties (_star_vertex). The
+    closed star of v is a cone, so it is acyclic and
+    h~_i(Delta) = h_i(Delta minus v, lk v): the cells are the faces that
+    miss v and are not in the link, whose faces are the only ones
+    enumerated. The empty face lies in the link, so h~_{-1} is 0 unless
+    Delta is {<empty>}, and a cone has no cells.
+    The maps C_i -> C_{i-1} are built from the top dimension down, each as
+    sparse columns {row: +-1}, one per i-cell, the boundary faces in the
+    link left out, and ranked by _matrix_rank. The (i-1)-cells are the
+    (i-1)-facets that miss v plus the boundary faces outside the link that
+    the columns of C_i -> C_{i-1} visit, each given a row when first seen.
+    No cell is missed: a cell f that is not a facet lies in a facet F that
+    misses v (were v in F, f | v would be a face and f in the link), and
+    for u in F - f, f | u is a cell one dimension up, whose column visits
+    f (the link is closed under subsets, so it does not hold f | u).
     The name says faces though the key is facets; it is kept because the
     benchmark's tracer (perfbench/spans.py) reads its cache_info."""
     if facets == (0,):
@@ -322,59 +274,34 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
             cells[f.bit_count() - 1].append(f)
     field = FieldSpec(char)
     ranks: dict[int, int] = {}  # i -> rank of the boundary map C_i -> C_{i-1}
-    cleared: set[int] = set()  # the i-cells that are pivot rows of C_{i+1} -> C_i
     for i in range(top, -1, -1):
         index = {f: r for r, f in enumerate(cells[i - 1])}
-        cols: list = []
+        cols: list[dict[int, int]] = []
         for f in cells[i]:
-            if f in cleared:
-                continue
-            col = 0 if char == 2 else {}
+            col: dict[int, int] = {}
             sign = 1
             rest = f
             while rest:
                 low = rest & -rest
                 g = f ^ low
                 if g not in link:
-                    r = index.setdefault(g, len(index))
-                    if char == 2:
-                        col |= 1 << r
-                    else:
-                        col[r] = sign
+                    col[index.setdefault(g, len(index))] = sign
                 sign = -sign
                 rest ^= low
             cols.append(col)
-        pivots = _rank_gf2(cols) if char == 2 else _matrix_rank(cols, field)
-        ranks[i] = len(pivots)
-        cells[i - 1] = lower = list(index)
-        cleared = {lower[r] for r in pivots}
+        ranks[i] = _matrix_rank(cols, field)
+        cells[i - 1] = list(index)
     return tuple(
         (i, len(cells[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))
         for i in range(-1, top + 1)
     )
 
 
-def _star_vertex(facets: Iterable[int]) -> int:
+def _star_vertex(facets: Sequence[int]) -> int:
     """The bit of the vertex in the most of these facets, the lowest on
-    ties, from one pass over the facets. The counts are kept bit-sliced:
-    planes[k] holds bit k of every vertex's count, and a facet is added by
-    a ripple carry through the planes, which are about log2 of the number
-    of facets. The vertices of the largest count are then narrowed down
-    plane by plane from the top."""
-    planes: list[int] = []
-    for f in facets:
-        k = 0
-        while f:
-            if k == len(planes):
-                planes.append(f)
-                break
-            planes[k], f = planes[k] ^ f, planes[k] & f
-            k += 1
-    top = -1
-    for plane in reversed(planes):
-        if top & plane:
-            top &= plane
-    return top & -top
+    ties."""
+    vertices = range(max(facets).bit_length())
+    return 1 << max(vertices, key=lambda j: sum(f >> j & 1 for f in facets))
 
 
 def _relabel(masks: Iterable[int], support: int) -> list[int]:

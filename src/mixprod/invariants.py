@@ -200,15 +200,13 @@ def _dual(
     return MonomialIdeal._trusted(ambient, sorted(_sets_of_types(dual_types, members)))
 
 
-def dual_by_types(a: MonomialIdeal, classes: Sequence[int] | None = None) -> MonomialIdeal:
+def dual_by_types(a: MonomialIdeal) -> MonomialIdeal:
     """The Alexander dual of `a` over all its variables, read off count
-    vectors (_dual_types, _dual), as `mixprod dual` prints it and as
-    oracle_report's set-up builds it. `classes` partitions the variables
-    so that permuting inside each class fixes the generator set, and
-    defaults to _swap_classes(a)."""
+    vectors over its swap classes (_swap_classes, _dual_types, _dual), as
+    `mixprod dual` prints it and as oracle_report's set-up builds it."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
-    classes = _swap_classes(a) if classes is None else classes
+    classes = _swap_classes(a)
     return _dual(a.ambient, classes, _dual_types(classes, _gen_types(a.gen_masks(), classes)))
 
 
@@ -299,34 +297,17 @@ def _parts(c: tuple[int, ...], corners: _Corners) -> _Parts:
 
 # a row's key (_Key) -> (the parts _parts reads at it, {field.char: the
 # value _betti_of sums}); process-wide, since beta_{i,W} depends on nothing
-# else
+# else, and filled by hochster_betti alone
 _Entry = tuple[_Parts, dict[int, dict[int, int]]]
 _BETTI_AT: dict[_Key, _Entry] = {}
 
 
-def _betti_at(key: _Key, field: FieldSpec) -> dict[int, int]:
-    """{i: beta_{i,W}(S/I)} at the W of a plan row whose key is `key`; an i
-    it leaves out has beta_{i,W} = 0. The dict is shared through the memo:
-    do not change it.
-
-    beta_{i,W} depends only on the key, so the value is memoized on it. One
-    entry holds the parts read at the key, and one value per field
-    characteristic, summed from the homology of the parts' complexes. A
-    walk fills an entry's parts from its corner table (hochster_betti); a
-    miss here reads them off the corners of the key's own box, the grid
-    [0, c] with the generator types inside W (_corners, _parts). The value
-    is sorted by i, so a table's walk lists each W's Betti numbers in
-    ascending i whatever the order of the parts."""
-    entry = _BETTI_AT.get(key)
-    if entry is None:
-        entry = _BETTI_AT[key] = (_parts(key[0], _corners(*key)), {})
-    betti = entry[1].get(field.char)
-    return _betti_of(entry, field.char) if betti is None else betti
-
-
 def _betti_of(entry: _Entry, char: int) -> dict[int, int]:
     """The value of a memo entry over the field of characteristic `char`,
-    summed from the homology of its parts' complexes and stored in it."""
+    {i: beta_{i,W}}, an i left out having beta_{i,W} = 0: summed from the
+    homology of its parts' complexes, sorted by i, so that a table's walk
+    lists each W's Betti numbers in ascending i whatever the order of the
+    parts, and stored in the entry."""
     parts, by_char = entry
     betti: dict[int, int] = {}
     for facets, base, mult in parts:
@@ -439,20 +420,22 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     walk: `plan` when oracle_report passes the one its set-up built, which
     must be that of a's generator masks and variables (ValueError
     otherwise), and a plan built now when it is None.
-    Every other W is looked up in the process-wide memo of _betti_at under
-    its row's key, the type of W and the generator types inside W over
-    the classes that meet W, by one dict lookup, so a restricted ideal met
-    before over the same classes, in this walk or an earlier one, over
-    this field or another, is not read off the types again, and over a
-    field met before costs no homology. A miss splits the chain complex of
-    the simplex on W over the classes (_corners): beta_{i,W} is a sum of
-    the homologies of small complexes Gamma_k on the classes M that meet
-    W, one per corner k <= c of the type grid, c the type of W, times
-    binomial multiplicities (_parts). Gamma_k depends on k and the
-    generator types d <= k alone, so the corners are read once per walk
-    and per M, on the first miss among M's rows, on the box of M's full
-    sizes (_top_key), and each miss keeps those below its type. With
-    singleton classes Gamma_k is the Alexander dual of Delta|_W inside W.
+    Every other W is looked up in the process-wide Betti memo _BETTI_AT,
+    which only this walk fills, under its row's key, the type of W and the
+    generator types inside W over the classes that meet W, by one dict
+    lookup, so a restricted ideal met before over the same classes, in
+    this walk or an earlier one, over this field or another, is not read
+    off the types again, and over a field met before costs no homology. A
+    miss splits the chain complex of the simplex on W over the classes
+    (_corners): beta_{i,W} is a sum of the homologies of small complexes
+    Gamma_k on the classes M that meet W, one per corner k <= c of the
+    type grid, c the type of W, times binomial multiplicities (_parts),
+    and those homologies are the only ones the oracle asks the homology
+    kernel for. Gamma_k depends on k and the generator types d <= k alone,
+    so the corners are read once per walk and per M, on the first miss
+    among M's rows, on the box of M's full sizes (_top_key), and each miss
+    keeps those below its type. With singleton classes Gamma_k is the
+    Alexander dual of Delta|_W inside W.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
@@ -469,8 +452,8 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
         if entry is None:
             top = sum(cls for cls in plan.classes if w & cls)
             corners = tables.get(top)
-            if corners is None:  # at W = top the row's key is the top key
-                corners = tables[top] = _corners(*(key if w == top else _top_key(plan, w)))
+            if corners is None:
+                corners = tables[top] = _corners(*_top_key(plan, w))
             entry = _BETTI_AT[key] = (_parts(key[0], corners), {})
         betti = entry[1].get(char)
         if betti is None:

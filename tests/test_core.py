@@ -1,5 +1,6 @@
 """Monomial / ideal arithmetic, Alexander duality, canonicalization."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -538,6 +539,12 @@ class TestMonomialBasics:
     def test_parse_rejects_an_index_outside_its_block(self, text):
         # x4 is not y1, nor y0 x3, in the (3,3) ambient
         with pytest.raises(ValueError, match=f"monomial '{text}'"):
+            SqFreeMonomial.parse(Ambient(3, 3), text)
+
+    @pytest.mark.parametrize("text", ["", "  ", "*"])
+    def test_parse_rejects_text_with_no_variable(self, text):
+        # only '1' spells the unit monomial
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse monomial {text!r}")):
             SqFreeMonomial.parse(Ambient(3, 3), text)
 
     def test_parse_reaches_the_last_variable_of_each_block(self):

@@ -38,7 +38,7 @@ from mixprod import (
 from mixprod import homology
 from mixprod.core import vars_to_mask
 from mixprod.harness import enumerate_specs
-from mixprod.homology import _rank_gf2, _rank_sparse
+from mixprod.homology import _matrix_rank
 
 
 def complex_of(*facets):
@@ -325,14 +325,12 @@ def _rank_by_elimination(mat, p):
     return rank
 
 
-def assert_pivot_rows(mat, pivots, p):
-    """The pivot rows a rank routine reports over Q (p = 0) or GF(p): as
-    many as the rank, distinct, and the matrix restricted to them keeps
-    the rank, so its columns span every vector on them (what clearing in
-    the boundary reduction relies on)."""
-    rank = _rank_by_elimination(mat, p)
-    assert len(pivots) == len(set(pivots)) == rank
-    assert _rank_by_elimination([mat[r] for r in pivots], p) == rank
+def assert_rank(mat, p):
+    """_matrix_rank of the matrix over Q (p = 0) or GF(p), from its sparse
+    columns, equals the rank of dense elimination, and is returned."""
+    rank = _matrix_rank(columns_of(mat), FieldSpec(p))
+    assert rank == _rank_by_elimination(mat, p)
+    return rank
 
 
 def dense_boundaries(d):
@@ -375,20 +373,18 @@ def relative_cells(d):
 
 
 def recorded_rank_calls(d, field):
-    """The columns and the pivot rows of every rank call one uncached
-    homology computation of d makes, in call order: to _rank_gf2 over
-    GF(2), to _matrix_rank over any other field."""
-    name = "_rank_gf2" if field == GF2 else "_matrix_rank"
-    real = getattr(homology, name)
+    """The columns and the rank of every _matrix_rank call one uncached
+    homology computation of d makes, in call order, over any field."""
+    real = homology._matrix_rank
     calls = []
 
-    def recording(cols, *fld):
-        pivots = real(cols, *fld)
-        calls.append((cols, pivots))
-        return pivots
+    def recording(cols, fld):
+        rank = real(cols, fld)
+        calls.append((cols, rank))
+        return rank
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, name, recording)
+        mp.setattr(homology, "_matrix_rank", recording)
         facets = homology._canonical_facets(d.facets)
         ranks = homology._homology_of_faces.__wrapped__(facets, field.char)
     assert dict(ranks) == reduced_homology_ranks(d, field)
@@ -397,8 +393,8 @@ def recorded_rank_calls(d, field):
 
 def reference_homology(d, p):
     """h~_i of d over Q (p = 0) or GF(p) from its dense boundary matrices,
-    each ranked by _rank_by_elimination: no clearing, no cache and no
-    relabelling, so it shares no step with reduced_homology_ranks beyond
+    each ranked by _rank_by_elimination: no relative complex, no cache and
+    no relabelling, so it shares no step with reduced_homology_ranks beyond
     the face list."""
     by_dim, mats = dense_boundaries(d)
     ranks = {i: _rank_by_elimination(mat, p) for i, mat in mats.items()}
@@ -434,33 +430,22 @@ def integer_matrices(draw):
 
 
 def columns_of(mat):
-    """The matrix as sparse columns {row: entry}, the form the package's
-    rank routines take."""
+    """The matrix as sparse columns {row: entry}, the form _matrix_rank
+    takes."""
     ncols = len(mat[0]) if mat else 0
     return [{i: row[c] for i, row in enumerate(mat) if row[c]} for c in range(ncols)]
-
-
-def gf2_columns_of(mat):
-    """The matrix as GF(2) columns, ints with bit r set for each odd entry
-    in row r, the form _rank_gf2 takes."""
-    return [sum(1 << r for r, e in col.items() if e & 1) for col in columns_of(mat)]
 
 
 class TestSparseRank:
     @settings(max_examples=200)
     @given(integer_matrices())
     def test_rationals_match_bareiss_and_fractions(self, mat):
-        assert_pivot_rows(mat, _rank_sparse(columns_of(mat), 0), 0)
+        assert_rank(mat, 0)
 
     @settings(max_examples=200)
-    @given(integer_matrices(), st.sampled_from([3, 5, 7]))
+    @given(integer_matrices(), st.sampled_from([2, 3, 5, 7]))
     def test_prime_fields_match_dense_elimination(self, mat, p):
-        assert_pivot_rows(mat, _rank_sparse(columns_of(mat), p), p)
-
-    @settings(max_examples=200)
-    @given(integer_matrices())
-    def test_gf2_matches_dense_elimination(self, mat):
-        assert_pivot_rows(mat, _rank_gf2(gf2_columns_of(mat)), 2)
+        assert_rank(mat, p)
 
     @pytest.mark.parametrize(
         "mat, ranks",
@@ -472,9 +457,7 @@ class TestSparseRank:
     )
     def test_matrices_without_units(self, mat, ranks):
         for p, rank in ranks.items():
-            pivots = _rank_sparse(columns_of(mat), p)
-            assert len(pivots) == rank
-            assert_pivot_rows(mat, pivots, p)
+            assert assert_rank(mat, p) == rank
 
     def test_projective_plane_takes_a_non_unit_pivot(self, monkeypatch):
         # over Q, a column of RP2's map C_2 -> C_1, reduced against the
@@ -490,10 +473,10 @@ class TestSparseRank:
         ranks = homology._homology_of_faces.__wrapped__(facets, 2)
         assert dict(ranks) == {-1: 0, 0: 0, 1: 1, 2: 1}
         assert not made
-        # the pivot rows of that elimination, on the map C_2 -> C_1 it is
-        # made in, still carry the rank
+        # the rank of that elimination, on the map C_2 -> C_1 it is made
+        # in, is that of dense elimination
         mat = dense_boundaries(RP2)[1][2]
-        assert_pivot_rows(mat, _rank_sparse(columns_of(mat), 0), 0)
+        assert_rank(mat, 0)
         assert made and made[0] in ((1, 2), (1, -2))
 
     def test_rationals_stay_integral_on_mixed_product_ideals(self, monkeypatch):
@@ -550,7 +533,7 @@ def larger_complexes(draw):
 
 class TestReferenceHomology:
     """reduced_homology_ranks against dense boundary matrices ranked by
-    plain elimination, and the clearing it does on the way."""
+    plain elimination, and the columns it builds on the way."""
 
     @settings(max_examples=150)
     @given(small_complexes(), FIELDS)
@@ -569,18 +552,23 @@ class TestReferenceHomology:
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(small_complexes(), larger_complexes()), FIELDS)
-    def test_cleared_faces_get_no_column(self, d, field):
-        # the maps of the relative complex are reduced from the top down,
-        # and C_i -> C_{i-1} gets a column for every i-cell but the
-        # rank(C_{i+1} -> C_i) pivot rows; the cells are found by the
-        # boundary walk, so a missed one would show as a missing column
+    def test_every_cell_gets_one_column(self, d, field):
+        # the maps of the relative complex are built from the top down, and
+        # C_i -> C_{i-1} gets exactly one column for every i-cell, with one
+        # entry for each of its boundary faces that is an (i-1)-cell, on
+        # the rows of those cells; the cells are found by the boundary
+        # walk, so a missed one would show as a missing column or entry
         calls = recorded_rank_calls(d, field)
         cells = relative_cells(d)
         assert len(calls) == d.dim + 1
-        rank_above = 0
-        for i, (cols, pivots) in zip(range(d.dim, -1, -1), calls):
-            assert len(cols) == len(cells[i]) - rank_above
-            rank_above = len(pivots)
+        for i, (cols, _) in zip(range(d.dim, -1, -1), calls):
+            lower = set(cells[i - 1])
+            entries = [
+                sum(f ^ (1 << u) in lower for u in range(f.bit_length()) if f >> u & 1)
+                for f in cells[i]
+            ]
+            assert sorted(map(len, cols)) == sorted(entries)
+            assert set().union(*cols) <= set(range(len(lower)))
 
 
 CONES = [
@@ -603,12 +591,12 @@ class TestRelativeComplex:
         assert reduced_homology_ranks(complex_of({1}), field) == {-1: 0, 0: 0}
         assert reduced_homology_ranks(complex_of({1}, {2}), field) == {-1: 0, 0: 1}
         # v is the lowest of the two points; the other is the one cell
-        assert recorded_rank_calls(complex_of({1}, {2}), field) == [([0 if field == GF2 else {}], [])]
+        assert recorded_rank_calls(complex_of({1}, {2}), field) == [([{}], 0)]
 
     def test_cone_gives_no_column(self, field):
         for d in CONES:
             calls = recorded_rank_calls(d, field)
-            assert calls == [([], [])] * (d.dim + 1)
+            assert calls == [([], 0)] * (d.dim + 1)
             assert reduced_homology_ranks(d, field) == {i: 0 for i in range(-1, d.dim + 1)}
 
     def test_only_the_link_is_enumerated(self, field, monkeypatch):
@@ -692,8 +680,8 @@ class TestRelabel:
 
 
 def most_frequent_vertex(facets):
-    n = max(facets).bit_length()
-    return 1 << max(range(n), key=lambda j: sum(f >> j & 1 for f in facets))
+    counts = [sum(f >> j & 1 for f in facets) for j in range(max(facets).bit_length())]
+    return 1 << counts.index(max(counts))
 
 
 @st.composite

@@ -345,9 +345,6 @@ def canonical_specs(draw):
     return spec
 
 
-_betti_at = mixprod.invariants._betti_at
-
-
 def record_plans(monkeypatch):
     """Record the walk plans hochster_betti builds, in order."""
     plans = []
@@ -575,7 +572,11 @@ class TestDualByTypes:
     def test_stable_ideals_match_berge(self, case):
         a, classes = case
         expected = alexander_dual(a)
-        got = dual_by_types(a, classes)
+        # over the given classes, which may split a swap class
+        dual_types = mixprod.invariants._dual_types(
+            classes, mixprod.invariants._gen_types(a.gen_masks(), classes)
+        )
+        got = mixprod.invariants._dual(a.ambient, classes, dual_types)
         assert got == expected
         # sorted, duplicate-free and an antichain, or the checked
         # constructor raises
@@ -736,8 +737,7 @@ def key_at(w, classes, types):
 
 
 def parts_on_own_box(key):
-    """The parts read at a key off the corners of its own box [0, c], as
-    a _betti_at miss reads them."""
+    """The parts read at a key off the corners of its own box [0, c]."""
     c, inside = key
     return mixprod.invariants._parts(c, mixprod.invariants._corners(c, inside))
 
@@ -1011,9 +1011,10 @@ class TestConeCheck:
         # a nonempty representative W is a row iff the facets of
         # restrict(Delta, W) share no vertex, Delta|_W being a cone
         # otherwise; the plan reads that off the generator types inside W.
-        # Over singleton classes every W is a representative. On an empty
-        # memo each row is read off the types once, and the homology it
-        # takes is of complexes on the classes that meet W
+        # Over singleton classes every W is a representative. The parts
+        # read at each row's key, on its own box, give the Betti numbers of
+        # restrict at W, and the homology they take is of complexes on the
+        # classes that meet W
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
         singletons = tuple(1 << v for v in range(a.ambient.nvars))
@@ -1032,12 +1033,11 @@ class TestConeCheck:
                 if common:
                     continue
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(mixprod.invariants, "_BETTI_AT", {})
                     read = spy(mp, "_corners")
                     homologies = spy(mp, "_homology_of_faces")
-                    got = _betti_at(keys[w], GF2)
+                    got = mixprod.invariants._betti_of((parts_on_own_box(keys[w]), {}), GF2.char)
                 assert {i: r for i, r in got.items() if r} == by_restrict(delta, w, GF2)
-                # a miss outside a walk reads the corners of the key's own box
+                # the parts on the key's own box read the corners of that box
                 assert read == [keys[w]]
                 meeting = sum(1 for c in plan.classes if c & w)
                 assert all(reduce(or_, facets, 0) >> meeting == 0 for facets, _ in homologies)
@@ -1093,7 +1093,7 @@ class TestCornerTable:
         # swap classes, the given classes or singleton classes, the parts
         # a walk on an empty memo keeps, summed from the corner table of
         # the classes the row meets, are those read off the row's key
-        # alone, by the corner pass on W's own box and by a _betti_at miss
+        # alone, by the corner pass on W's own box
         a, given = case
         for b in (a, alexander_dual(a)):
             gens = b.gen_masks()
@@ -1256,10 +1256,10 @@ class TestWarmMemo:
 
 
 # --- the Betti memo ------------------------------------------------------------
-# beta_{i,W} depends only on the generators inside W, so _betti_at memoizes
-# it process-wide on those generators, relabelled onto W's dense bits: one
-# entry holds the parts read off the types once and a value per field
-# characteristic.
+# beta_{i,W} depends only on the generators inside W, so hochster_betti
+# memoizes it process-wide in _BETTI_AT on those generators, relabelled
+# onto W's dense bits: one entry holds the parts read off the types once
+# and a value per field characteristic.
 
 
 class TestBettiMemo:

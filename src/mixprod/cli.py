@@ -17,6 +17,7 @@ from .core import (
     Ambient,
     MixedProductSpec,
     canonicalize_spec,
+    mask_to_vars,
     minimal_primes,
     realize_spec,
 )
@@ -316,7 +317,9 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     primes = minimal_primes(ideal, dual=dual)
     amb = spec.ambient
     doc = spec_to_json(spec)
-    doc["dual_gens"] = [sorted(amb.variable_name(i) for i in g.support) for g in dual.gens]
+    doc["dual_gens"] = [
+        sorted(amb.variable_name(i) for i in mask_to_vars(g)) for g in dual.gen_masks()
+    ]
     doc["minimal_primes"] = [sorted(amb.variable_name(i) for i in p) for p in primes]
     if args.format == "json":
         _emit(json.dumps(doc, indent=2), args.out)

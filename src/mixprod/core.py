@@ -9,7 +9,7 @@ is radical, so products are taken support-wise; see ideal_product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from typing import Iterable
 
@@ -183,50 +183,53 @@ def _minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonomialIdeal:
     """A square-free monomial ideal given by its minimal generators.
 
     The empty generator set is the zero ideal; a single empty-support
-    generator is the unit ideal.
+    generator is the unit ideal. An ideal holds its ambient and its
+    generator masks; `gens`, one SqFreeMonomial per mask, is built when it
+    is first read, so that the oracle, which reads masks only, builds none.
+    Equality and hashing are on the ambient and the masks.
     """
 
     ambient: Ambient
-    gens: tuple[SqFreeMonomial, ...]
+    _masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        masks = tuple(g.mask for g in self.gens)
+    def __init__(self, ambient: Ambient, gens: Iterable[SqFreeMonomial]) -> None:
+        gens = tuple(gens)
+        masks = tuple(g.mask for g in gens)
         if list(masks) != sorted(set(masks)):
             raise ValueError("generators must be sorted and duplicate-free")
-        for g in self.gens:
-            if g.ambient != self.ambient:
+        for g in gens:
+            if g.ambient != ambient:
                 raise AmbientMismatch("generator from a different ambient")
         for a, b in combinations(masks, 2):
             if a & ~b == 0 or b & ~a == 0:
                 raise ValueError("generators are not an antichain")
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "_masks", masks)
+        self.__dict__["gens"] = gens
 
     @classmethod
     def _trusted(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":
         """Build from masks the package has just made into a sorted,
         duplicate-free antichain, skipping the quadratic checks of
-        __post_init__ and the __init__ of each generator. Each mask is
-        still checked against the ambient."""
+        __init__; no generator is built. The masks are still checked
+        against the ambient."""
         masks = tuple(masks)
-        outside = ~ambient.full_mask
-        gens = []
-        for m in masks:
-            if m & outside:
-                raise ValueError("monomial support outside its ambient")
-            g = object.__new__(SqFreeMonomial)
-            object.__setattr__(g, "ambient", ambient)
-            object.__setattr__(g, "mask", m)
-            gens.append(g)
+        if masks and max(masks) >> ambient.nvars:
+            raise ValueError("monomial support outside its ambient")
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "ambient", ambient)
-        object.__setattr__(ideal, "gens", tuple(gens))
         object.__setattr__(ideal, "_masks", masks)
         return ideal
+
+    @cached_property
+    def gens(self) -> tuple[SqFreeMonomial, ...]:
+        """The minimal generators, ascending, built when first read."""
+        return tuple(SqFreeMonomial(self.ambient, m) for m in self._masks)
 
     @classmethod
     def from_monomials(
@@ -255,15 +258,15 @@ class MonomialIdeal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._masks
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].mask == 0
+        return self._masks == (0,)
 
     @property
     def is_proper_nonzero(self) -> bool:
-        return bool(self.gens) and not self.is_unit
+        return bool(self._masks) and self._masks != (0,)
 
     def gen_masks(self) -> tuple[int, ...]:
         """The generator masks, ascending; made once, when the ideal is."""
@@ -391,7 +394,7 @@ def minimal_primes(
         dual = alexander_dual(a)
     else:
         _check_same_ambient(a, dual)
-    return sorted((g.support for g in dual.gens), key=lambda s: (len(s), sorted(s)))
+    return sorted(map(mask_to_vars, dual.gen_masks()), key=lambda s: (len(s), sorted(s)))
 
 
 def krull_dim(a: MonomialIdeal) -> int:

@@ -54,23 +54,27 @@ class BettiTable:
         return out
 
 
-def _swap_classes(a: MonomialIdeal) -> list[int]:
-    """Masks of the classes of interchangeable variables: i and j share a
-    class iff swapping them maps the generator set to itself. The relation
+def _indicator(a: MonomialIdeal) -> int:
+    """The generator set of `a` as one 2^N-bit integer T, N its number of
+    variables: bit g set iff g is a generator mask."""
+    indicator = bytearray(((1 << a.ambient.nvars) + 7) >> 3)
+    for g in a.gen_masks():
+        indicator[g >> 3] |= 1 << (g & 7)
+    return int.from_bytes(indicator, "little")
+
+
+def _swap_classes(t: int, nvars: int) -> list[int]:
+    """Masks of the classes of interchangeable variables of the generator
+    set with the indicator `t` (_indicator) over `nvars` variables: i and j
+    share a class iff swapping them maps the set to itself. The relation
     is transitive, (i k) = (i j)(j k)(i j), so each variable is tested
     against one member of each class found so far.
 
-    The generator set is held as one 2^N-bit integer T, bit g set iff g is
-    a generator mask, and a transposition (u v), u < v, is tested on all
-    of it by one delta-swap (Knuth, TAOCP 4A, 7.1.3): with d = 2^v - 2^u,
-    the set is fixed iff T[g] = T[g + d] at every g that holds u and not
-    v, that is iff (T ^ (T >> d)) & has[u] & ~has[v] is 0, where has[j]
-    marks the masks that hold j (_bit_planes)."""
-    nvars = a.ambient.nvars
-    indicator = bytearray(((1 << nvars) + 7) >> 3)
-    for g in a.gen_masks():
-        indicator[g >> 3] |= 1 << (g & 7)
-    t = int.from_bytes(indicator, "little")
+    A transposition (u v), u < v, is tested on all of T by one delta-swap
+    (Knuth, TAOCP 4A, 7.1.3): with d = 2^v - 2^u, the set is fixed iff
+    T[g] = T[g + d] at every g that holds u and not v, that is iff
+    (T ^ (T >> d)) & has[u] & ~has[v] is 0, where has[j] marks the masks
+    that hold j (_bit_planes)."""
     has = _bit_planes(nvars)
     classes: list[int] = []
     for v in range(nvars):
@@ -84,6 +88,36 @@ def _swap_classes(a: MonomialIdeal) -> list[int]:
         else:
             classes.append(1 << v)
     return classes
+
+
+def _indicator_types(t: int, nvars: int, classes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The distinct count vectors (|g & C|)_C, sorted, of the generators g
+    of the set with the indicator `t` over `nvars` variables, for classes
+    whose permutations fix the set.
+
+    The set is then a union of orbits, one per count vector, and each orbit
+    has one representative g whose variables in each class C are C's
+    lowest ones: the g in T that hold no member hi of a class without the
+    member lo just below it, T & ~(has[hi] & ~has[lo]) over consecutive
+    lo < hi (_bit_planes), at most N - 1 steps. Each type is read off one
+    representative; no other generator is looked at."""
+    has = _bit_planes(nvars)
+    reps = t
+    for cls in classes:
+        lo = (cls & -cls).bit_length() - 1
+        rest = cls & (cls - 1)
+        while rest:
+            hi = (rest & -rest).bit_length() - 1
+            reps &= ~(has[hi] & ~has[lo])
+            rest &= rest - 1
+            lo = hi
+    types = []
+    while reps:
+        g = reps.bit_length() - 1
+        reps ^= 1 << g
+        types.append(tuple([(g & c).bit_count() for c in classes]))
+    types.sort()
+    return tuple(types)
 
 
 @lru_cache(maxsize=None)
@@ -175,11 +209,6 @@ def _sets_of_types(types: Iterable[tuple[int, ...]], members: Sequence[list[int]
     return out
 
 
-def _gen_types(gens: Iterable[int], classes: Sequence[int]) -> set[tuple[int, ...]]:
-    """The distinct count vectors (|g & C|)_C of the generators."""
-    return {tuple((g & c).bit_count() for c in classes) for g in gens}
-
-
 def _dual_types(
     classes: Sequence[int], types: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
@@ -202,12 +231,14 @@ def _dual(
 
 def dual_by_types(a: MonomialIdeal) -> MonomialIdeal:
     """The Alexander dual of `a` over all its variables, read off count
-    vectors over its swap classes (_swap_classes, _dual_types, _dual), as
-    `mixprod dual` prints it and as oracle_report's set-up builds it."""
+    vectors over its swap classes (_swap_classes, _indicator_types,
+    _dual_types, _dual), as `mixprod dual` prints it and as
+    oracle_report's set-up builds it."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
-    classes = _swap_classes(a)
-    return _dual(a.ambient, classes, _dual_types(classes, _gen_types(a.gen_masks(), classes)))
+    t, nvars = _indicator(a), a.ambient.nvars
+    classes = _swap_classes(t, nvars)
+    return _dual(a.ambient, classes, _dual_types(classes, _indicator_types(t, nvars, classes)))
 
 
 # (the counts c of W over the classes that meet it, the generator types
@@ -327,12 +358,15 @@ class _WalkPlan:
     representative W that is neither empty nor a cone, its key the type of
     W and the generator types inside W over the classes that meet W. The
     rows whose W meets the same classes M read their parts off one corner
-    table, built on the key of the row at the union of M (_top_key)."""
+    table, built on the key of the row at the union of M, which `tops`
+    holds under that union: M's sizes and the generator types supported in
+    M, projected onto M. Its box holds the type of every W meeting M."""
 
     gens: tuple[int, ...]
     classes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, _Key, int, int], ...]
+    tops: dict[int, _Key]
 
 
 def _walk_plan(
@@ -353,7 +387,10 @@ def _walk_plan(
     Delta|_W is no cone, iff each class meeting W is hit by an inside type.
     A row's key is W's type and its inside types, projected onto the
     classes that meet W: with singleton classes that is the set of
-    generators inside W relabelled onto W's bits."""
+    generators inside W relabelled onto W's bits. A row is the top of the
+    classes it meets, their union, iff it takes each of them whole, that is
+    iff its orbit size is 1, since C(|C|, k) = 1 only at k = 0 and |C|;
+    a row W makes the union of the classes it meets a row too."""
     # (W, its counts over the classes it meets, those classes, its orbit
     # size, the generator types inside it)
     points = [(0, (), (), 1, types)]
@@ -374,32 +411,24 @@ def _walk_plan(
                     grown.append((w | prefixes[k], (*c, k), (*meets, j), orbit * binomials[k], narrowed))
         points = grown
     rows = []
+    tops = {}
     for w, c, meets, orbit, inside in points:
         inside = tuple([tuple([d[j] for j in meets]) for d in inside])
         if all(map(any, zip(*inside))):
             rows.append((w, (c, inside), w.bit_count(), orbit))
-    return _WalkPlan(gens, classes, types, tuple(rows))
+            if orbit == 1:
+                tops[w] = (c, inside)
+    return _WalkPlan(gens, classes, types, tuple(rows), tops)
 
 
 def _plan_of(a: MonomialIdeal) -> _WalkPlan:
-    """The plan of `a` over its swap classes (_swap_classes) and the
-    generator types it counts over them (_gen_types)."""
-    gens = a.gen_masks()
-    classes = tuple(_swap_classes(a))
-    return _walk_plan(gens, classes, tuple(sorted(_gen_types(gens, classes))))
-
-
-def _top_key(plan: _WalkPlan, w: int) -> _Key:
-    """The key of the plan row at the union of the classes M that W meets,
-    a row whenever W is one: M's sizes and the generator types supported in
-    M, projected onto M. Its box holds the type of every W meeting M, so
-    the corners read at it (_corners) serve all of them."""
-    meets = [j for j, cls in enumerate(plan.classes) if w & cls]
-    types = [tuple([d[j] for j in meets]) for d in plan.types]
-    return (
-        tuple([plan.classes[j].bit_count() for j in meets]),
-        tuple([t for t, d in zip(types, plan.types) if sum(t) == sum(d)]),
-    )
+    """The plan of `a` over its swap classes and its generator types over
+    them, both read off one indicator of its generator set (_indicator,
+    _swap_classes, _indicator_types): no generator object and no count per
+    generator."""
+    t, nvars = _indicator(a), a.ambient.nvars
+    classes = tuple(_swap_classes(t, nvars))
+    return _walk_plan(a.gen_masks(), classes, _indicator_types(t, nvars, classes))
 
 
 def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = None) -> BettiTable:
@@ -433,8 +462,8 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     and those homologies are the only ones the oracle asks the homology
     kernel for. Gamma_k depends on k and the generator types d <= k alone,
     so the corners are read once per walk and per M, on the first miss
-    among M's rows, on the box of M's full sizes (_top_key), and each miss
-    keeps those below its type. With singleton classes Gamma_k is the
+    among M's rows, on the box of M's full sizes (the plan's `tops`), and
+    each miss keeps those below its type. With singleton classes Gamma_k is the
     Alexander dual of Delta|_W inside W.
     """
     if not a.is_proper_nonzero:
@@ -453,7 +482,7 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
             top = sum(cls for cls in plan.classes if w & cls)
             corners = tables.get(top)
             if corners is None:
-                corners = tables[top] = _corners(*_top_key(plan, w))
+                corners = tables[top] = _corners(*plan.tops[top])
             entry = _BETTI_AT[key] = (_parts(key[0], corners), {})
         betti = entry[1].get(char)
         if betti is None:
@@ -498,15 +527,17 @@ def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]
     plan's classes and types (_dual_types, _dual), the dual's plan and the
     dimension. A permutation fixes an ideal exactly when it fixes its dual,
     so the dual's plan takes the ideal's classes and the dual types, and the
-    dimension is nv minus the least sum of a dual type. A self-dual ideal's
-    plan serves as its dual's."""
+    dimension is nv minus the least sum of a dual type. Both generator sets
+    are unions of type orbits over those classes, so an ideal is self-dual
+    iff its dual types are its types, and then its plan serves as its
+    dual's. All of it reads masks: no generator object is built."""
     key = (a.ambient, a.gen_masks())
     set_up = _SET_UP.get(key)
     if set_up is None:
         plan = _plan_of(a)
         dual_types = _dual_types(plan.classes, plan.types)
         dual = _dual(a.ambient, plan.classes, dual_types)
-        if dual.gen_masks() == plan.gens:  # self-dual: the same plan
+        if dual_types == plan.types:  # self-dual: the same plan
             dual_plan = plan
         else:
             dual_plan = _walk_plan(dual.gen_masks(), plan.classes, dual_types)
@@ -554,7 +585,7 @@ def has_linear_resolution(a: MonomialIdeal, field: FieldSpec) -> bool:
     """True iff all minimal generators share one degree d and reg(a) = d."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("linear resolutions concern proper nonzero ideals")
-    degrees = {g.degree for g in a.gens}
+    degrees = {g.bit_count() for g in a.gen_masks()}
     if len(degrees) != 1:
         return False
     (d,) = degrees

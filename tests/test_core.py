@@ -371,7 +371,9 @@ class TestPublicConstructors:
         with pytest.raises(AmbientMismatch):
             MonomialIdeal.from_monomials(self.AMB, [other])
 
-    @pytest.mark.parametrize("masks", [[0b1000], [0b01, 0b1000], [1 << 20]])
+    # bit nvars set, alone or after a mask inside, or a higher bit alone or
+    # after one
+    @pytest.mark.parametrize("masks", [[0b1000], [0b01, 0b1000], [1 << 20], [0b011, 1 << 20]])
     def test_trusted_rejects_a_mask_outside_the_ambient(self, masks):
         # the package's own constructor skips the antichain checks, not
         # the ambient check
@@ -379,6 +381,23 @@ class TestPublicConstructors:
             MonomialIdeal._trusted(self.AMB, masks)
         with pytest.raises(ValueError, match="outside its ambient"):
             MonomialIdeal.from_masks(self.AMB, masks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_ideals())
+    def test_trusted_and_validated_ideals_are_equal(self, a):
+        # equality and hashing are on the ambient and the masks; a trusted
+        # ideal builds its generators on the first read of gens, once
+        amb, masks = a.ambient, a.gen_masks()
+        trusted = MonomialIdeal._trusted(amb, masks)
+        validated = MonomialIdeal(amb, tuple(SqFreeMonomial(amb, g) for g in masks))
+        assert "gens" not in vars(trusted)
+        for _ in range(2):  # before gens is built and after
+            assert trusted == validated and hash(trusted) == hash(validated)
+            gens = trusted.gens
+        assert trusted.gens is gens and gens == validated.gens
+        assert validated.gens is validated.gens
+        if amb.n != amb.m:
+            assert MonomialIdeal._trusted(amb.swapped(), masks) != trusted
 
     @settings(max_examples=60, deadline=None)
     @given(wide_ideals(), raw_specs())

@@ -496,7 +496,11 @@ class TestOrbitWalk:
 # every ideal, however its grid compares with its generator count. Berge's
 # alexander_dual shares no code with it and is the reference it must equal.
 
-_swap_classes = mixprod.invariants._swap_classes
+def swap_classes(a):
+    """The swap classes of `a`, read off the indicator of its generators."""
+    return mixprod.invariants._swap_classes(mixprod.invariants._indicator(a), a.ambient.nvars)
+
+
 dual_by_types = mixprod.invariants.dual_by_types
 
 
@@ -552,7 +556,7 @@ class TestDualByTypes:
     )
     def test_each_side_of_the_rule(self, n, m, terms, side):
         a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
-        points = prod(c.bit_count() + 1 for c in _swap_classes(a))
+        points = prod(c.bit_count() + 1 for c in swap_classes(a))
         assert (points <= len(a.gens)) == (side == "types")
         assert dual_by_types(a) == alexander_dual(a)
 
@@ -574,7 +578,7 @@ class TestDualByTypes:
         expected = alexander_dual(a)
         # over the given classes, which may split a swap class
         dual_types = mixprod.invariants._dual_types(
-            classes, mixprod.invariants._gen_types(a.gen_masks(), classes)
+            classes, gen_types(a.gen_masks(), classes)
         )
         got = mixprod.invariants._dual(a.ambient, classes, dual_types)
         assert got == expected
@@ -632,12 +636,12 @@ class TestSwapClasses:
     @settings(max_examples=200, deadline=None)
     @given(squarefree_ideals())
     def test_small_ideals_match_the_scan(self, a):
-        assert _swap_classes(a) == swap_classes_by_scan(a)
+        assert swap_classes(a) == swap_classes_by_scan(a)
 
     @settings(max_examples=100, deadline=None)
     @given(wide_ideals())
     def test_sixteen_variables_match_the_scan(self, a):
-        assert _swap_classes(a) == swap_classes_by_scan(a)
+        assert swap_classes(a) == swap_classes_by_scan(a)
 
     @pytest.mark.parametrize(
         "n, m, gens, classes",
@@ -654,11 +658,11 @@ class TestSwapClasses:
     )
     def test_explicit_classes(self, n, m, gens, classes):
         a = ideal(Ambient(n, m), *gens)
-        assert _swap_classes(a) == classes == swap_classes_by_scan(a)
+        assert swap_classes(a) == classes == swap_classes_by_scan(a)
 
     def test_cap_spec(self):
         a = realize_spec(MixedProductSpec(Ambient(8, 8), ((4, 5), (6, 3))))
-        assert _swap_classes(a) == [0x00FF, 0xFF00] == swap_classes_by_scan(a)
+        assert swap_classes(a) == [0x00FF, 0xFF00] == swap_classes_by_scan(a)
 
     def test_bit_planes_hold_the_masks_with_each_variable(self):
         for nvars in range(11):
@@ -670,25 +674,27 @@ class TestSwapClasses:
 
 # --- the dual's generator types ------------------------------------------------
 # The dual's plan takes the minimal transversal types that _dual expands,
-# and the report's dimension reads them; generator types are counted on
-# the ideal alone.
+# and the report's dimension reads them; generator types are read off the
+# ideal's indicator alone.
 
 
 def check_dual_types(a, mp):
-    """One report on an empty set-up, with the dual, the dual's plan and
-    the dimension checked against a count on Berge's dual."""
-    gen_types = mixprod.invariants._gen_types
+    """One report on an empty set-up, with the ideal's types, the dual,
+    the dual's plan and the dimension checked against a count on each
+    generator of the ideal and of Berge's dual; the types are read once,
+    off the ideal's indicator."""
     mp.setattr(mixprod.invariants, "_SET_UP", {})
-    counted = spy(mp, "_gen_types")
+    counted = spy(mp, "_indicator_types")
     report = oracle_report(a, GF2)
     plan, dual, dual_plan, dim = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
     classes = plan.classes
+    assert plan.types == tuple(gen_types(a.gen_masks(), classes))
     assert dual == alexander_dual(a)
     assert dual_plan.gens == dual.gen_masks()
-    assert dual_plan.types == tuple(sorted(gen_types(dual.gen_masks(), classes)))
+    assert dual_plan.types == tuple(gen_types(dual.gen_masks(), classes))
     assert dual_plan.classes == classes
     assert report.dim == dim == a.ambient.nvars - min(g.degree for g in dual.gens)
-    assert counted == [(a.gen_masks(), classes)]
+    assert counted == [(mixprod.invariants._indicator(a), a.ambient.nvars, classes)]
 
 
 class TestDualTypes:
@@ -920,7 +926,7 @@ class TestDualityInsideW:
         amb = Ambient(6, 0)
         a = stanley_reisner_ideal(amb, RP2.facets)
         b = alexander_dual(a) if dual else a
-        assert _swap_classes(b) == [1 << v for v in range(6)]
+        assert swap_classes(b) == [1 << v for v in range(6)]
         got = hochster_betti(b, field)
         assert got.multigraded == full_walk_multigraded(b, field)
         top = {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask}
@@ -936,7 +942,7 @@ class TestDualityInsideW:
         # inside W, with facets {3} and {2}, which does not reach x1: two
         # points, h~_0 = 1. Either way beta_{2,W} = 1.
         a = ideal(Ambient(3, 0), "x1x2", "x1x3")
-        classes = (0b001, 0b010, 0b100) if singletons else tuple(_swap_classes(a))
+        classes = (0b001, 0b010, 0b100) if singletons else tuple(swap_classes(a))
         assert len(classes) == (3 if singletons else 2)
         types = tuple(gen_types(a.gen_masks(), classes))
         parts = cubes_at(0b111, classes, types)
@@ -964,7 +970,7 @@ class TestDualityInsideW:
         ]
         for amb, gens, expected in cases:
             b = ideal(amb, *gens)
-            classes = _swap_classes(b)
+            classes = swap_classes(b)
             types = gen_types(b.gen_masks(), classes)
             assert cubes_at(amb.full_mask, classes, types) == expected
             delta = mixprod.homology.stanley_reisner(b)
@@ -980,7 +986,7 @@ class TestDualityInsideW:
         # Alexander dual inside W
         gens = a.gen_masks()
         delta = mixprod.homology.stanley_reisner(a)
-        classes = _swap_classes(a)
+        classes = swap_classes(a)
         types = gen_types(gens, classes)
         for w, _, _, _ in rows_by_scan(gens, classes):
             got = by_types(w, classes, types, field)
@@ -1043,6 +1049,39 @@ class TestConeCheck:
                 assert all(reduce(or_, facets, 0) >> meeting == 0 for facets, _ in homologies)
 
 
+class TestIndicatorTypes:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            squarefree_ideals().map(lambda a: (a, None)),
+            many_class_ideals(),
+            canonical_specs().map(lambda spec: (realize_spec(spec), None)),
+        )
+    )
+    def test_types_match_the_generator_scan(self, case):
+        # the types read off one representative per orbit in the indicator
+        # are the count vectors of every generator, for the ideal and for
+        # Berge's dual, over the swap classes and over the given classes,
+        # whose permutations fix both
+        a, given = case
+        for b in (a, alexander_dual(a)):
+            t, nvars = mixprod.invariants._indicator(b), b.ambient.nvars
+            for classes in (tuple(swap_classes(b)), given):
+                if classes is not None:
+                    got = mixprod.invariants._indicator_types(t, nvars, tuple(classes))
+                    assert got == tuple(gen_types(b.gen_masks(), classes)), (b, classes)
+
+    def test_cap_spec(self):
+        # the dual by types, which TestDualByTypes checks against Berge's
+        a = realize_spec(MixedProductSpec(Ambient(8, 8), ((4, 5), (6, 3))))
+        classes = (0x00FF, 0xFF00)
+        assert tuple(gen_types(a.gen_masks(), classes)) == ((4, 5), (6, 3))
+        for b in (a, dual_by_types(a)):
+            t = mixprod.invariants._indicator(b)
+            got = mixprod.invariants._indicator_types(t, 16, classes)
+            assert got == tuple(gen_types(b.gen_masks(), classes))
+
+
 class TestPlanRows:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1067,9 +1106,14 @@ class TestPlanRows:
             if singletons:
                 classes = tuple(1 << v for v in range(b.ambient.nvars))
             else:
-                classes = tuple(_swap_classes(b) if given is None else given)
+                classes = tuple(swap_classes(b) if given is None else given)
             plan = mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes)))
             assert plan.rows == rows_by_scan(gens, classes)
+            # tops holds the row at each union of the classes some row
+            # meets, under that union, and no other row
+            unions = {sum(c for c in classes if c & w) for w, _, _, _ in plan.rows}
+            assert plan.tops == {w: key for w, key, _, _ in plan.rows if w in unions}
+            assert set(plan.tops) == unions
             if singletons:
                 for w, (c, inside), _, _ in plan.rows:
                     assert c == (1,) * w.bit_count()
@@ -1100,7 +1144,7 @@ class TestCornerTable:
             if singletons:
                 classes = tuple(1 << v for v in range(b.ambient.nvars))
             else:
-                classes = tuple(_swap_classes(b) if given is None else given)
+                classes = tuple(swap_classes(b) if given is None else given)
             plan = mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes)))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mixprod.invariants, "_BETTI_AT", {})
@@ -1109,7 +1153,8 @@ class TestCornerTable:
             for w, key, _, _ in plan.rows:
                 expected = type_cubes_by_box(*key)
                 assert walked[key][0] == expected, (b, classes, w)
-                table = mixprod.invariants._corners(*mixprod.invariants._top_key(plan, w))
+                top = sum(c for c in plan.classes if c & w)
+                table = mixprod.invariants._corners(*plan.tops[top])
                 assert mixprod.invariants._parts(key[0], table) == expected
                 assert parts_on_own_box(key) == expected
 
@@ -1157,11 +1202,12 @@ class TestNoComplexInTheWalk:
         for name in (
             "SimplicialComplex", "reduced_homology_ranks", "_choose_side", "_types_bound",
             "_restricted_facets", "_restricted_types", "_local_gens", "_type_cubes",
+            "_gen_types", "_top_key",
         ):
             assert not hasattr(mixprod.invariants, name)
         assert list(inspect.signature(hochster_betti).parameters) == ["a", "field", "plan"]
         fields = mixprod.invariants._WalkPlan.__dataclass_fields__
-        assert list(fields) == ["gens", "classes", "types", "rows"]
+        assert list(fields) == ["gens", "classes", "types", "rows", "tops"]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1177,7 +1223,7 @@ class TestNoComplexInTheWalk:
         # restrict over Q, GF(2) and GF(3); a cone W reads none
         a, given = case
         for b in (a, alexander_dual(a)):
-            classes = tuple(_swap_classes(b) if given is None else given)
+            classes = tuple(swap_classes(b) if given is None else given)
             types = gen_types(b.gen_masks(), classes)
             delta = mixprod.homology.stanley_reisner(b)
             for w in representatives(classes):
@@ -1358,8 +1404,9 @@ class TestSharedWalkState:
 
     def test_three_fields_share_one_set_up(self, fresh_memo, monkeypatch):
         # reports on one ideal over Q, GF(2) and GF(3) find the classes
-        # once and count generator types once, both on the ideal, and
-        # expand one dual; a self-dual ideal just before changes none of it
+        # once and read generator types once, both off the ideal's
+        # indicator, and expand one dual; a self-dual ideal just before
+        # changes none of it
         amb = Ambient(3, 0)
         self_dual = MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110))
         assert alexander_dual(self_dual) == self_dual
@@ -1370,16 +1417,35 @@ class TestSharedWalkState:
             ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2"),
         ]
         found = spy(monkeypatch, "_swap_classes")
-        counted = spy(monkeypatch, "_gen_types")
+        counted = spy(monkeypatch, "_indicator_types")
         duals = spy(monkeypatch, "_dual")
         for a in cases:
             for calls in (found, counted, duals):
                 calls.clear()
             for field in (RATIONALS, GF2, GF3):
                 oracle_report(a, field)
-            assert found == [(a,)]
-            assert counted == [(a.gen_masks(), tuple(_swap_classes(a)))]
+            t = mixprod.invariants._indicator(a)
+            assert found == [(t, a.ambient.nvars)]
+            assert counted == [(t, a.ambient.nvars, tuple(swap_classes(a)))]
             assert len(duals) == 1
+
+    def test_a_report_builds_no_generator(self, monkeypatch):
+        # realize_spec and oracle_report read masks only: no SqFreeMonomial
+        # is made, and gens stays unbuilt on the ideal and on its dual
+        def forbidden(self):
+            raise AssertionError("a generator object was built")
+
+        specs = [s for s in mixprod.harness.enumerate_specs(4, 4) if s.ambient.nvars >= 2]
+        assert len(specs) >= 500
+        monkeypatch.setattr(SqFreeMonomial, "__post_init__", forbidden)
+        for spec in specs:
+            realize_spec.cache_clear()
+            monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+            a = realize_spec(spec)
+            for field in (RATIONALS, GF2, GF3):
+                oracle_report(a, field)
+            dual = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][1]
+            assert "gens" not in vars(a) and "gens" not in vars(dual), spec
 
     def test_a_self_dual_ideal_is_planned_once(self, fresh_memo, monkeypatch):
         # I_2 at three variables is its own dual: its plan serves both walks
@@ -1404,11 +1470,11 @@ class TestSharedWalkState:
         # dual's plan holds the types of Berge's dual over them
         a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
         dual = alexander_dual(a)
-        expected = tuple(_swap_classes(dual))
-        assert expected == tuple(_swap_classes(a))
+        expected = tuple(swap_classes(dual))
+        assert expected == tuple(swap_classes(a))
         found = spy(monkeypatch, "_swap_classes")
         oracle_report(a, GF2)
-        assert found == [(a,)]
+        assert found == [(mixprod.invariants._indicator(a), a.ambient.nvars)]
         dual_plan = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][2]
         assert dual_plan.classes == expected
         types = {tuple((g & c).bit_count() for c in expected) for g in dual.gen_masks()}

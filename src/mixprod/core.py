@@ -467,14 +467,15 @@ def realize_spec(spec: MixedProductSpec) -> MonomialIdeal:
     a canonical spec are pairwise incomparable, so a generator of one term
     has another (x-degree, y-degree) than those of the others and lies
     inside none of them: the sorted union of the terms' generators is the
-    minimal generating set as it stands. The ideal of the last spec is
-    kept: a sweep realizes each spec once per field, one field after the
-    other."""
+    minimal generating set as it stands. A block's k-subsets are summed
+    from its single-bit masks. The ideal of the last spec is kept: a sweep
+    realizes each spec once per field, one field after the other."""
     amb = spec.ambient
+    bits = [1 << v for v in range(amb.nvars)]
     masks: list[int] = []
     for k, l in canonicalize_spec(spec).terms:
-        xs = [vars_to_mask(c) for c in combinations(range(1, amb.n + 1), k)]
-        ys = [vars_to_mask(c) for c in combinations(range(amb.n + 1, amb.nvars + 1), l)]
+        xs = [sum(c) for c in combinations(bits[:amb.n], k)]
+        ys = [sum(c) for c in combinations(bits[amb.n:], l)]
         masks += [x | y for x in xs for y in ys]
     masks.sort()
     return MonomialIdeal._trusted(amb, masks)

@@ -1,9 +1,9 @@
 """Stanley-Reisner complexes and exact reduced simplicial homology.
 
 stanley_reisner, restrict and reduced_homology_ranks are the reference
-for Hochster's formula: the walk of mixprod.invariants reads the Betti
-numbers off the generator types and ranks here only the small complexes
-Gamma_k of that reading, on the classes of interchangeable variables.
+for Hochster's formula: mixprod.invariants sums the Betti numbers off the
+generator types and ranks here only the small complexes Gamma_k of that
+sum, on the classes of interchangeable variables.
 
 Conventions: the reduced (augmented) chain complex is used throughout, so
 the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
@@ -242,9 +242,9 @@ def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, i
     field of characteristic char, as (i, h~_i) pairs for i = -1 .. dim.
     The key is the facet tuple that reduced_homology_ranks relabels onto
     dense vertex bits, so complexes of the same shape, such as the
-    complexes Gamma_k the Hochster walk reads off the type grid, which
-    repeat heavily across walks, share one entry, and the cells are found
-    only on a miss.
+    complexes Gamma_k that Hochster's sum reads off the type grid, which
+    repeat heavily across ideals and fields, share one entry, and the
+    cells are found only on a miss.
     What is reduced is the relative complex (Delta minus v, lk v) of the
     vertex v in the most facets, the lowest on ties (_star_vertex). The
     closed star of v is a cone, so it is acyclic and

@@ -8,8 +8,8 @@ Depth is defined here through Auslander-Buchsbaum as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from math import comb, prod
 from typing import Iterable, Sequence
@@ -21,24 +21,51 @@ from .homology import FieldSpec, _canonical_facets, _homology_of_faces
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Sparse graded Betti numbers of S/I: (homological degree i,
-    total degree j) -> rank. The walk behind them is kept as `walk`, one
-    (i, W, beta_{i,W}) per nonzero value at an orbit representative W,
-    with the classes of interchangeable variables whose permutations
-    carry W over its orbit; `multigraded`, the refinement
-    (i, vertex-set mask) -> rank kept for diagnostics, is expanded from
-    them when first read."""
+    """Sparse graded Betti numbers of S/I over the field of characteristic
+    `char`: (homological degree i, total degree j) -> rank, summed off the
+    plan `plan` of the ideal (hochster_betti).
+
+    The walk behind them, one (i, W, beta_{i,W}) per nonzero value at an
+    orbit representative W, with the classes of interchangeable variables
+    whose permutations carry W over its orbit, is read off the plan's
+    corner tables when `walk` is first read; `multigraded`, the refinement
+    (i, vertex-set mask) -> rank kept for diagnostics, is expanded from it
+    when first read. A report reads neither."""
 
     ambient: Ambient
     entries: dict[tuple[int, int], int]
-    walk: tuple[tuple[int, int, int], ...]
-    classes: tuple[int, ...]
+    plan: _WalkPlan = dataclass_field(repr=False)
+    char: int = dataclass_field(repr=False)
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        return self.plan.classes
 
     def rank(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
+
+    @cached_property
+    def walk(self) -> tuple[tuple[int, int, int], ...]:
+        """(0, {}, 1), then for each representative W, the point of the type
+        grid that takes the lowest c_C variables of each class C, in the
+        order of the grid with the last class counting fastest, its nonzero
+        beta_{i,W} in ascending i, read off the corner table of the classes
+        that W meets (_parts); a W whose classes have no table holds no
+        generator or is a cone."""
+        classes, tables = self.plan.classes, self.plan.tables
+        lowest = [[sum(bits[:k]) for k in range(len(bits) + 1)] for bits in map(_members, classes)]
+        out = [(0, 0, 1)]
+        for point in product(*lowest):
+            c = [p.bit_count() for p in point]
+            table = tables.get(sum(cls for cls, x in zip(classes, c) if x))
+            if table:
+                w = sum(point)
+                parts = _parts(tuple([x for x in c if x]), table)
+                out.extend((i, w, r) for i, r in _betti_of(parts, self.char).items())
+        return tuple(out)
 
     @cached_property
     def multigraded(self) -> dict[tuple[int, int], int]:
@@ -241,12 +268,12 @@ def dual_by_types(a: MonomialIdeal) -> MonomialIdeal:
     return _dual(a.ambient, classes, _dual_types(classes, _indicator_types(t, nvars, classes)))
 
 
-# (the counts c of W over the classes that meet it, the generator types
-# inside W over those classes): a row's description of W (_walk_plan)
-_Key = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 _Parts = tuple[tuple[tuple[int, ...], int, int], ...]
 # (k - 1 at a corner k of the type grid, the canonical facets of Gamma_k, |k|)
 _Corners = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
+# (the canonical facets of Gamma_k, 2 - |k|, the nonzero coefficients (j, x)
+# of the corner polynomials summed over the corners with that Gamma_k and |k|)
+_Sums = tuple[tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]
 
 
 def _corners(sizes: Sequence[int], types: Sequence[tuple[int, ...]]) -> _Corners:
@@ -255,8 +282,10 @@ def _corners(sizes: Sequence[int], types: Sequence[tuple[int, ...]]) -> _Corners
     its complex Gamma_k, canonical as _homology_of_faces keys them, and
     |k|, in ascending order of k, for an ideal whose generator set is fixed
     by the permutations inside each class. A corner whose Gamma_k is a
-    cone is left out. _parts reads beta_{.,W} off them at any W of type
-    c <= s over these classes.
+    cone is left out. The plan (_walk_plan) builds one such table per set
+    M of classes, on the box of M's sizes, and sums its corners into the
+    totals; _parts reads beta_{.,W} off it at any W of type c <= s over
+    these classes.
 
     A set inside W is a face of Delta|_W iff its type lies in the down-set
     R of the t <= c with no generator type d <= t. The augmented chain
@@ -326,27 +355,36 @@ def _parts(c: tuple[int, ...], corners: _Corners) -> _Parts:
     return tuple((*key, mult) for key, mult in parts.items())
 
 
-# a row's key (_Key) -> (the parts _parts reads at it, {field.char: the
-# value _betti_of sums}); process-wide, since beta_{i,W} depends on nothing
-# else, and filled by hochster_betti alone
-_Entry = tuple[_Parts, dict[int, dict[int, int]]]
-_BETTI_AT: dict[_Key, _Entry] = {}
-
-
-def _betti_of(entry: _Entry, char: int) -> dict[int, int]:
-    """The value of a memo entry over the field of characteristic `char`,
-    {i: beta_{i,W}}, an i left out having beta_{i,W} = 0: summed from the
-    homology of its parts' complexes, sorted by i, so that a table's walk
-    lists each W's Betti numbers in ascending i whatever the order of the
-    parts, and stored in the entry."""
-    parts, by_char = entry
+def _betti_of(parts: _Parts, char: int) -> dict[int, int]:
+    """{i: beta_{i,W}} over the field of characteristic `char` from the
+    parts read at W (_parts), an i left out having beta_{i,W} = 0, sorted
+    by i, so that a walk lists each W's Betti numbers in ascending i
+    whatever the order of the parts."""
     betti: dict[int, int] = {}
     for facets, base, mult in parts:
         for j, h in _homology_of_faces(facets, char):
             if h:
                 betti[base + j] = betti.get(base + j, 0) + mult * h
-    betti = by_char[char] = dict(sorted(betti.items()))
-    return betti
+    return dict(sorted(betti.items()))
+
+
+@lru_cache(maxsize=None)
+def _corner_poly(s: int, k: int) -> tuple[int, ...]:
+    """The coefficients, from x^0 up, of the corner polynomial
+    P_{s,k}(x) = sum_{c=k..s} C(s, c) C(c - 1, k - 1) x^c, 1 <= k <= s:
+    over the C(s, c) sets of c variables of a class of s, the two-term
+    complexes of size k that split the simplex on each (_corners)."""
+    return tuple([0] * k + [comb(s, c) * comb(c - 1, k - 1) for c in range(k, s + 1)])
+
+
+def _times(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """The product of two polynomials given by their coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for a, x in enumerate(p):
+        if x:
+            for b, y in enumerate(q):
+                out[a + b] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -354,19 +392,16 @@ class _WalkPlan:
     """The field-independent part of hochster_betti on one ideal, read off
     its generator masks `gens` alone: their classes of interchangeable
     variables, the distinct count vectors (types) of the generators over
-    them, sorted, and one row (W, key, |W|, orbit size) per orbit
-    representative W that is neither empty nor a cone, its key the type of
-    W and the generator types inside W over the classes that meet W. The
-    rows whose W meets the same classes M read their parts off one corner
-    table, built on the key of the row at the union of M, which `tops`
-    holds under that union: M's sizes and the generator types supported in
-    M, projected onto M. Its box holds the type of every W meeting M."""
+    them, sorted, the corner table (_corners) of each set M of classes
+    that is a union of supports of generator types, under the union of
+    M's classes, and `sums`, the corners of all tables summed into
+    polynomials (_walk_plan) from which each field's totals are read."""
 
     gens: tuple[int, ...]
     classes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[int, _Key, int, int], ...]
-    tops: dict[int, _Key]
+    tables: dict[int, _Corners]
+    sums: _Sums
 
 
 def _walk_plan(
@@ -376,49 +411,52 @@ def _walk_plan(
     given classes that partition its variables so that permuting inside
     each fixes the generator set, and its sorted generator types over them.
 
-    The representatives are the points of the type grid, built class by
-    class, the last class counting fastest: the one taking k variables of a
-    class takes its lowest k, and its orbit holds prod C(|C|, k) subsets.
-    Each point carries the generator types inside it, the d <= its type;
-    taking k variables of class C keeps those with d_C <= k. A point with
-    no type left, W = {} among them for a proper ideal, is dropped with
-    every point it grows to: no generator lies inside it. The generator
-    set is a union of type orbits, so the generators inside W cover W, and
-    Delta|_W is no cone, iff each class meeting W is hit by an inside type.
-    A row's key is W's type and its inside types, projected onto the
-    classes that meet W: with singleton classes that is the set of
-    generators inside W relabelled onto W's bits. A row is the top of the
-    classes it meets, their union, iff it takes each of them whole, that is
-    iff its orbit size is 1, since C(|C|, k) = 1 only at k = 0 and |C|;
-    a row W makes the union of the classes it meets a row too."""
-    # (W, its counts over the classes it meets, those classes, its orbit
-    # size, the generator types inside it)
-    points = [(0, (), (), 1, types)]
+    A W meets a set M of classes, and its type c over M has c_C >= 1 on
+    each. The sets M are built class by class, each with the types
+    supported in it, those that vanish off M: leaving a class out keeps
+    the types with no variable in it, and a set with no type left is
+    dropped with every set it grows to, since no W meeting it holds a
+    generator. The generator set is a union of type orbits, so at a W
+    meeting M the generators inside W cover W, and Delta|_W is no cone,
+    only if M's types hit each class of M: every other M is dropped too.
+    Each M left gets the corner table of its types projected onto M, on
+    the box of M's sizes s.
+
+    Summed over the W that meet M exactly, beta_{i,W} times W's orbit size
+    prod_C C(s_C, c_C) adds, at each corner k of M's table and over the
+    c >= k, h~(Gamma_k) times prod_C C(s_C, c_C) C(c_C - 1, k_C - 1) at
+    j = |c| (_parts), and that sum factors over the classes: the
+    coefficient of x^j in prod_C P_{s_C,k_C}(x) (_corner_poly). A cone W
+    and a W with no generator inside add 0, as their Betti numbers are 0.
+    The polynomials of the corners with one Gamma_k and one |k| are
+    summed, and kept as (facets, 2 - |k|, their nonzero coefficients)."""
+    sets = [(0, (), types)]  # (the union of M, M's class indices, M's types)
     for j, cls in enumerate(classes):
-        prefixes = [0]
-        for bit in _members(cls):
-            prefixes.append(prefixes[-1] | bit)
-        size = len(prefixes) - 1
-        binomials = [comb(size, k) for k in range(size + 1)]
         grown = []
-        for w, c, meets, orbit, inside in points:
-            narrowed = [d for d in inside if not d[j]]
-            if narrowed:
-                grown.append((w, c, meets, orbit, narrowed))
-            for k in range(1, size + 1):
-                narrowed = [d for d in inside if d[j] <= k] if k < size else inside
-                if narrowed:
-                    grown.append((w | prefixes[k], (*c, k), (*meets, j), orbit * binomials[k], narrowed))
-        points = grown
-    rows = []
-    tops = {}
-    for w, c, meets, orbit, inside in points:
-        inside = tuple([tuple([d[j] for j in meets]) for d in inside])
-        if all(map(any, zip(*inside))):
-            rows.append((w, (c, inside), w.bit_count(), orbit))
-            if orbit == 1:
-                tops[w] = (c, inside)
-    return _WalkPlan(gens, classes, types, tuple(rows), tops)
+        for union, meets, inside in sets:
+            off = [d for d in inside if not d[j]]
+            if off:
+                grown.append((union, meets, off))
+            grown.append((union | cls, (*meets, j), inside))
+        sets = grown
+    tables = {}
+    sums: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    degrees = sum(classes).bit_length() + 1
+    for union, meets, inside in sets:
+        inside = [tuple([d[j] for j in meets]) for d in inside]
+        if not all(map(any, zip(*inside))):
+            continue
+        sizes = [classes[j].bit_count() for j in meets]
+        table = tables[union] = _corners(sizes, inside)
+        for below, facets, size in table:
+            poly = reduce(_times, [_corner_poly(s, x + 1) for s, x in zip(sizes, below)])
+            total = sums.setdefault((facets, size), [0] * degrees)
+            for j, x in enumerate(poly):
+                total[j] += x
+    return _WalkPlan(gens, classes, types, tables, tuple(
+        (facets, 2 - size, tuple([(j, x) for j, x in enumerate(total) if x]))
+        for (facets, size), total in sums.items()
+    ))
 
 
 def _plan_of(a: MonomialIdeal) -> _WalkPlan:
@@ -432,39 +470,32 @@ def _plan_of(a: MonomialIdeal) -> _WalkPlan:
 
 
 def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = None) -> BettiTable:
-    """beta_{i,W}(S/I) = h~_{|W|-i-1}(Delta|_W; field) over every subset W
-    of the variables, aggregated to total degree j = |W|.
+    """beta_{i,j}(S/I), the sum over the subsets W of the variables with
+    |W| = j of beta_{i,W} = h~_{|W|-i-1}(Delta|_W; field) (Hochster).
 
-    The walk sees only the generator set, and no Stanley-Reisner complex
+    The sum sees only the generator set, and no Stanley-Reisner complex
     is built: permuting the variables inside each class of _swap_classes
     fixes the ideal, so beta_{i,W} depends only on the counts |W & C| over
-    the classes C. One representative per count vector, the lowest
-    variables of each class, prod(|C|+1) in all, is evaluated, and its
-    value counts once for every member of its orbit: the totals add it
-    times the orbit size, and the multigraded table is expanded over the
-    orbits only when read. With singleton classes this is the full 2^N
-    walk. W = {} gives beta_{0,{}} = 1, and a W whose generators miss one
-    of its vertices gives a cone and is skipped. All of this depends on
-    the generator types alone, so it is planned (_walk_plan) before the
-    walk: `plan` when oracle_report passes the one its set-up built, which
-    must be that of a's generator masks and variables (ValueError
-    otherwise), and a plan built now when it is None.
-    Every other W is looked up in the process-wide Betti memo _BETTI_AT,
-    which only this walk fills, under its row's key, the type of W and the
-    generator types inside W over the classes that meet W, by one dict
-    lookup, so a restricted ideal met before over the same classes, in
-    this walk or an earlier one, over this field or another, is not read
-    off the types again, and over a field met before costs no homology. A
-    miss splits the chain complex of the simplex on W over the classes
-    (_corners): beta_{i,W} is a sum of the homologies of small complexes
-    Gamma_k on the classes M that meet W, one per corner k <= c of the
-    type grid, c the type of W, times binomial multiplicities (_parts),
-    and those homologies are the only ones the oracle asks the homology
-    kernel for. Gamma_k depends on k and the generator types d <= k alone,
-    so the corners are read once per walk and per M, on the first miss
-    among M's rows, on the box of M's full sizes (the plan's `tops`), and
-    each miss keeps those below its type. With singleton classes Gamma_k is the
-    Alexander dual of Delta|_W inside W.
+    the classes C. It splits the chain complex of the simplex on W over
+    the classes (_corners): beta_{i,W} is a sum of the homologies of small
+    complexes Gamma_k on the classes M that meet W, one per corner k <= c
+    of the type grid, c the type of W, times binomial multiplicities, and
+    Gamma_k depends on k and the generator types d <= k alone. Summed over
+    W, each corner's multiplicities and orbit sizes make one polynomial in
+    j, so the totals are, besides beta_{0,0} = 1,
+
+        beta_{i,j} = sum over the corners k of each M:
+                     h~_{i-j-2+|k|}(Gamma_k) * [x^j] prod_C P_{s_C,k_C}(x),
+
+    with P_{s,k} of _corner_poly. The homologies of the Gamma_k are the
+    only ones the oracle asks the homology kernel for; with singleton
+    classes Gamma_k is the Alexander dual of Delta|_W inside W, k = W. The
+    corners and their polynomials depend on the generator types alone, so
+    they are planned (_walk_plan) before any field: `plan` when
+    oracle_report passes the one its set-up built, which must be that of
+    a's generator masks and variables (ValueError otherwise), and a plan
+    built now when it is None. No W is visited: the table's `walk` and
+    `multigraded` are read off the plan only when first asked for.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
@@ -472,26 +503,15 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
         plan = _plan_of(a)
     elif plan.gens != a.gen_masks() or sum(plan.classes) != a.ambient.full_mask:
         raise ValueError("the walk plan is that of another ideal")
-    entries = {(0, 0): 1}
-    walk = [(0, 0, 1)]
     char = field.char
-    tables: dict[int, _Corners] = {}  # the union of the classes a W meets -> their corners
-    for w, key, size, orbit in plan.rows:
-        entry = _BETTI_AT.get(key)
-        if entry is None:
-            top = sum(cls for cls in plan.classes if w & cls)
-            corners = tables.get(top)
-            if corners is None:
-                corners = tables[top] = _corners(*plan.tops[top])
-            entry = _BETTI_AT[key] = (_parts(key[0], corners), {})
-        betti = entry[1].get(char)
-        if betti is None:
-            betti = _betti_of(entry, char)
-        for i, r in betti.items():
-            if r:
-                entries[(i, size)] = entries.get((i, size), 0) + r * orbit
-                walk.append((i, w, r))
-    return BettiTable(a.ambient, entries, tuple(walk), plan.classes)
+    entries = {(0, 0): 1}
+    for facets, shift, poly in plan.sums:
+        for i, h in _homology_of_faces(facets, char):
+            if h:
+                i += shift
+                for j, x in poly:
+                    entries[(i + j, j)] = entries.get((i + j, j), 0) + h * x
+    return BettiTable(a.ambient, entries, plan, char)
 
 
 def betti_stats(b: BettiTable) -> tuple[int, int]:
@@ -523,8 +543,9 @@ _SET_UP: dict[tuple[Ambient, tuple[int, ...]], tuple[_WalkPlan, MonomialIdeal, _
 
 def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]:
     """What oracle_report needs of `a` before any field, built once and kept
-    for the last ideal only: its plan, its Alexander dual read off the
-    plan's classes and types (_dual_types, _dual), the dual's plan and the
+    for the last ideal only: its plan, with its corner tables and their
+    polynomials (_walk_plan), its Alexander dual read off the plan's
+    classes and types (_dual_types, _dual), the dual's plan and the
     dimension. A permutation fixes an ideal exactly when it fixes its dual,
     so the dual's plan takes the ideal's classes and the dual types, and the
     dimension is nv minus the least sum of a dual type. Both generator sets
@@ -552,10 +573,10 @@ def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     primes (the supports of the Alexander dual's generators), pd and
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
-    two values are asserted equal (Terai). The plans of both walks, the
+    two values are asserted equal (Terai). The plans of both sides, the
     dual and the dimension come from the ideal's set-up (_set_up), so a
     report on the same ideal over another field, as a sweep makes, builds
-    none of them again."""
+    none of them, and no corner table, again."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars

@@ -3,9 +3,10 @@
 import subprocess
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import comb
+from operator import and_
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -488,23 +489,28 @@ class TestSparseRank:
     def test_rationals_stay_integral_on_mixed_product_ideals(self, monkeypatch):
         # every pivot entry of the boundary maps of their restrictions is
         # +-1, so ranking them over Q makes no Fraction: the reference
-        # sides restrict(stanley_reisner(b), W) at every row of the walks
-        # of each ideal and of its dual are ranked here, on a fresh cache
-        # so that each reaches the kernel, and so are the reports
+        # sides restrict(stanley_reisner(b), W) at every nonempty non-cone
+        # representative W of the classes of each ideal and of its dual
+        # are ranked here, on a fresh cache so that each reaches the
+        # kernel, and so are the reports
         made = fractions_made(monkeypatch)
-        monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
         monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
         fresh = lru_cache(maxsize=None)(homology._homology_of_faces.__wrapped__)
         monkeypatch.setattr(homology, "_homology_of_faces", fresh)
+        monkeypatch.setattr(mixprod.invariants, "_homology_of_faces", fresh)
         specs = [s for s in enumerate_specs(6, 6) if s.ambient.nvars <= 6]
         assert len(specs) == 392
         for spec in specs:
             a = realize_spec(spec)
-            plan, dual, dual_plan, _ = mixprod.invariants._set_up(a)
-            for b, walk in ((a, plan), (dual, dual_plan)):
+            plan, dual, _, _ = mixprod.invariants._set_up(a)
+            for b in (a, dual):
                 delta = stanley_reisner(b)
-                for w, _, _, _ in walk.rows:
-                    reduced_homology_ranks(restrict(delta, w), RATIONALS)
+                lowest = [[sum(bits[:k]) for k in range(len(bits) + 1)] for bits in (
+                    [1 << v for v in range(c.bit_length()) if c >> v & 1] for c in plan.classes)]
+                for w in map(sum, product(*lowest)):
+                    side = restrict(delta, w)
+                    if w and not reduce(and_, side.facets, w):  # no cone
+                        reduced_homology_ranks(side, RATIONALS)
             oracle_report(a, RATIONALS)
         assert fresh.cache_info().misses > 200
         assert not made

@@ -1,10 +1,11 @@
 """Betti-table oracle and the derived invariant reports."""
 
 from fractions import Fraction
-from functools import reduce
+from collections import Counter
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb, prod
-from operator import or_
+from operator import and_, or_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -377,6 +378,41 @@ def rows_by_scan(gens, classes):
     return tuple(rows)
 
 
+def walk_totals(table):
+    """The totals summed from a table's walk: each beta_{i,W} at a
+    representative W counts once for every member of W's orbit."""
+    out = {}
+    for i, w, r in table.walk:
+        orbit = prod(comb(c.bit_count(), (w & c).bit_count()) for c in table.classes)
+        out[(i, w.bit_count())] = out.get((i, w.bit_count()), 0) + r * orbit
+    return out
+
+
+def class_sets(classes, types):
+    """The unions of the sets M of classes whose generator types supported
+    in M, those that vanish off M, hit each class of M, found by testing
+    every M: the keys of the corner tables a plan builds."""
+    out = set()
+    for size in range(1, len(classes) + 1):
+        for meets in combinations(range(len(classes)), size):
+            inside = [d for d in types if not any(x for j, x in enumerate(d) if j not in meets)]
+            if all(any(d[j] for d in inside) for j in meets):
+                out.add(sum(classes[j] for j in meets))
+    return out
+
+
+def check_walk(table, gens):
+    """The walk of a table lists Betti numbers only at rows, the nonempty
+    representatives W that the generators inside W cover (rows_by_scan),
+    its orbit-weighted sum is the table's totals, and the plan holds one
+    corner table per class set of class_sets."""
+    plan = table.plan
+    rows = {w for w, *_ in rows_by_scan(gens, plan.classes)}
+    assert {w for _, w, _ in table.walk} - {0} <= rows
+    assert walk_totals(table) == table.entries
+    assert set(plan.tables) == class_sets(plan.classes, plan.types)
+
+
 @st.composite
 def squarefree_ideals(draw):
     nvars = draw(st.integers(1, 6))
@@ -417,7 +453,8 @@ class TestOrbitWalk:
         (plan,) = plans
         grid = prod(c.bit_count() + 1 for c in plan.classes)
         assert grid == prod(size + 1 for size in swap_classes_by_pairs(a))
-        assert plan.rows == rows_by_scan(a.gen_masks(), plan.classes)
+        assert got.plan is plan
+        check_walk(got, a.gen_masks())
         # No complex on at most five vertices has torsion, so there the
         # rational table is the table over every field.
         if field == RATIONALS or a.ambient.nvars <= 5:
@@ -448,7 +485,7 @@ class TestOrbitWalk:
         got = hochster_betti(a, GF2)
         (plan,) = plans
         assert prod(c.bit_count() + 1 for c in plan.classes) == walked
-        assert plan.rows == rows_by_scan(a.gen_masks(), plan.classes)
+        check_walk(got, a.gen_masks())
         assert got.entries == brute_hochster(n + m, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
@@ -713,23 +750,21 @@ class TestDualTypes:
 
 
 # --- Betti numbers read off the type grid ------------------------------------
-# At each W the walk reads beta_{.,W} off the generator types over the
-# classes (_corners, _parts): a sum over the corners k of the type grid of
-# the homology of small complexes Gamma_k on the classes, which with
-# singleton classes is the Alexander dual of Delta|_W inside W. A walk
-# builds the corners once per set of classes met, on the box of their full
-# sizes, and each row keeps those below its type. Its values are checked
-# against the reference restrict(stanley_reisner(b), W), against that dual
-# inside W, against the independent oracle, and its parts against a
-# reference corner pass on each row's own box (type_cubes_by_box).
+# At each W, beta_{.,W} is read off the generator types over the classes
+# (_corners, _parts): a sum over the corners k of the type grid of the
+# homology of small complexes Gamma_k on the classes, which with singleton
+# classes is the Alexander dual of Delta|_W inside W. A plan builds the
+# corners once per set of classes M, on the box of M's full sizes, and a
+# W meeting M keeps those below its type. The values are checked against
+# the reference restrict(stanley_reisner(b), W), against that dual inside
+# W, against the independent oracle, and the parts against a reference
+# corner pass on each row's own box (type_cubes_by_box).
 
 
 @pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty Betti memo and no report set-up for one test, so that
-    every non-cone W it walks misses; the process-wide state is put back
-    afterwards."""
-    monkeypatch.setattr(mixprod.invariants, "_BETTI_AT", {})
+def fresh_set_up(monkeypatch):
+    """No report set-up for one test, so that its first report on an ideal
+    plans it; the process-wide state is put back afterwards."""
     monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
 
 
@@ -788,18 +823,6 @@ def type_cubes_by_box(c, inside):
 def meets_of(w, classes):
     """The union of the classes that meet w."""
     return sum(c for c in classes if c & w)
-
-
-def tables_on_a_cold_walk(plan):
-    """The sets of classes, each as the union of its classes, that a walk
-    of the plan on an empty memo builds a corner table for: those met by a
-    row whose key no earlier row has."""
-    seen, out = set(), set()
-    for w, key, _, _ in plan.rows:
-        if key not in seen:
-            seen.add(key)
-            out.add(meets_of(w, plan.classes))
-    return out
 
 
 def by_types(w, classes, types, field):
@@ -890,32 +913,31 @@ class TestDualityInsideW:
     @settings(max_examples=60, deadline=None)
     @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
     def test_each_side_matches_independent_oracle_and_full_walk(self, a, field):
-        # both walks of a report, on the ideal and on its Alexander dual,
-        # read every W off the types on an empty memo, and a second walk
-        # off the memo
+        # both sides of a report, the ideal and its Alexander dual, read
+        # their totals off a plan built once, and a second table on that
+        # plan builds no corner table
         for b in (a, alexander_dual(a)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mixprod.invariants, "_BETTI_AT", {})
                 read = spy(mp, "_corners")
                 got = hochster_betti(b, field)
-                plan = mixprod.invariants._plan_of(b)
-                # one corner table per set of classes met by a row whose
-                # key no earlier row has, on the box of the classes' sizes
-                built = tables_on_a_cold_walk(plan)
-                assert len(read) == len(built) <= len({meets_of(w, plan.classes) for w, *_ in plan.rows})
+                plan = got.plan
+                # one corner table per set of classes that is a union of
+                # supports of generator types, on the box of its sizes
+                built = class_sets(plan.classes, plan.types)
+                assert set(plan.tables) == built and len(read) == len(built)
                 sizes = sorted(sorted(args[0]) for args in read)
                 assert sizes == sorted(sorted(c.bit_count() for c in plan.classes if c & m) for m in built)
-                assert all(key in mixprod.invariants._BETTI_AT for _, key, _, _ in plan.rows)
                 read.clear()
-                assert hochster_betti(b, field) == got
+                assert hochster_betti(b, field, plan) == got
                 assert read == []
+            check_walk(got, b.gen_masks())
             assert got.multigraded == full_walk_multigraded(b, field)
             if field == RATIONALS or b.ambient.nvars <= 5:
                 assert got.entries == brute_hochster(b.ambient.nvars, supports_of(b), field.char)
 
     @pytest.mark.parametrize("field", [RATIONALS, GF2])
     @pytest.mark.parametrize("dual", [False, True])
-    def test_projective_plane(self, fresh_memo, field, dual):
+    def test_projective_plane(self, fresh_set_up, field, dual):
         # RP2 itself is the restriction to all six vertices: over GF(2) it
         # has h~_1 = h~_2 = 1, so beta_{4,V} = beta_{3,V} = 1; over Q none.
         # Its Alexander dual has h~_j = h~_{3-j} of RP2, which puts the
@@ -935,7 +957,7 @@ class TestDualityInsideW:
             assert got.entries == brute_hochster(6, supports_of(b))
 
     @pytest.mark.parametrize("singletons", [False, True])
-    def test_vertex_in_every_generator_inside_w(self, fresh_memo, singletons):
+    def test_vertex_in_every_generator_inside_w(self, fresh_set_up, singletons):
         # At W = {1,2,3} both generators hold x1. Over the swap classes
         # {x1}, {x2,x3} the one corner k = (1,1) that is no cone has
         # Gamma_k = {<empty>}; over singleton classes Gamma_k is the dual
@@ -1016,10 +1038,11 @@ class TestConeCheck:
     def test_generator_cover_agrees_with_facet_intersection(self, a):
         # a nonempty representative W is a row iff the facets of
         # restrict(Delta, W) share no vertex, Delta|_W being a cone
-        # otherwise; the plan reads that off the generator types inside W.
-        # Over singleton classes every W is a representative. The parts
-        # read at each row's key, on its own box, give the Betti numbers of
-        # restrict at W, and the homology they take is of complexes on the
+        # otherwise; that is read off the generator types inside W, and the
+        # walk lists nothing at any other W. Over singleton classes every W
+        # is a representative. The parts read at each row's key, on its own
+        # box, give the Betti numbers of restrict at W, which the walk
+        # lists there, and the homology they take is of complexes on the
         # classes that meet W
         delta = mixprod.homology.stanley_reisner(a)
         gens = a.gen_masks()
@@ -1028,7 +1051,10 @@ class TestConeCheck:
             mixprod.invariants._plan_of(a),
             mixprod.invariants._walk_plan(gens, singletons, tuple(gen_types(gens, singletons))),
         ):
-            keys = {w: key for w, key, _, _ in plan.rows}
+            keys = {w: key for w, key, _, _ in rows_by_scan(gens, plan.classes)}
+            walked = {}
+            for i, w, r in hochster_betti(a, GF2, plan).walk:
+                walked.setdefault(w, {})[i] = r
             for w in representatives(plan.classes):
                 if not w:
                     continue
@@ -1037,12 +1063,13 @@ class TestConeCheck:
                     common &= f
                 assert (w in keys) == (not common)
                 if common:
+                    assert w not in walked
                     continue
                 with pytest.MonkeyPatch.context() as mp:
                     read = spy(mp, "_corners")
                     homologies = spy(mp, "_homology_of_faces")
-                    got = mixprod.invariants._betti_of((parts_on_own_box(keys[w]), {}), GF2.char)
-                assert {i: r for i, r in got.items() if r} == by_restrict(delta, w, GF2)
+                    got = mixprod.invariants._betti_of(parts_on_own_box(keys[w]), GF2.char)
+                assert got == by_restrict(delta, w, GF2) == walked.get(w, {})
                 # the parts on the key's own box read the corners of that box
                 assert read == [keys[w]]
                 meeting = sum(1 for c in plan.classes if c & w)
@@ -1093,13 +1120,16 @@ class TestPlanRows:
         st.booleans(),
     )
     def test_rows_by_generator_scan(self, case, singletons):
-        # the rows of the ideal's plan and of its dual's, over the swap
-        # classes, the given classes or singleton classes, are the nonempty
-        # non-cone representatives with the keys a scan of the generators
-        # finds: every grid point the plan drops holds no generator, so it
-        # and the points it grows to are cones or empty. Over singleton
-        # classes a key's inside types, read as masks, are the generators
-        # inside W relabelled onto W's dense bits
+        # the plan of the ideal and of its dual, over the swap classes, the
+        # given classes or singleton classes, holds one corner table per
+        # set of classes that is a union of supports of generator types,
+        # which every row meets, a row being a nonempty non-cone
+        # representative that a scan of the generators finds; each table is
+        # the corner pass on its classes' sizes and the types supported
+        # there, and the walk lists only rows. Over singleton classes a
+        # table has at most the one corner k = M, and its Gamma_k is the
+        # Alexander dual inside M, with the facets M - g over the
+        # generators g inside M, relabelled onto M's dense bits
         a, given = case
         for b in (a, alexander_dual(a)):
             gens = b.gen_masks()
@@ -1107,19 +1137,25 @@ class TestPlanRows:
                 classes = tuple(1 << v for v in range(b.ambient.nvars))
             else:
                 classes = tuple(swap_classes(b) if given is None else given)
-            plan = mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes)))
-            assert plan.rows == rows_by_scan(gens, classes)
-            # tops holds the row at each union of the classes some row
-            # meets, under that union, and no other row
-            unions = {sum(c for c in classes if c & w) for w, _, _, _ in plan.rows}
-            assert plan.tops == {w: key for w, key, _, _ in plan.rows if w in unions}
-            assert set(plan.tops) == unions
-            if singletons:
-                for w, (c, inside), _, _ in plan.rows:
-                    assert c == (1,) * w.bit_count()
-                    relabelled = sorted(bit_by_bit(g, w) for g in gens if g & ~w == 0)
-                    masks = [sum(x << v for v, x in enumerate(d)) for d in inside]
-                    assert sorted(masks) == relabelled
+            types = tuple(gen_types(gens, classes))
+            plan = mixprod.invariants._walk_plan(gens, classes, types)
+            check_walk(hochster_betti(b, GF2, plan), gens)
+            assert {meets_of(w, classes) for w, *_ in rows_by_scan(gens, classes)} <= set(plan.tables)
+            for m, corners in plan.tables.items():
+                meets = [j for j, c in enumerate(classes) if c & m]
+                inside = [
+                    tuple(d[j] for j in meets)
+                    for d in types
+                    if not any(x for j, x in enumerate(d) if j not in meets)
+                ]
+                sizes = [classes[j].bit_count() for j in meets]
+                assert corners == mixprod.invariants._corners(sizes, inside), (b, classes, m)
+                if singletons:
+                    facets = tuple(sorted(bit_by_bit(m ^ g, m) for g in gens if g & ~m == 0))
+                    common = reduce(and_, facets)
+                    size = m.bit_count()
+                    gamma = mixprod.homology._canonical_facets(facets)
+                    assert corners == (() if common else (((0,) * size, gamma, size),))
 
 
 class TestCornerTable:
@@ -1133,11 +1169,11 @@ class TestCornerTable:
         st.booleans(),
     )
     def test_walk_parts_are_the_parts_on_each_rows_box(self, case, singletons):
-        # at every row of the plan of the ideal and of its dual, over the
-        # swap classes, the given classes or singleton classes, the parts
-        # a walk on an empty memo keeps, summed from the corner table of
-        # the classes the row meets, are those read off the row's key
-        # alone, by the corner pass on W's own box
+        # at every row of the ideal and of its dual, over the swap classes,
+        # the given classes or singleton classes, the parts read off the
+        # plan's corner table of the classes the row meets are those read
+        # off the row's key alone, by the corner pass on W's own box, and
+        # the walk lists the Betti numbers they give
         a, given = case
         for b in (a, alexander_dual(a)):
             gens = b.gen_masks()
@@ -1146,23 +1182,21 @@ class TestCornerTable:
             else:
                 classes = tuple(swap_classes(b) if given is None else given)
             plan = mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes)))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mixprod.invariants, "_BETTI_AT", {})
-                hochster_betti(b, GF2, plan)
-                walked = dict(mixprod.invariants._BETTI_AT)
-            for w, key, _, _ in plan.rows:
+            walked = {}
+            for i, w, r in hochster_betti(b, GF2, plan).walk:
+                walked.setdefault(w, {})[i] = r
+            for w, key, _, _ in rows_by_scan(gens, classes):
                 expected = type_cubes_by_box(*key)
-                assert walked[key][0] == expected, (b, classes, w)
-                top = sum(c for c in plan.classes if c & w)
-                table = mixprod.invariants._corners(*plan.tops[top])
-                assert mixprod.invariants._parts(key[0], table) == expected
+                table = plan.tables[meets_of(w, classes)]
+                assert mixprod.invariants._parts(key[0], table) == expected, (b, classes, w)
                 assert parts_on_own_box(key) == expected
+                assert mixprod.invariants._betti_of(expected, GF2.char) == walked.get(w, {})
 
 
 class TestNoComplexInTheWalk:
     # The walk reads Delta|_W off the generator types: no Stanley-Reisner
     # complex is built, none is restricted, and no dual comes from Berge.
-    def test_oracle_calls_no_complex_and_no_berge(self, fresh_memo, monkeypatch):
+    def test_oracle_calls_no_complex_and_no_berge(self, fresh_set_up, monkeypatch):
         from test_homology import RP2
 
         def forbidden(*args, **kwargs):
@@ -1202,12 +1236,14 @@ class TestNoComplexInTheWalk:
         for name in (
             "SimplicialComplex", "reduced_homology_ranks", "_choose_side", "_types_bound",
             "_restricted_facets", "_restricted_types", "_local_gens", "_type_cubes",
-            "_gen_types", "_top_key",
+            "_gen_types", "_top_key", "_BETTI_AT", "_Key", "_Entry",
         ):
             assert not hasattr(mixprod.invariants, name)
         assert list(inspect.signature(hochster_betti).parameters) == ["a", "field", "plan"]
         fields = mixprod.invariants._WalkPlan.__dataclass_fields__
-        assert list(fields) == ["gens", "classes", "types", "rows", "tops"]
+        assert list(fields) == ["gens", "classes", "types", "tables", "sums"]
+        # the walk and the multigraded refinement are built when read
+        assert list(mixprod.BettiTable.__dataclass_fields__) == ["ambient", "entries", "plan", "char"]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1235,9 +1271,10 @@ class TestNoComplexInTheWalk:
 
 
 # --- a memo shared by many ideals ------------------------------------------------
-# The Betti memo is keyed on the relabelled generators inside W alone, so a
-# table computed after other ideals, their duals and other fields have
-# filled it must equal the one computed on an empty memo.
+# The homology memo (_homology_of_faces) is keyed on the canonical facets of
+# each Gamma_k and the field characteristic alone, and the report set-up on
+# the last ideal, so a table computed after other ideals, their duals and
+# other fields have filled them must equal the one computed on none.
 
 
 class TestWarmMemo:
@@ -1249,11 +1286,12 @@ class TestWarmMemo:
     )
     def test_warm_table_is_the_cold_table(self, a, others, fields):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_BETTI_AT", {})
+            fresh = lru_cache(maxsize=None)(mixprod.homology._homology_of_faces.__wrapped__)
+            mp.setattr(mixprod.invariants, "_homology_of_faces", fresh)
             mp.setattr(mixprod.invariants, "_SET_UP", {})
             cold = {f: hochster_betti(a, f) for f in fields}
+            cold_walks = {f: cold[f].walk for f in fields}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_BETTI_AT", {})
             mp.setattr(mixprod.invariants, "_SET_UP", {})
             for b in others:
                 for f in fields:
@@ -1262,33 +1300,34 @@ class TestWarmMemo:
             for f in fields:
                 warm = hochster_betti(a, f)
                 assert warm == cold[f]
+                assert warm.walk == cold_walks[f]
                 assert warm.multigraded == cold[f].multigraded
                 assert warm.entries == brute_hochster(a.ambient.nvars, supports_of(a), f.char)
 
-    def test_walk_order_does_not_depend_on_the_plan_that_filled_the_memo(self, fresh_memo):
+    def test_walk_order_does_not_depend_on_the_plan_that_filled_the_memo(self, fresh_set_up):
         # J_3 + I_1J_1 at 1x3: at W = all four variables the parts read over
         # the swap classes give beta_{3,W} before beta_{2,W}, those over
-        # singleton classes the reverse; the memo value is sorted by i, so
-        # a table, its walk included, is the same whichever plan filled the
-        # memo, and lists i ascending at W over either classes
+        # singleton classes the reverse; a walk sorts each W's values by i,
+        # so a table, its walk included, is the same whichever plan filled
+        # the homology memo, and lists i ascending at W over either classes
         a = realize_spec(MixedProductSpec(Ambient(1, 3), ((0, 3), (1, 1))))
         singletons = tuple(1 << v for v in range(4))
         types = tuple(gen_types(a.gen_masks(), singletons))
         plan = mixprod.invariants._walk_plan(a.gen_masks(), singletons, types)
         swapped = mixprod.invariants._plan_of(a)
         assert len(swapped.classes) == 2
-        (top,) = [key for w, key, _, _ in swapped.rows if w == 0b1111]
+        (top,) = [key for w, key, _, _ in rows_by_scan(a.gen_masks(), swapped.classes) if w == 0b1111]
         # Gamma_k = {<empty>} gives i = 4 - 1, listed first; two points give i = 2 + 0
         assert [base for _, base, _ in parts_on_own_box(top)] == [4, 2]
         cold = hochster_betti(a, GF2, plan)
-        mixprod.invariants._BETTI_AT.clear()
         swap_walk = hochster_betti(a, GF2)
         assert hochster_betti(a, GF2, plan) == cold
+        assert swap_walk.entries == cold.entries
         assert swap_walk.multigraded == cold.multigraded
         for table in (cold, swap_walk):
             assert [i for i, w, _ in table.walk if w == 0b1111] == [2, 3]
 
-    def test_after_a_foreign_dual(self, fresh_memo):
+    def test_after_a_foreign_dual(self, fresh_set_up):
         # I_1J_2+I_2J_1 at 3x3 after I_1J_1 and its dual, over GF(2) and Q
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
         b = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 1),)))
@@ -1302,55 +1341,64 @@ class TestWarmMemo:
 
 
 # --- the Betti memo ------------------------------------------------------------
-# beta_{i,W} depends only on the generators inside W, so hochster_betti
-# memoizes it process-wide in _BETTI_AT on those generators, relabelled
-# onto W's dense bits: one entry holds the parts read off the types once
-# and a value per field characteristic.
+# No beta_{i,W} is kept: a plan holds the corner tables of the ideal and
+# their polynomials, read off the types once, and each field's totals
+# take one homology per complex Gamma_k and |k| in the plan's sums, from
+# the process-wide homology memo (_homology_of_faces) keyed on Gamma_k's
+# canonical facets and the field characteristic.
 
 
 class TestBettiMemo:
-    def test_misses_rank_only_complexes_on_the_classes(self, fresh_memo, monkeypatch):
-        # the misses read the types once, into one corner table for the
-        # one set of classes the rows meet, both classes, on the box of
-        # their sizes, and rank only complexes Gamma_k on the two classes,
-        # never a complex on W: I_1J_2+I_2J_1 at 3x3
+    def test_misses_rank_only_complexes_on_the_classes(self, fresh_set_up, monkeypatch):
+        # the plan reads the types once, into one corner table for the one
+        # set of classes every row meets, both classes, on the box of their
+        # sizes, and the totals rank only complexes Gamma_k on the two
+        # classes, one per complex and |k|, never a complex on W:
+        # I_1J_2+I_2J_1 at 3x3
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
         read = spy(monkeypatch, "_corners")
         homologies = spy(monkeypatch, "_homology_of_faces")
         got = hochster_betti(a, GF2)
-        plan = mixprod.invariants._plan_of(a)
-        assert {meets_of(w, plan.classes) for w, *_ in plan.rows} == {0b111111}
-        assert len({key for _, key, _, _ in plan.rows}) > 1
-        assert read == [((3, 3), plan.types)]
+        plan = got.plan
+        rows = rows_by_scan(a.gen_masks(), plan.classes)
+        assert {meets_of(w, plan.classes) for w, *_ in rows} == {0b111111} == set(plan.tables)
+        assert len({key for _, key, _, _ in rows}) > 1
+        assert read == [([3, 3], [(1, 2), (2, 1)])]
+        assert len(homologies) == len(plan.sums)
         assert homologies and all(reduce(or_, facets, 0) < 0b100 for facets, _ in homologies)
         assert got.entries == brute_hochster(6, supports_of(a))
         assert got.multigraded == full_walk_multigraded(a, GF2)
 
-    def test_second_walk_is_served_by_the_memo(self, fresh_memo, monkeypatch):
+    def test_second_walk_is_served_by_the_memo(self, fresh_set_up, monkeypatch):
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
         read = spy(monkeypatch, "_corners")
         homologies = spy(monkeypatch, "_homology_of_faces")
         first = hochster_betti(a, GF3)
-        # one corner table on the cold walk, for its one set of classes
+        # one corner table in the plan, for its one set of classes
         assert len(read) == 1 and homologies
         assert all(char == 3 for _, char in homologies)
         read.clear()
         homologies.clear()
-        second = hochster_betti(a, GF3)
-        assert read == [] and homologies == []
+        memo = mixprod.homology._homology_of_faces.cache_info
+        misses = memo().misses
+        # on the same plan: no corner table, and every homology a memo hit
+        second = hochster_betti(a, GF3, first.plan)
+        assert read == [] and len(homologies) == len(first.plan.sums)
+        assert memo().misses == misses
         assert second == first
         assert second.entries == brute_hochster(6, supports_of(a), 3)
         assert second.multigraded == full_walk_multigraded(a, GF3)
-        # another field takes the homology of each part again, but builds
-        # no corner table
-        third = hochster_betti(a, GF2)
+        # another field takes the homology of each complex again, but
+        # builds no corner table
+        homologies.clear()
+        third = hochster_betti(a, GF2, first.plan)
         assert read == [] and homologies
         assert all(char == 2 for _, char in homologies)
         assert third.entries == brute_hochster(6, supports_of(a), 2)
 
-    def test_projective_plane_over_gf2_then_q(self, fresh_memo):
-        # The same restricted ideals come back over the second field; the
-        # memo must tell the fields apart, as RP2's homology does.
+    def test_projective_plane_over_gf2_then_q(self, fresh_set_up):
+        # The same complexes Gamma_k come back over the second field; the
+        # homology memo must tell the fields apart, as RP2's homology does.
         from test_homology import RP2
 
         amb = Ambient(6, 0)
@@ -1361,6 +1409,66 @@ class TestBettiMemo:
             assert {i: r for (i, w), r in got.multigraded.items() if w == amb.full_mask} == top
 
 
+# --- totals from one polynomial per corner ---------------------------------------
+# hochster_betti sums, over the corners k of each set of classes M, the
+# homology of Gamma_k times the coefficients of prod_C P_{s_C,k_C}(x): the
+# orbit-weighted sum over the W meeting M of the multiplicities _parts
+# reads at W. The totals are checked against the independent oracle and
+# against the orbit-weighted sum of the walk, which reads _parts at each W.
+
+
+class TestCornerSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            squarefree_ideals().map(lambda a: (a, None)), stable_ideals(), many_class_ideals()
+        ),
+        st.sampled_from([RATIONALS, GF2, GF3]),
+    )
+    def test_totals_are_hochster_and_the_walk(self, case, field):
+        # over the swap classes and over the given classes, which may split
+        # a swap class
+        a, given = case
+        expected = brute_hochster(a.ambient.nvars, supports_of(a), field.char)
+        gens = a.gen_masks()
+        plans = [None]
+        if given is not None:
+            classes = tuple(given)
+            plans.append(mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes))))
+        for plan in plans:
+            got = hochster_betti(a, field, plan)
+            assert got.entries == expected
+            assert walk_totals(got) == expected
+
+    def test_projective_plane_torsion(self):
+        # RP2 and its Alexander dual: over GF(2) the totals gain
+        # beta_{3,6} = beta_{4,6} = 1, the torsion of H_1(RP2; Z), and
+        # nothing else differs from Q
+        from test_homology import RP2
+
+        a = stanley_reisner_ideal(Ambient(6, 0), RP2.facets)
+        for b in (a, alexander_dual(a)):
+            q, f2 = hochster_betti(b, RATIONALS), hochster_betti(b, GF2)
+            assert q.entries == brute_hochster(6, supports_of(b))
+            assert f2.entries == brute_hochster(6, supports_of(b), 2)
+            assert walk_totals(q) == q.entries and walk_totals(f2) == f2.entries
+            keys = set(q.entries) | set(f2.entries)
+            gained = {k: f2.rank(*k) - q.rank(*k) for k in keys if f2.rank(*k) != q.rank(*k)}
+            assert gained == {(3, 6): 1, (4, 6): 1}
+
+    def test_corner_polynomials_are_the_double_sum(self):
+        # P_{s,k}(x) = sum_c C(s, c) C(c - 1, k - 1) x^c against the sum,
+        # over the c-subsets W of s variables, of the k-subsets of W that
+        # hold W's lowest variable: the two-term complexes in sizes k and
+        # k - 1 that split the simplex on W; both counted by enumeration
+        sizes = {s: Counter(w.bit_count() for w in range(1 << s)) for s in range(17)}
+        holding_lowest = {c: Counter(t.bit_count() for t in range(1, 1 << c, 2)) for c in range(17)}
+        for s in range(1, 17):
+            for k in range(1, s + 1):
+                expected = [sizes[s][c] * holding_lowest[c][k] for c in range(s + 1)]
+                assert list(mixprod.invariants._corner_poly(s, k)) == expected, (s, k)
+
+
 # --- the report set-up -------------------------------------------------------
 # What oracle_report reads off the generators alone (the ideal's plan, its
 # dual, the dual's plan and the dimension) is set up once per ideal, and
@@ -1369,9 +1477,9 @@ class TestBettiMemo:
 
 
 class TestSharedWalkState:
-    def test_projective_plane_over_alternating_fields(self, fresh_memo):
-        # RP2's tables differ by field, so a plan or a memo entry carried
-        # from one field to the next would show here.
+    def test_projective_plane_over_alternating_fields(self, fresh_set_up):
+        # RP2's tables differ by field, so a value carried from one field
+        # to the next through the plan or the homology memo would show here.
         from test_homology import RP2
 
         amb = Ambient(6, 0)
@@ -1402,7 +1510,7 @@ class TestSharedWalkState:
         assert realize_spec.cache_info().currsize == 1
         assert realize_spec(specs[49]) is a
 
-    def test_three_fields_share_one_set_up(self, fresh_memo, monkeypatch):
+    def test_three_fields_share_one_set_up(self, fresh_set_up, monkeypatch):
         # reports on one ideal over Q, GF(2) and GF(3) find the classes
         # once and read generator types once, both off the ideal's
         # indicator, and expand one dual; a self-dual ideal just before
@@ -1429,6 +1537,33 @@ class TestSharedWalkState:
             assert counted == [(t, a.ambient.nvars, tuple(swap_classes(a)))]
             assert len(duals) == 1
 
+    def test_three_fields_build_each_corner_table_once(self, fresh_set_up, monkeypatch):
+        # reports on one ideal over Q, GF(2) and GF(3) build the corner
+        # tables of the ideal and of its dual once, in the set-up, one per
+        # set of classes that is a union of supports of generator types,
+        # and sum the totals of both sides in each report; a self-dual
+        # ideal's one plan serves both sides
+        amb = Ambient(3, 0)
+        cases = [
+            (MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110)), True),
+            (realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1)))), False),
+            (realize_spec(MixedProductSpec(Ambient(4, 4), ((2, 2),))), False),
+            (ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2"), False),
+        ]
+        read = spy(monkeypatch, "_corners")
+        walks = spy(monkeypatch, "hochster_betti")
+        for a, self_dual in cases:
+            read.clear()
+            walks.clear()
+            for field in (RATIONALS, GF2, GF3):
+                oracle_report(a, field)
+            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+            assert (dual_plan is plan) == self_dual
+            sides = [plan] if self_dual else [plan, dual_plan]
+            assert len(read) == sum(len(class_sets(p.classes, p.types)) for p in sides)
+            assert len(walks) == 6
+            assert [args[0] for args in walks] == [a, dual] * 3
+
     def test_a_report_builds_no_generator(self, monkeypatch):
         # realize_spec and oracle_report read masks only: no SqFreeMonomial
         # is made, and gens stays unbuilt on the ideal and on its dual
@@ -1447,7 +1582,7 @@ class TestSharedWalkState:
             dual = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][1]
             assert "gens" not in vars(a) and "gens" not in vars(dual), spec
 
-    def test_a_self_dual_ideal_is_planned_once(self, fresh_memo, monkeypatch):
+    def test_a_self_dual_ideal_is_planned_once(self, fresh_set_up, monkeypatch):
         # I_2 at three variables is its own dual: its plan serves both walks
         a = MonomialIdeal.from_masks(Ambient(3, 0), (0b011, 0b101, 0b110))
         assert alexander_dual(a) == a
@@ -1464,7 +1599,7 @@ class TestSharedWalkState:
     @pytest.mark.parametrize(
         "n, m, terms", [(4, 4, ((2, 2),)), (3, 2, ((1, 1), (2, 0))), (2, 2, ((1, 1),))]
     )
-    def test_the_dual_plan_takes_the_ideal_classes(self, fresh_memo, monkeypatch, n, m, terms):
+    def test_the_dual_plan_takes_the_ideal_classes(self, fresh_set_up, monkeypatch, n, m, terms):
         # a permutation fixes an ideal exactly when it fixes its dual, so
         # a report finds the classes once, for the ideal's plan, and the
         # dual's plan holds the types of Berge's dual over them

@@ -15,14 +15,11 @@ from .core import (
     MixedProductSpec,
     MonomialIdeal,
     SqFreeMonomial,
-    alexander_dual,
     canonicalize_spec,
     contains_monomial,
     ideal_intersect,
     ideal_product,
     ideal_sum,
-    krull_dim,
-    minimal_primes,
     realize_spec,
     swap_blocks,
     veronese_ideal,
@@ -54,10 +51,6 @@ from .homology import (
     GF3,
     RATIONALS,
     FieldSpec,
-    SimplicialComplex,
-    reduced_homology_ranks,
-    restrict,
-    stanley_reisner,
 )
 from .invariants import (
     BettiTable,
@@ -80,6 +73,15 @@ from .mixed import (
     syzygy_witness,
     verify_koszul_cycle,
     verify_syzygy_witness,
+)
+from .reference import (
+    SimplicialComplex,
+    alexander_dual,
+    krull_dim,
+    minimal_primes,
+    reduced_homology_ranks,
+    restrict,
+    stanley_reisner,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ from .core import (
     MixedProductSpec,
     canonicalize_spec,
     mask_to_vars,
-    minimal_primes,
     realize_spec,
 )
 from .errors import MixprodError, UnsupportedShape
@@ -209,7 +208,9 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(json.dumps(doc, indent=2), args.out)
     else:
-        text = f"{spec}  in  K[x1..x{spec.ambient.n}, y1..y{spec.ambient.m}]\n"
+        sizes = (("x", spec.ambient.n), ("y", spec.ambient.m))
+        blocks = ", ".join(f"{b}1..{b}{size}" for b, size in sizes if size)
+        text = f"{spec}  in  K[{blocks}]\n"
         text += _invariants_table(doc)
         if mismatch:
             text += "\nMISMATCH between formula and oracle"
@@ -312,14 +313,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_dual(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
-    ideal = realize_spec(spec)
-    dual = dual_by_types(ideal)
-    primes = minimal_primes(ideal, dual=dual)
+    # the minimal primes are the supports of the dual's generators
+    supports = [sorted(mask_to_vars(g)) for g in dual_by_types(realize_spec(spec)).gen_masks()]
+    primes = sorted(supports, key=lambda s: (len(s), s))
     amb = spec.ambient
     doc = spec_to_json(spec)
-    doc["dual_gens"] = [
-        sorted(amb.variable_name(i) for i in mask_to_vars(g)) for g in dual.gen_masks()
-    ]
+    doc["dual_gens"] = [sorted(amb.variable_name(i) for i in s) for s in supports]
     doc["minimal_primes"] = [sorted(amb.variable_name(i) for i in p) for p in primes]
     if args.format == "json":
         _emit(json.dumps(doc, indent=2), args.out)

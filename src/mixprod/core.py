@@ -1,4 +1,4 @@
-"""Square-free monomials, monomial-ideal arithmetic and Alexander duality.
+"""Square-free monomials, monomial-ideal arithmetic and mixed product specs.
 
 The ambient ring is K[x_1..x_n, y_1..y_m]. Variables are numbered 1..n+m
 with the x-block first, and a square-free monomial is the set of variables
@@ -18,7 +18,6 @@ from .errors import (
     CapExceeded,
     DegreeOutOfRange,
     InvalidAmbient,
-    SupportOutsideVertices,
     UnsupportedIdeal,
     UnsupportedShape,
 )
@@ -329,77 +328,6 @@ def contains_monomial(a: MonomialIdeal, u: SqFreeMonomial) -> bool:
     if u.ambient != a.ambient:
         raise AmbientMismatch("monomial from a different ambient")
     return any(g & ~u.mask == 0 for g in a.gen_masks())
-
-
-def alexander_dual(
-    a: MonomialIdeal, vertices: Iterable[int] | None = None
-) -> MonomialIdeal:
-    """Intersection of the variable primes of the generators, relative to
-    the given vertex set (default: all ambient variables). Involutive on a
-    fixed vertex set.
-
-    Its generators are the minimal transversals of the generator supports,
-    built by Berge's incremental algorithm (C. Berge, Hypergraphs, 1989,
-    ch. 2): at each generator g, the transversals that meet g are kept,
-    each other one is extended by one variable of g at a time, and an
-    extension survives unless it contains a kept transversal. A kept k
-    lies inside the extension t | s (t missing g, s in g) exactly when
-    k & g == s and k ^ s lies inside t, so the kept transversals that meet
-    g in one variable s are indexed as k ^ s under s, and each extension is
-    tested against its own variable's list only. The result
-    is a duplicate-free antichain with no minimalizing pass: if t | s lay
-    inside t' | s' for transversals t, t' missing g and s, s' in g, then t
-    would lie inside t', so t = t' and s = s'; and a kept transversal
-    containing t | s would strictly contain t, though both are minimal
-    transversals of the earlier generators."""
-    if not a.is_proper_nonzero:
-        raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
-    vmask = a.ambient.full_mask if vertices is None else vars_to_mask(vertices)
-    if vmask & ~a.ambient.full_mask:
-        raise SupportOutsideVertices("vertex set outside the ambient")
-    gens = a.gen_masks()
-    for g in gens:
-        if g & ~vmask:
-            raise SupportOutsideVertices(
-                f"generator {SqFreeMonomial(a.ambient, g)} uses variables outside the vertex set"
-            )
-    current = [0]
-    for g in gens:
-        kept = [t for t in current if t & g]
-        # inside[s]: k ^ s for the kept k with k & g == s, a single variable
-        inside: dict[int, list[int]] = {
-            1 << i: [] for i in range(g.bit_length()) if g >> i & 1
-        }
-        for k in kept:
-            s = k & g
-            if s in inside:
-                inside[s].append(k ^ s)
-        current = kept + [
-            t | s
-            for t in current
-            if not t & g
-            for s, rests in inside.items()
-            if not any(r & ~t == 0 for r in rests)
-        ]
-    return MonomialIdeal._trusted(a.ambient, sorted(current))
-
-
-def minimal_primes(
-    a: MonomialIdeal, dual: MonomialIdeal | None = None
-) -> list[frozenset[int]]:
-    """Variable sets of the minimal primes: supports of the dual's minimal
-    generators over the full ambient vertex set. Pass `dual` when
-    alexander_dual(a) is already at hand."""
-    if dual is None:
-        dual = alexander_dual(a)
-    else:
-        _check_same_ambient(a, dual)
-    return sorted(map(mask_to_vars, dual.gen_masks()), key=lambda s: (len(s), sorted(s)))
-
-
-def krull_dim(a: MonomialIdeal) -> int:
-    """dim(S/a) = (number of variables) - height."""
-    return a.ambient.nvars - min(len(p) for p in minimal_primes(a))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,12 @@
-"""Stanley-Reisner complexes and exact reduced simplicial homology.
-
-stanley_reisner, restrict and reduced_homology_ranks are the reference
-for Hochster's formula: mixprod.invariants sums the Betti numbers off the
-generator types and ranks here only the small complexes Gamma_k of that
-sum, on the classes of interchangeable variables.
+"""Coefficient fields and exact reduced simplicial homology: the kernel
+that ranks the complexes Gamma_k of the oracle's Hochster sum.
 
 Conventions: the reduced (augmented) chain complex is used throughout, so
 the complex {<empty face>} has h~_{-1} = 1 and any full simplex has zero
 homology everywhere. The void complex (no faces at all) carries no
-homology and is rejected. Homology is computed from the facets alone,
-relabelled onto dense vertex bits, which is also the cache key; the cells
-are found only when the cache misses. The closed star of one vertex v,
+homology. Homology is computed from the facets alone, relabelled onto
+dense vertex bits, which is also the cache key; the cells are found only
+when the cache misses. The closed star of one vertex v,
 the vertex in the most facets and the lowest on ties, is a cone and so
 acyclic: the reduced homology of the complex is that of the relative
 complex (Delta minus v, lk v), whose cells are the faces outside the star.
@@ -30,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-from .core import MonomialIdeal, _minimalize, alexander_dual, vars_to_mask
-from .errors import UnsupportedIdeal, VerticesOutsideComplex, VoidComplex
 
 
 def _is_prime(p: int) -> bool:
@@ -86,63 +79,6 @@ GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Vertex set plus facets (maximal faces), both as variable bitmasks.
-
-    An empty facet tuple is the void complex; the facet tuple (0,) is the
-    complex whose only face is the empty set.
-    """
-
-    vertices: int
-    facets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.facets != tuple(sorted(set(self.facets))):
-            raise ValueError("facets must be sorted and duplicate-free")
-        for f in self.facets:
-            if f & ~self.vertices:
-                raise ValueError("facet outside the vertex set")
-        for f in self.facets:
-            for g in self.facets:
-                if f != g and f & ~g == 0:
-                    raise ValueError("facets are not an antichain")
-
-    @classmethod
-    def _trusted(cls, vertices: int, facets: tuple[int, ...]) -> "SimplicialComplex":
-        """Build from facets the package has just made into a sorted,
-        duplicate-free antichain inside `vertices`, skipping the quadratic
-        checks of __post_init__."""
-        complex_ = object.__new__(cls)
-        object.__setattr__(complex_, "vertices", vertices)
-        object.__setattr__(complex_, "facets", facets)
-        return complex_
-
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
-    @property
-    def dim(self) -> int:
-        """Dimension; -1 for {<empty>}. Undefined (raises) on the void complex."""
-        if self.is_void:
-            raise VoidComplex("the void complex has no dimension")
-        return max(f.bit_count() for f in self.facets) - 1
-
-    def has_face(self, face_vars: Iterable[int]) -> bool:
-        fmask = vars_to_mask(face_vars)
-        return any(fmask & ~f == 0 for f in self.facets)
-
-    def all_faces(self) -> list[int]:
-        """Every face mask, sorted ascending (deterministic)."""
-        return _faces(self.facets)
-
-
-def _faces(facets: Iterable[int]) -> list[int]:
-    """Every face of the complex with these facets, sorted ascending."""
-    return sorted(_face_set(facets))
-
-
 def _face_set(facets: Iterable[int]) -> set[int]:
     """Every face of the complex with these facets, as a set."""
     seen: set[int] = set()
@@ -155,34 +91,6 @@ def _face_set(facets: Iterable[int]) -> set[int]:
                 break
             sub = (sub - 1) & f
     return seen
-
-
-def stanley_reisner(a: MonomialIdeal) -> SimplicialComplex:
-    """Complex whose faces are the variable sets supporting no generator.
-
-    Its facets are the complements of the minimal primes of a, which are
-    the supports of the generators of the Alexander dual: no subset walk
-    is made. The zero ideal gives the full simplex; an ideal
-    containing every variable gives {<empty>}; the unit ideal is rejected
-    (its complex would be void, which homology excludes).
-    """
-    if a.is_unit:
-        raise UnsupportedIdeal("the unit ideal has no Stanley-Reisner complex here")
-    full = a.ambient.full_mask
-    if a.is_zero:
-        return SimplicialComplex(full, (full,))
-    dual = alexander_dual(a)
-    return SimplicialComplex._trusted(full, tuple(sorted(full ^ g for g in dual.gen_masks())))
-
-
-def restrict(d: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
-    """Full subcomplex on the vertex subset w (indices or a ready bitmask)."""
-    wmask = w if isinstance(w, int) else vars_to_mask(w)
-    if wmask & ~d.vertices:
-        raise VerticesOutsideComplex("restriction vertices outside the complex")
-    # maximal sets among f & w are the complements in w of the minimal w & ~f
-    missing = _minimalize(wmask & ~f for f in d.facets)
-    return SimplicialComplex._trusted(wmask, tuple(sorted(wmask ^ g for g in missing)))
 
 
 # --- exact rank computations -------------------------------------------------
@@ -240,8 +148,8 @@ def _matrix_rank(cols: list[dict[int, int]], field: FieldSpec) -> int:
 def _homology_of_faces(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
     """Reduced homology ranks of the complex with these facets over the
     field of characteristic char, as (i, h~_i) pairs for i = -1 .. dim.
-    The key is the facet tuple that reduced_homology_ranks relabels onto
-    dense vertex bits, so complexes of the same shape, such as the
+    The key is a facet tuple relabelled onto dense vertex bits
+    (_canonical_facets), so complexes of the same shape, such as the
     complexes Gamma_k that Hochster's sum reads off the type grid, which
     repeat heavily across ideals and fields, share one entry, and the
     cells are found only on a miss.
@@ -340,10 +248,3 @@ def _canonical_facets(facets: tuple[int, ...]) -> tuple[int, ...]:
     if support & (support + 1) == 0:  # the vertices in use are dense already
         return facets
     return tuple(_relabel(facets, support))
-
-
-def reduced_homology_ranks(d: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
-    """h~_i(d; field) for i = -1 .. dim(d), as a dict."""
-    if d.is_void:
-        raise VoidComplex("the void complex has no homology")
-    return dict(_homology_of_faces(_canonical_facets(d.facets), field.char))

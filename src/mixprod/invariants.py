@@ -72,12 +72,8 @@ class BettiTable:
         members = [_members(c) for c in self.classes]
         out: dict[tuple[int, int], int] = {}
         for i, w, r in self.walk:
-            parts = [
-                [sum(s) for s in combinations(bits, (w & cls).bit_count())]
-                for cls, bits in zip(self.classes, members)
-            ]
-            for v in product(*parts):
-                out[(i, sum(v))] = r
+            orbit = _sets_of_types([tuple([(w & c).bit_count() for c in self.classes])], members)
+            out.update(((i, v), r) for v in orbit)
         return out
 
 

@@ -10,15 +10,16 @@ import pytest
 
 import mixprod
 import mixprod.cli
-import mixprod.core
 import mixprod.harness
 import mixprod.invariants
+import mixprod.reference
 from mixprod import (
     GF3,
     Ambient,
     MixedProductSpec,
     TeraiMismatch,
     alexander_dual,
+    minimal_primes,
     oracle_report,
     realize_spec,
 )
@@ -69,6 +70,19 @@ class TestInvariants:
         assert code == 0
         assert "formula" in out and "oracle" in out
         assert "depth" in out
+
+    @pytest.mark.parametrize(
+        "n, m, terms, head",
+        [("2", "0", "1,0", "I_1  in  K[x1..x2]"), ("0", "3", "0,2", "J_2  in  K[y1..y3]")],
+    )
+    def test_table_header_lists_the_nonempty_blocks(self, capsys, n, m, terms, head):
+        argv = ["invariants", "--n", n, "--m", m, "--terms", terms]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == head
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["ambient"] == {"n": int(n), "m": int(m)}
 
     def test_noncanonical_input_is_canonicalized(self, capsys):
         code, out, _ = run(
@@ -310,7 +324,7 @@ class TestDual:
             return counting
 
         monkeypatch.setattr(mixprod.cli, "dual_by_types", spying(duals, dual_by_types))
-        monkeypatch.setattr(mixprod.core, "alexander_dual", spying(berge, alexander_dual))
+        monkeypatch.setattr(mixprod.reference, "alexander_dual", spying(berge, alexander_dual))
         # the grid of I_1J_2 + I_2J_1 at 2x2 has more points than the ideal
         # has generators (9 against 4), that of I_2J_2 at 4x4 fewer (25, 36)
         for n, terms in [("2", "1,2+2,1"), ("4", "2,2")]:
@@ -319,6 +333,20 @@ class TestDual:
             assert code == 0
             assert len(duals) == 1
         assert berge == []
+
+    @pytest.mark.parametrize(
+        "n, m, terms", [(2, 2, ((1, 2), (2, 1))), (11, 2, ((3, 1), (5, 0))), (0, 3, ((0, 2),))]
+    )
+    def test_minimal_primes_are_the_reference_primes(self, capsys, n, m, terms):
+        # read off the dual by types, in the order of the reference's
+        # minimal_primes, also where x10 sorts before x2 by name
+        argv = ["dual", "--n", str(n), "--m", str(m), "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--terms", "+".join(f"{k},{l}" for k, l in terms))
+        assert code == 0
+        amb = Ambient(n, m)
+        primes = minimal_primes(realize_spec(MixedProductSpec(amb, terms)))
+        expected = [sorted(amb.variable_name(i) for i in p) for p in primes]
+        assert json.loads(out)["minimal_primes"] == expected
 
     def test_veronese_table(self, capsys):
         code, out, _ = run(capsys, "dual", "--n", "3", "--m", "0", "--terms", "2,0")

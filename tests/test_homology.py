@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import mixprod
 import mixprod.invariants
+import mixprod.reference
 from mixprod import (
     GF2,
     GF3,
@@ -496,7 +497,7 @@ class TestSparseRank:
         made = fractions_made(monkeypatch)
         monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
         fresh = lru_cache(maxsize=None)(homology._homology_of_faces.__wrapped__)
-        monkeypatch.setattr(homology, "_homology_of_faces", fresh)
+        monkeypatch.setattr(mixprod.reference, "_homology_of_faces", fresh)
         monkeypatch.setattr(mixprod.invariants, "_homology_of_faces", fresh)
         specs = [s for s in enumerate_specs(6, 6) if s.ambient.nvars <= 6]
         assert len(specs) == 392

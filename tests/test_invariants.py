@@ -15,6 +15,7 @@ import mixprod.core
 import mixprod.harness
 import mixprod.homology
 import mixprod.invariants
+import mixprod.reference
 from mixprod import (
     GF2,
     GF3,
@@ -500,8 +501,7 @@ class TestOrbitWalk:
             berge.append(args[0])
             return alexander_dual(*args, **kwargs)
 
-        for module in (mixprod.core, mixprod.homology):
-            monkeypatch.setattr(module, "alexander_dual", counting)
+        monkeypatch.setattr(mixprod.reference, "alexander_dual", counting)
         monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
         duals = spy(monkeypatch, "_dual")
         cases = [
@@ -995,7 +995,7 @@ class TestDualityInsideW:
             classes = swap_classes(b)
             types = gen_types(b.gen_masks(), classes)
             assert cubes_at(amb.full_mask, classes, types) == expected
-            delta = mixprod.homology.stanley_reisner(b)
+            delta = mixprod.reference.stanley_reisner(b)
             for field in (RATIONALS, GF2):
                 got = by_types(amb.full_mask, classes, types, field)
                 assert got == by_restrict(delta, amb.full_mask, field)
@@ -1007,7 +1007,7 @@ class TestDualityInsideW:
         # both old sides give expanded: Delta|_W by restrict, and the
         # Alexander dual inside W
         gens = a.gen_masks()
-        delta = mixprod.homology.stanley_reisner(a)
+        delta = mixprod.reference.stanley_reisner(a)
         classes = swap_classes(a)
         types = gen_types(gens, classes)
         for w, _, _, _ in rows_by_scan(gens, classes):
@@ -1044,7 +1044,7 @@ class TestConeCheck:
         # box, give the Betti numbers of restrict at W, which the walk
         # lists there, and the homology they take is of complexes on the
         # classes that meet W
-        delta = mixprod.homology.stanley_reisner(a)
+        delta = mixprod.reference.stanley_reisner(a)
         gens = a.gen_masks()
         singletons = tuple(1 << v for v in range(a.ambient.nvars))
         for plan in (
@@ -1204,7 +1204,9 @@ class TestNoComplexInTheWalk:
 
         import mixprod as package
 
-        for module in (package, mixprod.core, mixprod.homology, mixprod.invariants):
+        for module in (
+            package, mixprod.core, mixprod.homology, mixprod.invariants, mixprod.reference
+        ):
             for name in ("restrict", "stanley_reisner", "alexander_dual"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
@@ -1245,6 +1247,50 @@ class TestNoComplexInTheWalk:
         # the walk and the multigraded refinement are built when read
         assert list(mixprod.BettiTable.__dataclass_fields__) == ["ambient", "entries", "plan", "char"]
 
+    def test_reference_import_rule(self):
+        # the reference route is for the tests, CI and the public API: only
+        # the package's __init__ imports mixprod.reference, which reads the
+        # data model, the kernel and the errors alone, and the moved names
+        # are gone from mixprod.core and mixprod.homology; the CLI reads the
+        # minimal primes off its own dual, so minimal_primes takes no dual
+        import ast
+        import inspect
+        from pathlib import Path
+
+        def package_imports(path):
+            # the package modules that a file's imports name, relative or absolute
+            out = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    paths = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = ".".join(filter(None, ["mixprod" if node.level else "", node.module]))
+                    paths = [base] + [f"{base}.{a.name}" for a in node.names]
+                else:
+                    continue
+                out.update(p.split(".")[1] for p in paths if p.startswith("mixprod."))
+            return out
+
+        imports = {p.stem: package_imports(p) for p in Path(mixprod.__file__).parent.glob("*.py")}
+        assert {"core", "homology", "invariants", "mixed", "harness", "cli"} < set(imports)
+        assert {m for m, names in imports.items() if "reference" in names} == {"__init__"}
+        assert imports["reference"] <= {"core", "homology", "errors"}
+        assert not imports["homology"] & {"core", "reference"}
+        moved = {
+            mixprod.core: ("alexander_dual", "minimal_primes", "krull_dim"),
+            mixprod.homology: (
+                "SimplicialComplex", "_faces", "stanley_reisner", "restrict",
+                "reduced_homology_ranks",
+            ),
+        }
+        for module, names in moved.items():
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+                assert hasattr(mixprod.reference, name)
+                if not name.startswith("_"):
+                    assert getattr(mixprod, name) is getattr(mixprod.reference, name)
+        assert list(inspect.signature(mixprod.minimal_primes).parameters) == ["a"]
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(
@@ -1261,7 +1307,7 @@ class TestNoComplexInTheWalk:
         for b in (a, alexander_dual(a)):
             classes = tuple(swap_classes(b) if given is None else given)
             types = gen_types(b.gen_masks(), classes)
-            delta = mixprod.homology.stanley_reisner(b)
+            delta = mixprod.reference.stanley_reisner(b)
             for w in representatives(classes):
                 if not w:
                     continue

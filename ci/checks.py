@@ -1,0 +1,186 @@
+"""Long checks of the oracle against the reference, run by CI's "CLI smoke"
+step and runnable locally, one at a time:
+
+    PYTHONPATH=src python ci/checks.py <name>
+
+with <name> one of rows, swap_classes, antichain and dual_berge. Each
+asserts its counts and prints one line per pass; a failed assert exits
+non-zero. The file lies outside tests/, so Tier-1 does not collect it.
+"""
+
+from __future__ import annotations
+
+import sys
+from itertools import combinations, product
+from math import comb, prod
+
+from mixprod import (
+    GF2,
+    GF3,
+    RATIONALS,
+    alexander_dual,
+    realize_spec,
+    reduced_homology_ranks,
+    restrict,
+    stanley_reisner,
+)
+from mixprod.core import _indicator_of_masks, _minimalize, vars_to_mask
+from mixprod.harness import enumerate_specs
+from mixprod.homology import _canonical_facets, _homology_of_faces
+from mixprod.invariants import _set_up, _swap_classes, dual_by_types, hochster_betti
+from mixprod.reference import _faces
+
+
+def _rows_by_scan(gens, classes):
+    """The nonempty representatives W, each class taking its lowest
+    variables, that the generators inside W cover."""
+    lowest = []
+    for c in classes:
+        prefixes, rest = [0], c
+        while rest:
+            prefixes.append(prefixes[-1] | rest & -rest)
+            rest &= rest - 1
+        lowest.append(prefixes)
+    rows = []
+    for parts in product(*lowest):
+        w, cover = sum(parts), 0
+        for g in gens:
+            if g & ~w == 0:
+                cover |= g
+        if w and cover == w:
+            rows.append(w)
+    return rows
+
+
+def rows() -> None:
+    """The totals sum one polynomial per corner of the type grid
+    (_walk_plan, _corners), and the walk, built when read, reads
+    beta_{.,W} off the corner table of the classes W meets (_parts). For
+    every canonical spec up to 6x6 and its dual, a scan of the generators
+    finds the rows, the nonempty representatives W that the generators
+    inside cover, and over Q, GF(2) and GF(3) the Betti numbers the walk
+    lists at each row equal Hochster's formula on the reference
+    restrict(stanley_reisner(b), W); it lists none at any other nonempty
+    W, and its orbit-weighted sum is the table's totals (93834 rows).
+
+    The homology kernel finds the cells in the boundary walk that builds
+    the columns, and a missed cell breaks Euler-Poincare: over every
+    distinct reference side restrict(stanley_reisner(b), W) met at those
+    rows, over Q, GF(2) and GF(3), sum (-1)^i h~_i equals the alternating
+    count of all faces (4507 sides)."""
+    count = bad = 0
+    sides = set()
+    for spec in enumerate_specs(6, 6):
+        a = realize_spec(spec)
+        a_plan, dual, dual_plan, _ = _set_up(a)
+        for b, plan in ((a, a_plan), (dual, dual_plan)):
+            scanned = _rows_by_scan(b.gen_masks(), plan.classes)
+            delta = stanley_reisner(b)
+            walked = {}
+            for field in (RATIONALS, GF2, GF3):
+                table = hochster_betti(b, field, plan)
+                walked[field], totals = {}, {}
+                for i, w, r in table.walk:
+                    walked[field].setdefault(w, {})[i] = r
+                    orbit = prod(comb(c.bit_count(), (w & c).bit_count()) for c in plan.classes)
+                    totals[(i, w.bit_count())] = totals.get((i, w.bit_count()), 0) + r * orbit
+                bad += totals != table.entries
+                bad += not set(walked[field]) - {0} <= set(scanned)
+            for w in scanned:
+                count += 1
+                side = restrict(delta, w)
+                sides.add(_canonical_facets(side.facets))
+                for field in (RATIONALS, GF2, GF3):
+                    expected = {
+                        w.bit_count() - 1 - k: r
+                        for k, r in reduced_homology_ranks(side, field).items()
+                        if r
+                    }
+                    bad += walked[field].get(w, {}) != expected
+    assert count == 93834 and not bad, (count, bad)
+    print(count, "rows: the Betti numbers the walk lists at each row are those of restrict"
+          " over Q, GF(2) and GF(3), and it sums to the totals")
+    bad = 0
+    for facets in sides:
+        chi = sum((-1) ** (f.bit_count() - 1) for f in _faces(facets))
+        for char in (0, 2, 3):
+            bad += sum((-1) ** i * h for i, h in _homology_of_faces(facets, char)) != chi
+    assert len(sides) == 4507 and not bad, (len(sides), bad)
+    print(len(sides), "sides: the Euler characteristic of every restriction matches its"
+          " homology over Q, GF(2) and GF(3)")
+
+
+def _swap_classes_by_scan(b):
+    """Each variable tested against the lowest member of each class found
+    so far, by scanning the generators for one whose swap image is no
+    generator."""
+    gens, classes = set(b.gen_masks()), []
+    for v in range(b.ambient.nvars):
+        for k, cls in enumerate(classes):
+            swap = (1 << v) | (cls & -cls)
+            if all(g ^ swap in gens for g in gens if (g & swap).bit_count() == 1):
+                classes[k] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+def swap_classes() -> None:
+    """_swap_classes tests each transposition by one delta-swap on a
+    2^N-bit indicator of the generator set; on every canonical spec up to
+    7x7 and on its dual it equals a scan of the generators for one whose
+    swap image is missing (16576 ideals)."""
+    ideals = bad = 0
+    for spec in enumerate_specs(7, 7):
+        a = realize_spec(spec)
+        for b in (a, dual_by_types(a)):
+            ideals += 1
+            bad += _swap_classes(b.indicator, b.ambient.nvars) != _swap_classes_by_scan(b)
+    assert ideals == 16576 and not bad, (ideals, bad)
+    print(ideals, "ideals: the swap classes by delta-swaps equal the scan of the generators")
+
+
+def antichain() -> None:
+    """realize_spec builds the indicator from the blocks by doubling, with
+    no minimalizing pass. Over every canonical spec up to 8x8 the sorted
+    union of the terms' generators, built one subset at a time by
+    vars_to_mask, is already an antichain, equal to its _minimalize, and
+    it is both the masks realize_spec's ideal reads off its indicator and,
+    set one mask at a time, that indicator (16344 specs)."""
+    specs = enumerate_specs(8, 8)
+    bad = []
+    for s in specs:
+        xs, ys = range(1, s.ambient.n + 1), range(s.ambient.n + 1, s.ambient.nvars + 1)
+        union = sorted(
+            vars_to_mask(a + b)
+            for k, l in s.terms
+            for a in combinations(xs, k)
+            for b in combinations(ys, l)
+        )
+        got = realize_spec(s)
+        if not (
+            got.indicator == _indicator_of_masks(s.ambient.nvars, union)
+            and union == list(_minimalize(union)) == list(got.gen_masks())
+        ):
+            bad.append(s)
+    assert len(specs) == 16344 and not bad, (len(specs), bad[:3])
+    print(len(specs), "specs: the sorted union of the terms generators is an antichain, and"
+          " realize_spec returns it")
+
+
+def dual_berge() -> None:
+    """The oracle's dual, read off the count vectors, equals Berge's on
+    every canonical spec up to 7x7 (8288 specs)."""
+    specs = enumerate_specs(7, 7)
+    bad = [s for s in specs if dual_by_types(a := realize_spec(s)) != alexander_dual(a)]
+    assert not bad, bad[:3]
+    print(len(specs), "specs: dual by types equals Berge")
+
+
+CHECKS = {f.__name__: f for f in (rows, swap_classes, antichain, dual_berge)}
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:
+        sys.exit(f"usage: python ci/checks.py {{{','.join(CHECKS)}}}")
+    CHECKS[sys.argv[1]]()

@@ -182,19 +182,80 @@ def _minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
-@dataclass(frozen=True, init=False)
+def _indicator_of_masks(nvars: int, masks: Iterable[int]) -> int:
+    """The set of these masks over `nvars` variables as one 2^nvars-bit
+    integer: bit g set iff g is one of them, set one mask at a time."""
+    indicator = bytearray(((1 << nvars) + 7) >> 3)
+    for g in masks:
+        indicator[g >> 3] |= 1 << (g & 7)
+    return int.from_bytes(indicator, "little")
+
+
+def _indicator_of_types(
+    classes: Iterable[int], types: Iterable[tuple[int, ...]]
+) -> int:
+    """The indicator (as _indicator_of_masks) of every set of each of these
+    types over the disjoint classes, the sets g with (|g & C|)_C a type.
+
+    V_C(k), the indicator of the k-subsets of class C, is built member by
+    member, V[k] | V[k-1] << 2^p for each member p. The sets of one type
+    are the unions of a t_C-subset of each class, with the indicator
+    prod_C V_C(t_C): the classes are disjoint, so g + h = g | h for any
+    two bits multiplied and no product carries. The indicator is the OR
+    of the types' products."""
+    types = tuple(types)
+    tables = []
+    for j, cls in enumerate(classes):
+        top = max([t[j] for t in types], default=0)  # V_C(k) is built for k <= top only
+        v = [1] + [0] * top
+        while cls:
+            low = cls & -cls  # 2^p for the member p
+            cls ^= low
+            for k in range(top, 0, -1):
+                v[k] |= v[k - 1] << low
+        tables.append(v)
+    out = 0
+    for t in types:
+        term = 1
+        for v, k in zip(tables, t):
+            term *= v[k]
+        out |= term
+    return out
+
+
+def _masks_of_indicator(t: int) -> tuple[int, ...]:
+    """The masks g with bit g set in the indicator `t`, ascending, read off
+    its bytes: a zero byte is passed over at once."""
+    masks = []
+    for i, byte in enumerate(t.to_bytes((t.bit_length() + 7) >> 3, "little")):
+        base = i << 3
+        while byte:
+            low = byte & -byte
+            masks.append(base + low.bit_length() - 1)
+            byte ^= low
+    return tuple(masks)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class MonomialIdeal:
     """A square-free monomial ideal given by its minimal generators.
 
     The empty generator set is the zero ideal; a single empty-support
-    generator is the unit ideal. An ideal holds its ambient and its
-    generator masks; `gens`, one SqFreeMonomial per mask, is built when it
-    is first read, so that the oracle, which reads masks only, builds none.
-    Equality and hashing are on the ambient and the masks.
+    generator is the unit ideal. An ideal holds its ambient and one of
+    three exact forms of its generator set (_made): the ascending
+    generator masks, the indicator (one 2^N-bit integer, bit g set iff g
+    is a generator mask), or classes that partition the variables with
+    the sorted types over them, every set of those types being a
+    generator. Each other form, and `gens`, one SqFreeMonomial per mask,
+    is derived when first read: realize_spec builds the indicator and the
+    report set-up holds the dual as types, so that a report, which reads
+    neither masks nor generator objects, builds none. Equality and hashing
+    are on the ambient and the generator set, however the ideal was built.
     """
 
     ambient: Ambient
-    _masks: tuple[int, ...]
+    # (classes, types) of an ideal built from them, else None
+    _typed = None
 
     def __init__(self, ambient: Ambient, gens: Iterable[SqFreeMonomial]) -> None:
         gens = tuple(gens)
@@ -208,8 +269,16 @@ class MonomialIdeal:
             if a & ~b == 0 or b & ~a == 0:
                 raise ValueError("generators are not an antichain")
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "_masks", masks)
-        self.__dict__["gens"] = gens
+        self.__dict__.update(_masks=masks, gens=gens)
+
+    @classmethod
+    def _made(cls, ambient: Ambient, **form) -> "MonomialIdeal":
+        """An ideal of `ambient` holding the given form of its generator
+        set (_masks, indicator or _typed), with no check."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ambient", ambient)
+        ideal.__dict__.update(form)
+        return ideal
 
     @classmethod
     def _trusted(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":
@@ -220,15 +289,39 @@ class MonomialIdeal:
         masks = tuple(masks)
         if masks and max(masks) >> ambient.nvars:
             raise ValueError("monomial support outside its ambient")
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "ambient", ambient)
-        object.__setattr__(ideal, "_masks", masks)
-        return ideal
+        return cls._made(ambient, _masks=masks)
+
+    @cached_property
+    def indicator(self) -> int:
+        """The generator set as one 2^N-bit integer, N the number of
+        variables: bit g set iff g is a generator mask. Derived when first
+        read, by doubling from the types (_indicator_of_types) or from
+        the masks one at a time, unless the ideal was built from it."""
+        if self._typed is not None:
+            return _indicator_of_types(*self._typed)
+        return _indicator_of_masks(self.ambient.nvars, self._masks)
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        return _masks_of_indicator(self.indicator)
 
     @cached_property
     def gens(self) -> tuple[SqFreeMonomial, ...]:
         """The minimal generators, ascending, built when first read."""
         return tuple(SqFreeMonomial(self.ambient, m) for m in self._masks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        if self.ambient != other.ambient:
+            return False
+        # built from the same classes and types: no indicator is derived
+        return self._typed is not None and self._typed == other._typed or (
+            self.indicator == other.indicator
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.indicator))
 
     @classmethod
     def from_monomials(
@@ -255,20 +348,27 @@ class MonomialIdeal:
     def unit(cls, ambient: Ambient) -> "MonomialIdeal":
         return cls(ambient, (SqFreeMonomial(ambient, 0),))
 
+    # an antichain that holds the empty mask holds nothing else, so the
+    # indicator of the unit ideal is 1
     @property
     def is_zero(self) -> bool:
-        return not self._masks
+        return self.indicator == 0
 
     @property
     def is_unit(self) -> bool:
-        return self._masks == (0,)
+        return self.indicator == 1
 
     @property
     def is_proper_nonzero(self) -> bool:
-        return bool(self._masks) and self._masks != (0,)
+        """Neither zero nor the unit ideal; an ideal built from types reads
+        them, the zero type sorting first, and derives no indicator."""
+        if self._typed is not None:
+            types = self._typed[1]
+            return bool(types) and any(types[0])
+        return self.indicator > 1
 
     def gen_masks(self) -> tuple[int, ...]:
-        """The generator masks, ascending; made once, when the ideal is."""
+        """The generator masks, ascending; derived once, when first read."""
         return self._masks
 
     def __str__(self) -> str:
@@ -390,23 +490,19 @@ def canonicalize_spec(raw: MixedProductSpec) -> MixedProductSpec:
 def realize_spec(spec: MixedProductSpec) -> MonomialIdeal:
     """The actual ideal: sum over terms of I_k * J_l, taken over the
     canonical form of the spec, so a non-canonical spec gives the ideal of
-    its canonical form. Each term's generators are the unions of a
-    k-subset of the x-block with an l-subset of the y-block. The terms of
-    a canonical spec are pairwise incomparable, so a generator of one term
-    has another (x-degree, y-degree) than those of the others and lies
-    inside none of them: the sorted union of the terms' generators is the
-    minimal generating set as it stands. A block's k-subsets are summed
-    from its single-bit masks. The ideal of the last spec is kept: a sweep
-    realizes each spec once per field, one field after the other."""
+    its canonical form. A term's generators are the unions of a k-subset
+    of the x-block with an l-subset of the y-block: the sets of type
+    (k, l) over the two blocks. The terms of a canonical spec are pairwise
+    incomparable, so a generator of one term has another type than those
+    of the others and lies inside none of them: the union of the terms'
+    generators is the minimal generating set as it stands. The ideal holds
+    its indicator, built from the blocks and the terms by doubling
+    (_indicator_of_types); its masks and generators are derived when
+    first read. The ideal of the last spec is kept: a sweep realizes each
+    spec once per field, one field after the other."""
     amb = spec.ambient
-    bits = [1 << v for v in range(amb.nvars)]
-    masks: list[int] = []
-    for k, l in canonicalize_spec(spec).terms:
-        xs = [sum(c) for c in combinations(bits[:amb.n], k)]
-        ys = [sum(c) for c in combinations(bits[amb.n:], l)]
-        masks += [x | y for x in xs for y in ys]
-    masks.sort()
-    return MonomialIdeal._trusted(amb, masks)
+    terms = canonicalize_spec(spec).terms
+    return MonomialIdeal._made(amb, indicator=_indicator_of_types((amb.x_mask, amb.y_mask), terms))
 
 
 def swap_blocks(spec: MixedProductSpec) -> MixedProductSpec:

@@ -77,21 +77,12 @@ class BettiTable:
         return out
 
 
-def _indicator(a: MonomialIdeal) -> int:
-    """The generator set of `a` as one 2^N-bit integer T, N its number of
-    variables: bit g set iff g is a generator mask."""
-    indicator = bytearray(((1 << a.ambient.nvars) + 7) >> 3)
-    for g in a.gen_masks():
-        indicator[g >> 3] |= 1 << (g & 7)
-    return int.from_bytes(indicator, "little")
-
-
 def _swap_classes(t: int, nvars: int) -> list[int]:
     """Masks of the classes of interchangeable variables of the generator
-    set with the indicator `t` (_indicator) over `nvars` variables: i and j
-    share a class iff swapping them maps the set to itself. The relation
-    is transitive, (i k) = (i j)(j k)(i j), so each variable is tested
-    against one member of each class found so far.
+    set with the indicator `t` (MonomialIdeal.indicator) over `nvars`
+    variables: i and j share a class iff swapping them maps the set to
+    itself. The relation is transitive, (i k) = (i j)(j k)(i j), so each
+    variable is tested against one member of each class found so far.
 
     A transposition (u v), u < v, is tested on all of T by one delta-swap
     (Knuth, TAOCP 4A, 7.1.3): with d = 2^v - 2^u, the set is fixed iff
@@ -244,22 +235,23 @@ def _dual_types(
 def _dual(
     ambient: Ambient, classes: Sequence[int], dual_types: Iterable[tuple[int, ...]]
 ) -> MonomialIdeal:
-    """The ideal of `ambient` generated by every set of the types
-    `dual_types` over `classes`, expanded over the class members
-    (_sets_of_types): the Alexander dual of an ideal when they are the
-    minimal transversal types of its generator types (_dual_types)."""
-    members = [_members(c) for c in classes]
-    return MonomialIdeal._trusted(ambient, sorted(_sets_of_types(dual_types, members)))
+    """The ideal of `ambient` generated by every set of the sorted types
+    `dual_types` over `classes`, which partition its variables, held as
+    those classes and types with no set expanded: the Alexander dual of an
+    ideal when they are the minimal transversal types of its generator
+    types (_dual_types)."""
+    return MonomialIdeal._made(ambient, _typed=(tuple(classes), tuple(dual_types)))
 
 
 def dual_by_types(a: MonomialIdeal) -> MonomialIdeal:
     """The Alexander dual of `a` over all its variables, read off count
     vectors over its swap classes (_swap_classes, _indicator_types,
-    _dual_types, _dual), as `mixprod dual` prints it and as
-    oracle_report's set-up builds it."""
+    _dual_types, _dual), as oracle_report's set-up builds it: held as the
+    classes and the dual types, its masks read off its indicator only
+    when asked for, as `mixprod dual` asks."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
-    t, nvars = _indicator(a), a.ambient.nvars
+    t, nvars = a.indicator, a.ambient.nvars
     classes = _swap_classes(t, nvars)
     return _dual(a.ambient, classes, _dual_types(classes, _indicator_types(t, nvars, classes)))
 
@@ -385,15 +377,15 @@ def _times(p: Sequence[int], q: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class _WalkPlan:
-    """The field-independent part of hochster_betti on one ideal, read off
-    its generator masks `gens` alone: their classes of interchangeable
+    """The field-independent part of hochster_betti on the ideal `ideal`,
+    read off its generator set alone: classes of interchangeable
     variables, the distinct count vectors (types) of the generators over
     them, sorted, the corner table (_corners) of each set M of classes
     that is a union of supports of generator types, under the union of
     M's classes, and `sums`, the corners of all tables summed into
     polynomials (_walk_plan) from which each field's totals are read."""
 
-    gens: tuple[int, ...]
+    ideal: MonomialIdeal
     classes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
     tables: dict[int, _Corners]
@@ -401,11 +393,11 @@ class _WalkPlan:
 
 
 def _walk_plan(
-    gens: tuple[int, ...], classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
+    ideal: MonomialIdeal, classes: tuple[int, ...], types: tuple[tuple[int, ...], ...]
 ) -> _WalkPlan:
-    """The plan of the ideal with the ascending generator masks `gens`,
-    given classes that partition its variables so that permuting inside
-    each fixes the generator set, and its sorted generator types over them.
+    """The plan of `ideal`, given classes that partition its variables so
+    that permuting inside each fixes the generator set, and its sorted
+    generator types over them.
 
     A W meets a set M of classes, and its type c over M has c_C >= 1 on
     each. The sets M are built class by class, each with the types
@@ -449,7 +441,7 @@ def _walk_plan(
             total = sums.setdefault((facets, size), [0] * degrees)
             for j, x in enumerate(poly):
                 total[j] += x
-    return _WalkPlan(gens, classes, types, tables, tuple(
+    return _WalkPlan(ideal, classes, types, tables, tuple(
         (facets, 2 - size, tuple([(j, x) for j, x in enumerate(total) if x]))
         for (facets, size), total in sums.items()
     ))
@@ -457,12 +449,12 @@ def _walk_plan(
 
 def _plan_of(a: MonomialIdeal) -> _WalkPlan:
     """The plan of `a` over its swap classes and its generator types over
-    them, both read off one indicator of its generator set (_indicator,
-    _swap_classes, _indicator_types): no generator object and no count per
-    generator."""
-    t, nvars = _indicator(a), a.ambient.nvars
+    them, both read off the indicator of its generator set
+    (MonomialIdeal.indicator, _swap_classes, _indicator_types): no mask,
+    no generator object and no count per generator."""
+    t, nvars = a.indicator, a.ambient.nvars
     classes = tuple(_swap_classes(t, nvars))
-    return _walk_plan(a.gen_masks(), classes, _indicator_types(t, nvars, classes))
+    return _walk_plan(a, classes, _indicator_types(t, nvars, classes))
 
 
 def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = None) -> BettiTable:
@@ -488,16 +480,20 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     classes Gamma_k is the Alexander dual of Delta|_W inside W, k = W. The
     corners and their polynomials depend on the generator types alone, so
     they are planned (_walk_plan) before any field: `plan` when
-    oracle_report passes the one its set-up built, which must be that of
-    a's generator masks and variables (ValueError otherwise), and a plan
-    built now when it is None. No W is visited: the table's `walk` and
-    `multigraded` are read off the plan only when first asked for.
+    oracle_report passes the one its set-up built, and a plan built now
+    when it is None. A given plan must be that of a's ambient and
+    generator set (ValueError otherwise): it is when it holds `a` itself,
+    as the set-up's plans hold the ideal and its dual; any other ideal is
+    compared with the plan's by its classes and types when both were
+    built from them, and by one indicator comparison otherwise. No W is
+    visited: the table's `walk` and `multigraded` are read off the plan
+    only when first asked for.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
     if plan is None:
         plan = _plan_of(a)
-    elif plan.gens != a.gen_masks() or sum(plan.classes) != a.ambient.full_mask:
+    elif plan.ideal is not a and plan.ideal != a:
         raise ValueError("the walk plan is that of another ideal")
     char = field.char
     entries = {(0, 0): 1}
@@ -532,23 +528,25 @@ class InvariantReport:
     field: FieldSpec | None = None
 
 
-# (ambient, generator masks) -> the _set_up of the last ideal reported on:
-# a sweep reports on one ideal over each field in turn
-_SET_UP: dict[tuple[Ambient, tuple[int, ...]], tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]] = {}
+# (ambient, indicator) -> the _set_up of the last ideal reported on: a
+# sweep reports on one ideal over each field in turn
+_SET_UP: dict[tuple[Ambient, int], tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]] = {}
 
 
 def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]:
     """What oracle_report needs of `a` before any field, built once and kept
     for the last ideal only: its plan, with its corner tables and their
-    polynomials (_walk_plan), its Alexander dual read off the plan's
-    classes and types (_dual_types, _dual), the dual's plan and the
-    dimension. A permutation fixes an ideal exactly when it fixes its dual,
-    so the dual's plan takes the ideal's classes and the dual types, and the
-    dimension is nv minus the least sum of a dual type. Both generator sets
-    are unions of type orbits over those classes, so an ideal is self-dual
-    iff its dual types are its types, and then its plan serves as its
-    dual's. All of it reads masks: no generator object is built."""
-    key = (a.ambient, a.gen_masks())
+    polynomials (_walk_plan), its Alexander dual held as the plan's
+    classes and the dual types (_dual_types, _dual), the dual's plan and
+    the dimension. A permutation fixes an ideal exactly when it fixes its
+    dual, so the dual's plan takes the ideal's classes and the dual types,
+    and the dimension is nv minus the least sum of a dual type. Both
+    generator sets are unions of type orbits over those classes, so an
+    ideal is self-dual iff its dual types are its types, and then its plan
+    serves as its dual's. It is kept under the ambient and the ideal's
+    indicator, and all of it reads that indicator and the types: no mask
+    and no generator object is built."""
+    key = (a.ambient, a.indicator)
     set_up = _SET_UP.get(key)
     if set_up is None:
         plan = _plan_of(a)
@@ -557,7 +555,7 @@ def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]
         if dual_types == plan.types:  # self-dual: the same plan
             dual_plan = plan
         else:
-            dual_plan = _walk_plan(dual.gen_masks(), plan.classes, dual_types)
+            dual_plan = _walk_plan(dual, plan.classes, dual_types)
         set_up = (plan, dual, dual_plan, a.ambient.nvars - min(map(sum, dual_types)))
         _SET_UP.clear()
         _SET_UP[key] = set_up

@@ -4,7 +4,7 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixprod import (
@@ -544,6 +544,99 @@ class TestSpec:
         assert swapped.ambient == Ambient(2, 3)
         assert swapped.terms == ((0, 2), (2, 1))
         assert swap_blocks(swapped) == spec
+
+
+# --- one generator set, one ideal ---------------------------------------------
+# An ideal holds its masks, its indicator (realize_spec) or the classes and
+# types it was built from (the report set-up's dual), and derives the other
+# forms when they are first read. However it was built, the same generator
+# set in the same ambient gives equal ideals that hash alike and print
+# alike, and a realized ideal's masks are the sorted union of its terms'
+# generators, each built one subset at a time by vars_to_mask.
+
+
+def union_of_terms(spec):
+    """The sorted union of the generators of the canonical form's terms:
+    each k-subset of the x-block with each l-subset of the y-block."""
+    amb = spec.ambient
+    xs, ys = amb.variables()[: amb.n], amb.variables()[amb.n :]
+    return sorted(
+        vars_to_mask(a + b)
+        for k, l in canonicalize_spec(spec).terms
+        for a in combinations(xs, k)
+        for b in combinations(ys, l)
+    )
+
+
+def check_realized(spec):
+    """realize_spec's ideal, before it derives its masks, against the
+    ideals built from the union's masks by from_masks and by the checked
+    constructor; then its masks, and its text and repr against the
+    checked one's."""
+    realize_spec.cache_clear()
+    a, masks = realize_spec(spec), union_of_terms(spec)
+    amb = a.ambient
+    others = (
+        MonomialIdeal.from_masks(amb, masks),
+        MonomialIdeal(amb, [SqFreeMonomial(amb, g) for g in masks]),
+    )
+    for b in others:
+        assert a == b and b == a and hash(a) == hash(b), spec
+    assert "_masks" not in vars(a) and "gens" not in vars(a)
+    assert a.gen_masks() == tuple(masks), spec
+    assert (str(a), repr(a)) == (str(others[1]), repr(others[1])), spec
+    return a
+
+
+# raw term lists of three to six terms over ambients up to 6x6, either
+# block possibly empty: unsorted, repeated, nested, and (0, 0) for the unit
+@st.composite
+def many_term_specs(draw):
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(1 if n == 0 else 0, 6))
+    term = st.tuples(st.integers(0, n), st.integers(0, m))
+    return MixedProductSpec(Ambient(n, m), tuple(draw(st.lists(term, min_size=3, max_size=6))))
+
+
+class TestOneGeneratorSet:
+    def test_every_canonical_spec_up_to_six_by_six(self):
+        from mixprod.harness import enumerate_specs
+
+        specs = enumerate_specs(6, 6)
+        assert len(specs) == 3871
+        for spec in specs:
+            check_realized(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(raw_specs(), many_term_specs()))
+    @example(MixedProductSpec(Ambient(0, 3), ((0, 2), (0, 1), (0, 3))))
+    @example(MixedProductSpec(Ambient(4, 0), ((3, 0), (2, 0), (4, 0))))
+    @example(MixedProductSpec(Ambient(2, 2), ((0, 0),)))
+    @example(MixedProductSpec(Ambient(3, 3), ((2, 1), (1, 2), (3, 0), (1, 2))))
+    def test_raw_specs(self, spec):
+        a = check_realized(spec)
+        assert a.is_unit == ((0, 0) in spec.terms)
+        assert not a.is_zero
+
+    def test_the_set_up_dual_up_to_five_by_five(self):
+        # the report set-up's dual, held as classes and types, against
+        # dual_by_types's, held the same way, and Berge's, held as masks
+        from mixprod.harness import enumerate_specs
+        from mixprod.invariants import _set_up, dual_by_types
+
+        specs = enumerate_specs(5, 5)
+        assert len(specs) == 1630
+        for spec in specs:
+            a = realize_spec(spec)
+            if not a.is_proper_nonzero:
+                continue
+            dual = _set_up(a)[1]
+            others = (dual_by_types(a), alexander_dual(a))
+            for b in others:
+                assert dual == b and b == dual and hash(dual) == hash(b), spec
+            for b in others:
+                assert dual.gen_masks() == b.gen_masks(), spec
+                assert (str(dual), repr(dual)) == (str(b), repr(b)), spec
 
 
 class TestMonomialBasics:

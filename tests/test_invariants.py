@@ -518,7 +518,7 @@ class TestOrbitWalk:
         for a in cases:
             duals.clear()
             oracle_report(a, GF2)
-            plan = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][0]
+            plan = mixprod.invariants._SET_UP[(a.ambient, a.indicator)][0]
             dual_types = mixprod.invariants._dual_types(plan.classes, plan.types)
             assert duals == [(a.ambient, plan.classes, dual_types)]
             assert mixprod.invariants._dual(*duals[0]) == alexander_dual(a)
@@ -535,7 +535,7 @@ class TestOrbitWalk:
 
 def swap_classes(a):
     """The swap classes of `a`, read off the indicator of its generators."""
-    return mixprod.invariants._swap_classes(mixprod.invariants._indicator(a), a.ambient.nvars)
+    return mixprod.invariants._swap_classes(a.indicator, a.ambient.nvars)
 
 
 dual_by_types = mixprod.invariants.dual_by_types
@@ -723,15 +723,15 @@ def check_dual_types(a, mp):
     mp.setattr(mixprod.invariants, "_SET_UP", {})
     counted = spy(mp, "_indicator_types")
     report = oracle_report(a, GF2)
-    plan, dual, dual_plan, dim = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+    plan, dual, dual_plan, dim = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
     classes = plan.classes
     assert plan.types == tuple(gen_types(a.gen_masks(), classes))
     assert dual == alexander_dual(a)
-    assert dual_plan.gens == dual.gen_masks()
+    assert dual_plan.ideal == dual
     assert dual_plan.types == tuple(gen_types(dual.gen_masks(), classes))
     assert dual_plan.classes == classes
     assert report.dim == dim == a.ambient.nvars - min(g.degree for g in dual.gens)
-    assert counted == [(mixprod.invariants._indicator(a), a.ambient.nvars, classes)]
+    assert counted == [(a.indicator, a.ambient.nvars, classes)]
 
 
 class TestDualTypes:
@@ -969,7 +969,7 @@ class TestDualityInsideW:
         types = tuple(gen_types(a.gen_masks(), classes))
         parts = cubes_at(0b111, classes, types)
         assert parts == ((((0b01, 0b10), 2, 1),) if singletons else (((0,), 3, 1),))
-        plan = mixprod.invariants._walk_plan(a.gen_masks(), classes, types)
+        plan = mixprod.invariants._walk_plan(a, classes, types)
         got = hochster_betti(a, GF2, plan)
         assert got.multigraded == {(0, 0): 1, (1, 0b011): 1, (1, 0b101): 1, (2, 0b111): 1}
         assert got.multigraded == full_walk_multigraded(a, GF2)
@@ -1049,7 +1049,7 @@ class TestConeCheck:
         singletons = tuple(1 << v for v in range(a.ambient.nvars))
         for plan in (
             mixprod.invariants._plan_of(a),
-            mixprod.invariants._walk_plan(gens, singletons, tuple(gen_types(gens, singletons))),
+            mixprod.invariants._walk_plan(a, singletons, tuple(gen_types(gens, singletons))),
         ):
             keys = {w: key for w, key, _, _ in rows_by_scan(gens, plan.classes)}
             walked = {}
@@ -1092,7 +1092,7 @@ class TestIndicatorTypes:
         # whose permutations fix both
         a, given = case
         for b in (a, alexander_dual(a)):
-            t, nvars = mixprod.invariants._indicator(b), b.ambient.nvars
+            t, nvars = b.indicator, b.ambient.nvars
             for classes in (tuple(swap_classes(b)), given):
                 if classes is not None:
                     got = mixprod.invariants._indicator_types(t, nvars, tuple(classes))
@@ -1104,7 +1104,7 @@ class TestIndicatorTypes:
         classes = (0x00FF, 0xFF00)
         assert tuple(gen_types(a.gen_masks(), classes)) == ((4, 5), (6, 3))
         for b in (a, dual_by_types(a)):
-            t = mixprod.invariants._indicator(b)
+            t = b.indicator
             got = mixprod.invariants._indicator_types(t, 16, classes)
             assert got == tuple(gen_types(b.gen_masks(), classes))
 
@@ -1138,7 +1138,7 @@ class TestPlanRows:
             else:
                 classes = tuple(swap_classes(b) if given is None else given)
             types = tuple(gen_types(gens, classes))
-            plan = mixprod.invariants._walk_plan(gens, classes, types)
+            plan = mixprod.invariants._walk_plan(b, classes, types)
             check_walk(hochster_betti(b, GF2, plan), gens)
             assert {meets_of(w, classes) for w, *_ in rows_by_scan(gens, classes)} <= set(plan.tables)
             for m, corners in plan.tables.items():
@@ -1181,7 +1181,7 @@ class TestCornerTable:
                 classes = tuple(1 << v for v in range(b.ambient.nvars))
             else:
                 classes = tuple(swap_classes(b) if given is None else given)
-            plan = mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes)))
+            plan = mixprod.invariants._walk_plan(b, classes, tuple(gen_types(gens, classes)))
             walked = {}
             for i, w, r in hochster_betti(b, GF2, plan).walk:
                 walked.setdefault(w, {})[i] = r
@@ -1243,7 +1243,7 @@ class TestNoComplexInTheWalk:
             assert not hasattr(mixprod.invariants, name)
         assert list(inspect.signature(hochster_betti).parameters) == ["a", "field", "plan"]
         fields = mixprod.invariants._WalkPlan.__dataclass_fields__
-        assert list(fields) == ["gens", "classes", "types", "tables", "sums"]
+        assert list(fields) == ["ideal", "classes", "types", "tables", "sums"]
         # the walk and the multigraded refinement are built when read
         assert list(mixprod.BettiTable.__dataclass_fields__) == ["ambient", "entries", "plan", "char"]
 
@@ -1359,7 +1359,7 @@ class TestWarmMemo:
         a = realize_spec(MixedProductSpec(Ambient(1, 3), ((0, 3), (1, 1))))
         singletons = tuple(1 << v for v in range(4))
         types = tuple(gen_types(a.gen_masks(), singletons))
-        plan = mixprod.invariants._walk_plan(a.gen_masks(), singletons, types)
+        plan = mixprod.invariants._walk_plan(a, singletons, types)
         swapped = mixprod.invariants._plan_of(a)
         assert len(swapped.classes) == 2
         (top,) = [key for w, key, _, _ in rows_by_scan(a.gen_masks(), swapped.classes) if w == 0b1111]
@@ -1480,7 +1480,7 @@ class TestCornerSums:
         plans = [None]
         if given is not None:
             classes = tuple(given)
-            plans.append(mixprod.invariants._walk_plan(gens, classes, tuple(gen_types(gens, classes))))
+            plans.append(mixprod.invariants._walk_plan(a, classes, tuple(gen_types(gens, classes))))
         for plan in plans:
             got = hochster_betti(a, field, plan)
             assert got.entries == expected
@@ -1548,11 +1548,11 @@ class TestSharedWalkState:
         for spec in specs[:50]:
             a = realize_spec(spec)
             oracle_report(a, GF2)
-        key = (a.ambient, a.gen_masks())
+        key = (a.ambient, a.indicator)
         assert list(mixprod.invariants._SET_UP) == [key]
         plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[key]
         assert dual == alexander_dual(a)
-        assert (plan.gens, dual_plan.gens) == (a.gen_masks(), dual.gen_masks())
+        assert (plan.ideal, dual_plan.ideal) == (a, dual)
         assert realize_spec.cache_info().currsize == 1
         assert realize_spec(specs[49]) is a
 
@@ -1578,7 +1578,7 @@ class TestSharedWalkState:
                 calls.clear()
             for field in (RATIONALS, GF2, GF3):
                 oracle_report(a, field)
-            t = mixprod.invariants._indicator(a)
+            t = a.indicator
             assert found == [(t, a.ambient.nvars)]
             assert counted == [(t, a.ambient.nvars, tuple(swap_classes(a)))]
             assert len(duals) == 1
@@ -1603,7 +1603,7 @@ class TestSharedWalkState:
             walks.clear()
             for field in (RATIONALS, GF2, GF3):
                 oracle_report(a, field)
-            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
             assert (dual_plan is plan) == self_dual
             sides = [plan] if self_dual else [plan, dual_plan]
             assert len(read) == sum(len(class_sets(p.classes, p.types)) for p in sides)
@@ -1611,22 +1611,29 @@ class TestSharedWalkState:
             assert [args[0] for args in walks] == [a, dual] * 3
 
     def test_a_report_builds_no_generator(self, monkeypatch):
-        # realize_spec and oracle_report read masks only: no SqFreeMonomial
-        # is made, and gens stays unbuilt on the ideal and on its dual
-        def forbidden(self):
-            raise AssertionError("a generator object was built")
+        # realize_spec builds the ideal's indicator and the set-up holds the
+        # dual as classes and types: no SqFreeMonomial is made, no mask is
+        # expanded from types (_sets_of_types) or read (gen_masks), no
+        # indicator is set one mask at a time, and neither the ideal nor
+        # its dual derives its masks or gens
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a report built or read a generator")
 
-        specs = [s for s in mixprod.harness.enumerate_specs(4, 4) if s.ambient.nvars >= 2]
-        assert len(specs) >= 500
+        specs = [s for s in mixprod.harness.enumerate_specs(5, 5) if s.ambient.nvars >= 2]
+        assert len(specs) >= 1500
         monkeypatch.setattr(SqFreeMonomial, "__post_init__", forbidden)
+        monkeypatch.setattr(MonomialIdeal, "gen_masks", forbidden)
+        monkeypatch.setattr(mixprod.invariants, "_sets_of_types", forbidden)
+        monkeypatch.setattr(mixprod.core, "_indicator_of_masks", forbidden)
         for spec in specs:
             realize_spec.cache_clear()
             monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
             a = realize_spec(spec)
             for field in (RATIONALS, GF2, GF3):
                 oracle_report(a, field)
-            dual = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][1]
-            assert "gens" not in vars(a) and "gens" not in vars(dual), spec
+            dual = mixprod.invariants._SET_UP[(a.ambient, a.indicator)][1]
+            for b in (a, dual):
+                assert not {"_masks", "gens"} & set(vars(b)), spec
 
     def test_a_self_dual_ideal_is_planned_once(self, fresh_set_up, monkeypatch):
         # I_2 at three variables is its own dual: its plan serves both walks
@@ -1635,7 +1642,7 @@ class TestSharedWalkState:
         planned = spy(monkeypatch, "_walk_plan")
         report = oracle_report(a, GF2)
         assert len(planned) == 1
-        plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+        plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
         assert dual == a and dual_plan is plan
         assert report.reg_of_ideal == 2 and report.pd == 2
         # a dual that is not the ideal takes a plan of its own
@@ -1655,8 +1662,8 @@ class TestSharedWalkState:
         assert expected == tuple(swap_classes(a))
         found = spy(monkeypatch, "_swap_classes")
         oracle_report(a, GF2)
-        assert found == [(mixprod.invariants._indicator(a), a.ambient.nvars)]
-        dual_plan = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())][2]
+        assert found == [(a.indicator, a.ambient.nvars)]
+        dual_plan = mixprod.invariants._SET_UP[(a.ambient, a.indicator)][2]
         assert dual_plan.classes == expected
         types = {tuple((g & c).bit_count() for c in expected) for g in dual.gen_masks()}
         assert dual_plan.types == tuple(sorted(types))
@@ -1703,7 +1710,7 @@ class TestGivenPlan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mixprod.invariants, "_SET_UP", {})
             oracle_report(a, field)
-            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.gen_masks())]
+            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
         for b, given_plan in ((a, plan), (dual, dual_plan)):
             got, alone = hochster_betti(b, field, given_plan), hochster_betti(b, field)
             assert got == alone
@@ -1722,6 +1729,51 @@ class TestGivenPlan:
         assert alexander_dual(a).gen_masks() == (0b010, 0b101)
         with pytest.raises(ValueError, match="another ideal"):
             hochster_betti(a, GF2, mixprod.invariants._plan_of(other))
+
+    @pytest.mark.parametrize(
+        "n, m, terms, other",
+        [
+            (3, 3, ((1, 2), (2, 1)), ((1, 1),)),  # the same classes, other types
+            (4, 2, ((2, 1),), ((1, 2), (3, 0))),
+            (2, 3, ((1, 1),), ((0, 2), (2, 1))),
+        ],
+    )
+    def test_set_up_plans_pair_with_their_ideals(self, fresh_set_up, n, m, terms, other):
+        # the ideal's plan serves the ideal and the dual's plan the dual,
+        # and each refuses the other side; the dual, held as types, also
+        # refuses the dual plan of another ideal of the ambient. An ideal
+        # with the plan's generator set, however it was built, is served:
+        # Berge's dual and the dual by types with the set-up's dual plan
+        amb = Ambient(n, m)
+        a = realize_spec(MixedProductSpec(amb, terms))
+        plan, dual, dual_plan, _ = mixprod.invariants._set_up(a)
+        assert dual_plan is not plan
+        b = realize_spec(MixedProductSpec(amb, other))
+        other_dual_plan = mixprod.invariants._set_up(b)[2]
+        for ideal, wrong in ((a, dual_plan), (dual, plan), (dual, other_dual_plan)):
+            with pytest.raises(ValueError, match="another ideal"):
+                hochster_betti(ideal, GF2, wrong)
+        typed = dual_by_types(a)
+        served = [
+            (same, hochster_betti(same, GF2, given_plan))
+            for same, given_plan in (
+                (MonomialIdeal.from_masks(amb, a.gen_masks()), plan),
+                (alexander_dual(a), dual_plan),
+                (typed, dual_plan),
+            )
+        ]
+        # the dual by types was compared by its classes and types alone
+        assert "indicator" not in vars(typed)
+        for same, got in served:
+            assert got == hochster_betti(same, GF2)
+
+    def test_a_self_dual_ideal_serves_its_dual_plan(self, fresh_set_up):
+        # the dual of a self-dual ideal is held as types and walked on the
+        # ideal's plan, which holds the ideal
+        a = MonomialIdeal.from_masks(Ambient(3, 0), (0b011, 0b101, 0b110))
+        plan, dual, dual_plan, _ = mixprod.invariants._set_up(a)
+        assert dual_plan is plan and plan.ideal is a and dual is not a
+        assert hochster_betti(dual, GF2, plan) == hochster_betti(a, GF2, plan)
 
     @pytest.mark.parametrize(
         "a",

@@ -3,16 +3,20 @@ step and runnable locally, one at a time:
 
     PYTHONPATH=src python ci/checks.py <name>
 
-with <name> one of rows, swap_classes, antichain and dual_berge. Each
-asserts its counts and prints one line per pass; a failed assert exits
-non-zero. The file lies outside tests/, so Tier-1 does not collect it.
+with <name> one of rows, swap_classes, antichain, dual_berge and digest.
+Each asserts its counts and prints one line per pass; a failed assert
+exits non-zero. The file lies outside tests/, so Tier-1 does not collect
+it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from itertools import combinations, product
 from math import comb, prod
+
+from pathlib import Path
 
 from mixprod import (
     GF2,
@@ -24,7 +28,7 @@ from mixprod import (
     restrict,
     stanley_reisner,
 )
-from mixprod.core import _indicator_of_masks, _minimalize, vars_to_mask
+from mixprod.core import Ambient, _indicator_of_masks, _minimalize, vars_to_mask
 from mixprod.harness import enumerate_specs
 from mixprod.homology import _canonical_facets, _homology_of_faces
 from mixprod.invariants import _set_up, _swap_classes, dual_by_types, hochster_betti
@@ -72,8 +76,8 @@ def rows() -> None:
     sides = set()
     for spec in enumerate_specs(6, 6):
         a = realize_spec(spec)
-        a_plan, dual, dual_plan, _ = _set_up(a)
-        for b, plan in ((a, a_plan), (dual, dual_plan)):
+        a_plan, dual_plan, _ = _set_up(a)
+        for b, plan in ((a, a_plan), (dual_plan.ideal, dual_plan)):
             scanned = _rows_by_scan(b.gen_masks(), plan.classes)
             delta = stanley_reisner(b)
             walked = {}
@@ -171,14 +175,65 @@ def antichain() -> None:
 
 def dual_berge() -> None:
     """The oracle's dual, read off the count vectors, equals Berge's on
-    every canonical spec up to 7x7 (8288 specs)."""
+    every canonical spec up to 7x7 (8288 specs), both as dual_by_types
+    builds it and as the report set-up walks it, the ideal its dual's plan
+    holds (the ideal itself when it is self-dual, 160 specs)."""
     specs = enumerate_specs(7, 7)
-    bad = [s for s in specs if dual_by_types(a := realize_spec(s)) != alexander_dual(a)]
-    assert not bad, bad[:3]
+    bad, self_dual = [], 0
+    for s in specs:
+        a = realize_spec(s)
+        berge, walked = alexander_dual(a), _set_up(a)[1].ideal
+        self_dual += walked is a
+        if not dual_by_types(a) == berge == walked:
+            bad.append(s)
+    assert len(specs) == 8288 and self_dual == 160 and not bad, (len(specs), self_dual, bad[:3])
     print(len(specs), "specs: dual by types equals Berge")
+    print(len(specs), "specs: the set-up's dual equals Berge,", self_dual, "of them self-dual")
 
 
-CHECKS = {f.__name__: f for f in (rows, swap_classes, antichain, dual_berge)}
+DIGESTS = Path(__file__).with_name("betti_digests.txt")
+
+
+def _digests() -> list[str]:
+    """One line "n m sha256" per ambient (n, m) with 1 <= n + m <= 16: the
+    hash of every canonical spec's terms with the sorted Betti entries of
+    its ideal and of the ideal's Alexander dual, each walked on the plan of
+    the report set-up, over Q and over GF(2)."""
+    lines = []
+    for nvars in range(1, 17):
+        for n in range(nvars + 1):
+            amb, h = Ambient(n, nvars - n), hashlib.sha256()
+            for spec in enumerate_specs(n, nvars - n):
+                if spec.ambient != amb:
+                    continue
+                a = realize_spec(spec)
+                plan, dual_plan, _ = _set_up(a)
+                h.update(repr(spec.terms).encode())
+                for field in (RATIONALS, GF2):
+                    for b, p in ((a, plan), (dual_plan.ideal, dual_plan)):
+                        h.update(repr(hochster_betti(b, field, p).sorted_entries()).encode())
+            lines.append(f"{n} {nvars - n} {h.hexdigest()}")
+    return lines
+
+
+def digest() -> None:
+    """Every Betti table the oracle makes over Q and GF(2), for the ideal
+    and its dual of every canonical spec with n + m <= 16, hashed per
+    ambient and compared with the committed ci/betti_digests.txt (152
+    ambients). The digests pin the outputs against change; they do not
+    prove them, which the reference checks above do. After a change that
+    is meant to alter a table, the file is rewritten, from the root, by
+
+        PYTHONPATH=src:ci python -c "from checks import _digests; print(*_digests(), sep=chr(10))" > ci/betti_digests.txt
+    """
+    got, want = _digests(), DIGESTS.read_text().splitlines()
+    bad = [line for line, old in zip(got, want) if line != old]
+    assert len(got) == len(want) == 152 and not bad, (len(got), len(want), bad[:3])
+    print(len(got), "ambients: the Betti tables of every ideal and its dual over Q and GF(2)"
+          " match the committed digests")
+
+
+CHECKS = {f.__name__: f for f in (rows, swap_classes, antichain, dual_berge, digest)}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -182,6 +182,15 @@ def _minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
+def _within(ambient: Ambient, masks: Iterable[int]) -> tuple[int, ...]:
+    """The masks, each checked to lie in [0, 2^N), N the number of
+    variables of `ambient`."""
+    masks = tuple(masks)
+    if masks and (min(masks) < 0 or max(masks) >> ambient.nvars):
+        raise ValueError("monomial support outside its ambient")
+    return masks
+
+
 def _indicator_of_masks(nvars: int, masks: Iterable[int]) -> int:
     """The set of these masks over `nvars` variables as one 2^nvars-bit
     integer: bit g set iff g is one of them, set one mask at a time."""
@@ -285,11 +294,8 @@ class MonomialIdeal:
         """Build from masks the package has just made into a sorted,
         duplicate-free antichain, skipping the quadratic checks of
         __init__; no generator is built. The masks are still checked
-        against the ambient."""
-        masks = tuple(masks)
-        if masks and max(masks) >> ambient.nvars:
-            raise ValueError("monomial support outside its ambient")
-        return cls._made(ambient, _masks=masks)
+        against the ambient (_within)."""
+        return cls._made(ambient, _masks=_within(ambient, masks))
 
     @cached_property
     def indicator(self) -> int:
@@ -338,7 +344,9 @@ class MonomialIdeal:
 
     @classmethod
     def from_masks(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":
-        return cls._trusted(ambient, _minimalize(masks))
+        """Build an ideal from any masks, minimalizing them. Every mask
+        must lie in the ambient, one that minimalizing drops included."""
+        return cls._made(ambient, _masks=_minimalize(_within(ambient, masks)))
 
     @classmethod
     def zero(cls, ambient: Ambient) -> "MonomialIdeal":
@@ -513,16 +521,15 @@ def swap_blocks(spec: MixedProductSpec) -> MixedProductSpec:
     return canonicalize_spec(swapped)
 
 
-def require_canonical(spec: MixedProductSpec, max_terms: int = 2) -> MixedProductSpec:
-    """Shared precondition of the formula layer."""
+def require_canonical(spec: MixedProductSpec) -> MixedProductSpec:
+    """Shared precondition of the formula layer: a canonical spec of one
+    or two terms that is not the unit."""
     if not spec.is_canonical:
         raise UnsupportedShape(
             f"{spec} is not canonical; pass it through canonicalize_spec first"
         )
     if spec.is_unit:
         raise UnsupportedIdeal("the unit ideal has no invariants here")
-    if len(spec.terms) > max_terms:
-        raise UnsupportedShape(
-            f"{spec} has {len(spec.terms)} terms; formulas cover at most {max_terms}"
-        )
+    if len(spec.terms) > 2:
+        raise UnsupportedShape(f"{spec} has {len(spec.terms)} terms; formulas cover at most 2")
     return spec

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
 from typing import Iterable, Sequence
 
-from .core import MonomialIdeal, Ambient
+from .core import MonomialIdeal, Ambient, _indicator_of_types, _masks_of_indicator
 from .errors import TeraiMismatch, UnsupportedIdeal
 from .homology import FieldSpec, _canonical_facets, _homology_of_faces
 
@@ -30,7 +30,9 @@ class BettiTable:
     whose permutations carry W over its orbit, is read off the plan's
     corner tables when `walk` is first read; `multigraded`, the refinement
     (i, vertex-set mask) -> rank kept for diagnostics, is expanded from it
-    when first read. A report reads neither."""
+    when first read, each W's orbit as the sets of W's type, built as an
+    indicator by doubling and read back as masks (core._indicator_of_types,
+    core._masks_of_indicator). A report reads neither."""
 
     ambient: Ambient
     entries: dict[tuple[int, int], int]
@@ -69,11 +71,11 @@ class BettiTable:
 
     @cached_property
     def multigraded(self) -> dict[tuple[int, int], int]:
-        members = [_members(c) for c in self.classes]
+        classes = self.classes
         out: dict[tuple[int, int], int] = {}
         for i, w, r in self.walk:
-            orbit = _sets_of_types([tuple([(w & c).bit_count() for c in self.classes])], members)
-            out.update(((i, v), r) for v in orbit)
+            orbit = _indicator_of_types(classes, [tuple([(w & c).bit_count() for c in classes])])
+            out.update(((i, v), r) for v in _masks_of_indicator(orbit))
         return out
 
 
@@ -183,23 +185,25 @@ def _up_set(
     return up, axes, nonzero
 
 
-def _transversal_types(
-    sizes: Sequence[int], types: Iterable[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """The minimal transversal types of a set family over classes of these
-    sizes, given the types of its members, for a family fixed by the
-    permutations inside each class.
+def _dual_types(
+    classes: Sequence[int], types: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The generator types of the Alexander dual of the ideal whose
+    generator types over `classes` are `types`, sorted: its minimal
+    transversal types, for a generator set fixed by the permutations
+    inside each class.
 
-    The type of a set T is (|T & C|)_C. A set U of type u contains a member
-    exactly when u >= d for a member type d, since the group carries a
-    member of type d <= u into U: it lies in the up-closure `up` of the
-    member types (_up_set). A set of type t is a transversal (its
-    complement holds no member) iff its complement's type s - t, s the
-    class sizes, is outside `up`, and a minimal one iff s - t is a maximal
-    such type: adding a variable of any class it misses lands in `up`."""
-    up, axes, nonzero = _up_set(sizes, types)
+    The type of a set T is (|T & C|)_C. A set U of type u contains a
+    generator exactly when u >= d for a generator type d, since the group
+    carries a generator of type d <= u into U: it lies in the up-closure
+    `up` of the generator types (_up_set). A set of type t is a
+    transversal (its complement holds no generator) iff its complement's
+    type s - t, s the class sizes, is outside `up`, and a minimal one iff
+    s - t is a maximal such type: adding a variable of any class it misses
+    lands in `up`."""
+    up, axes, nonzero = _up_set([c.bit_count() for c in classes], types)
     points = axes[0][1]
-    free = ((1 << points) - 1) ^ up  # the types of the sets holding no member
+    free = ((1 << points) - 1) ^ up  # the types of the sets holding no generator
     tops = free
     for (k, _), mask in zip(axes, nonzero):
         tops &= ~(free >> k & mask >> k)
@@ -209,27 +213,7 @@ def _transversal_types(
         tops ^= low
         c = points - low.bit_length()  # the index of s - u, u the type of low
         out.append(tuple(c % block // k for k, block in axes))
-    return out
-
-
-def _sets_of_types(types: Iterable[tuple[int, ...]], members: Sequence[list[int]]) -> list[int]:
-    """Every set of each of these types over the classes whose variables
-    are `members` (single-bit masks): the unions of a t_C-subset of each
-    class C. A class's subsets are built only for the types expanded."""
-    out = []
-    for t in types:
-        parts = [[sum(s) for s in combinations(bits, k)] for bits, k in zip(members, t)]
-        out.extend(sum(p) for p in product(*parts))
-    return out
-
-
-def _dual_types(
-    classes: Sequence[int], types: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """The generator types of the Alexander dual of the ideal whose
-    generator types over `classes` are `types`, sorted: its minimal
-    transversal types (_transversal_types)."""
-    return tuple(sorted(_transversal_types([c.bit_count() for c in classes], types)))
+    return tuple(sorted(out))
 
 
 def _dual(
@@ -243,17 +227,26 @@ def _dual(
     return MonomialIdeal._made(ambient, _typed=(tuple(classes), tuple(dual_types)))
 
 
+def _types_of(a: MonomialIdeal) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The swap classes of `a` and its sorted generator types over them,
+    both read off the indicator of its generator set
+    (MonomialIdeal.indicator, _swap_classes, _indicator_types): no mask,
+    no generator object and no count per generator."""
+    t, nvars = a.indicator, a.ambient.nvars
+    classes = tuple(_swap_classes(t, nvars))
+    return classes, _indicator_types(t, nvars, classes)
+
+
 def dual_by_types(a: MonomialIdeal) -> MonomialIdeal:
     """The Alexander dual of `a` over all its variables, read off count
-    vectors over its swap classes (_swap_classes, _indicator_types,
-    _dual_types, _dual), as oracle_report's set-up builds it: held as the
-    classes and the dual types, its masks read off its indicator only
-    when asked for, as `mixprod dual` asks."""
+    vectors over its swap classes (_types_of, _dual_types, _dual), as the
+    report set-up reads the dual types: held as the classes and the dual
+    types, its masks read off its indicator only when asked for, as
+    `mixprod dual` asks."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Alexander dual needs a proper nonzero ideal")
-    t, nvars = a.indicator, a.ambient.nvars
-    classes = _swap_classes(t, nvars)
-    return _dual(a.ambient, classes, _dual_types(classes, _indicator_types(t, nvars, classes)))
+    classes, types = _types_of(a)
+    return _dual(a.ambient, classes, _dual_types(classes, types))
 
 
 _Parts = tuple[tuple[tuple[int, ...], int, int], ...]
@@ -447,16 +440,6 @@ def _walk_plan(
     ))
 
 
-def _plan_of(a: MonomialIdeal) -> _WalkPlan:
-    """The plan of `a` over its swap classes and its generator types over
-    them, both read off the indicator of its generator set
-    (MonomialIdeal.indicator, _swap_classes, _indicator_types): no mask,
-    no generator object and no count per generator."""
-    t, nvars = a.indicator, a.ambient.nvars
-    classes = tuple(_swap_classes(t, nvars))
-    return _walk_plan(a, classes, _indicator_types(t, nvars, classes))
-
-
 def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = None) -> BettiTable:
     """beta_{i,j}(S/I), the sum over the subsets W of the variables with
     |W| = j of beta_{i,W} = h~_{|W|-i-1}(Delta|_W; field) (Hochster).
@@ -483,16 +466,17 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     oracle_report passes the one its set-up built, and a plan built now
     when it is None. A given plan must be that of a's ambient and
     generator set (ValueError otherwise): it is when it holds `a` itself,
-    as the set-up's plans hold the ideal and its dual; any other ideal is
-    compared with the plan's by its classes and types when both were
-    built from them, and by one indicator comparison otherwise. No W is
-    visited: the table's `walk` and `multigraded` are read off the plan
-    only when first asked for.
+    as the set-up's plans hold the ideal and its dual, or the ideal twice
+    when it is self-dual (_set_up); any other ideal is compared with the
+    plan's by its classes and types when both were built from them, and
+    by one indicator comparison otherwise. No W is visited: the table's
+    `walk` and `multigraded` are read off the plan only when first asked
+    for.
     """
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("Betti numbers are computed for proper nonzero ideals")
     if plan is None:
-        plan = _plan_of(a)
+        plan = _walk_plan(a, *_types_of(a))
     elif plan.ideal is not a and plan.ideal != a:
         raise ValueError("the walk plan is that of another ideal")
     char = field.char
@@ -528,38 +512,28 @@ class InvariantReport:
     field: FieldSpec | None = None
 
 
-# (ambient, indicator) -> the _set_up of the last ideal reported on: a
-# sweep reports on one ideal over each field in turn
-_SET_UP: dict[tuple[Ambient, int], tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]] = {}
-
-
-def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, MonomialIdeal, _WalkPlan, int]:
+@lru_cache(maxsize=1)
+def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, _WalkPlan, int]:
     """What oracle_report needs of `a` before any field, built once and kept
-    for the last ideal only: its plan, with its corner tables and their
-    polynomials (_walk_plan), its Alexander dual held as the plan's
-    classes and the dual types (_dual_types, _dual), the dual's plan and
-    the dimension. A permutation fixes an ideal exactly when it fixes its
-    dual, so the dual's plan takes the ideal's classes and the dual types,
-    and the dimension is nv minus the least sum of a dual type. Both
-    generator sets are unions of type orbits over those classes, so an
-    ideal is self-dual iff its dual types are its types, and then its plan
-    serves as its dual's. It is kept under the ambient and the ideal's
-    indicator, and all of it reads that indicator and the types: no mask
-    and no generator object is built."""
-    key = (a.ambient, a.indicator)
-    set_up = _SET_UP.get(key)
-    if set_up is None:
-        plan = _plan_of(a)
-        dual_types = _dual_types(plan.classes, plan.types)
-        dual = _dual(a.ambient, plan.classes, dual_types)
-        if dual_types == plan.types:  # self-dual: the same plan
-            dual_plan = plan
-        else:
-            dual_plan = _walk_plan(dual, plan.classes, dual_types)
-        set_up = (plan, dual, dual_plan, a.ambient.nvars - min(map(sum, dual_types)))
-        _SET_UP.clear()
-        _SET_UP[key] = set_up
-    return set_up
+    for the last ideal only (a sweep reports on one ideal over each field
+    in turn): its plan, with its corner tables and their polynomials
+    (_walk_plan), the plan of its Alexander dual, which holds the dual
+    (_WalkPlan.ideal), and the dimension. A permutation fixes an ideal
+    exactly when it fixes its dual, so the dual's plan takes the ideal's
+    classes and the dual types (_dual_types), the dual is held as those
+    classes and types (_dual), and the dimension is nv minus the least sum
+    of a dual type. Both generator sets are unions of type orbits over
+    those classes, so an ideal is self-dual iff its dual types are its
+    types, and then its own plan, which holds the ideal itself, serves as
+    its dual's and no dual is built. All of it reads the ideal's indicator
+    and the types: no mask and no generator object is built."""
+    plan = _walk_plan(a, *_types_of(a))
+    dual_types = _dual_types(plan.classes, plan.types)
+    if dual_types == plan.types:  # self-dual: the same plan
+        dual_plan = plan
+    else:
+        dual_plan = _walk_plan(_dual(a.ambient, plan.classes, dual_types), plan.classes, dual_types)
+    return plan, dual_plan, a.ambient.nvars - min(map(sum, dual_types))
 
 
 def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
@@ -567,17 +541,18 @@ def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
     primes (the supports of the Alexander dual's generators), pd and
     regularity from the Betti table, depth by Auslander-Buchsbaum. The
     regularity is re-derived as pd(S/I*) over the full vertex set and the
-    two values are asserted equal (Terai). The plans of both sides, the
-    dual and the dimension come from the ideal's set-up (_set_up), so a
-    report on the same ideal over another field, as a sweep makes, builds
-    none of them, and no corner table, again."""
+    two values are asserted equal (Terai), the dual being the one its plan
+    holds (the ideal itself when it is self-dual). The plans of both
+    sides, with the dual, and the dimension come from the ideal's set-up
+    (_set_up), so a report on the same ideal over another field, as a
+    sweep makes, builds none of them, and no corner table, again."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("invariants are computed for proper nonzero ideals")
     nv = a.ambient.nvars
-    plan, dual, dual_plan, dim = _set_up(a)
+    plan, dual_plan, dim = _set_up(a)
     pd, reg_quotient = betti_stats(hochster_betti(a, field, plan))
     reg_ideal = reg_quotient + 1
-    dual_pd, _ = betti_stats(hochster_betti(dual, field, dual_plan))
+    dual_pd, _ = betti_stats(hochster_betti(dual_plan.ideal, field, dual_plan))
     if dual_pd != reg_ideal:
         raise TeraiMismatch(
             f"reg({a}) = {reg_ideal} but pd of the dual quotient is {dual_pd}"

@@ -372,8 +372,12 @@ class TestPublicConstructors:
             MonomialIdeal.from_monomials(self.AMB, [other])
 
     # bit nvars set, alone or after a mask inside, or a higher bit alone or
-    # after one
-    @pytest.mark.parametrize("masks", [[0b1000], [0b01, 0b1000], [1 << 20], [0b011, 1 << 20]])
+    # after one; a mask outside that a mask inside divides, which
+    # minimalizing would drop; a negative mask, with or without bits inside
+    @pytest.mark.parametrize("masks", [
+        [0b1000], [0b01, 0b1000], [1 << 20], [0b011, 1 << 20],
+        [0b001, 0b1001], [-3, 0b001], [-1, 0b001],
+    ])
     def test_trusted_rejects_a_mask_outside_the_ambient(self, masks):
         # the package's own constructor skips the antichain checks, not
         # the ambient check
@@ -619,8 +623,9 @@ class TestOneGeneratorSet:
         assert not a.is_zero
 
     def test_the_set_up_dual_up_to_five_by_five(self):
-        # the report set-up's dual, held as classes and types, against
-        # dual_by_types's, held the same way, and Berge's, held as masks
+        # the report set-up's dual, held as classes and types (or the ideal
+        # itself, when it is self-dual), against dual_by_types's, held as
+        # classes and types, and Berge's, held as masks
         from mixprod.harness import enumerate_specs
         from mixprod.invariants import _set_up, dual_by_types
 
@@ -630,7 +635,7 @@ class TestOneGeneratorSet:
             a = realize_spec(spec)
             if not a.is_proper_nonzero:
                 continue
-            dual = _set_up(a)[1]
+            dual = _set_up(a)[1].ideal
             others = (dual_by_types(a), alexander_dual(a))
             for b in others:
                 assert dual == b and b == dual and hash(dual) == hash(b), spec

@@ -495,7 +495,7 @@ class TestSparseRank:
         # are ranked here, on a fresh cache so that each reaches the
         # kernel, and so are the reports
         made = fractions_made(monkeypatch)
-        monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+        mixprod.invariants._set_up.cache_clear()
         fresh = lru_cache(maxsize=None)(homology._homology_of_faces.__wrapped__)
         monkeypatch.setattr(mixprod.reference, "_homology_of_faces", fresh)
         monkeypatch.setattr(mixprod.invariants, "_homology_of_faces", fresh)
@@ -503,8 +503,8 @@ class TestSparseRank:
         assert len(specs) == 392
         for spec in specs:
             a = realize_spec(spec)
-            plan, dual, _, _ = mixprod.invariants._set_up(a)
-            for b in (a, dual):
+            plan, dual_plan, _ = mixprod.invariants._set_up(a)
+            for b in (a, dual_plan.ideal):
                 delta = stanley_reisner(b)
                 lowest = [[sum(bits[:k]) for k in range(len(bits) + 1)] for bits in (
                     [1 << v for v in range(c.bit_length()) if c >> v & 1] for c in plan.classes)]

@@ -502,7 +502,7 @@ class TestOrbitWalk:
             return alexander_dual(*args, **kwargs)
 
         monkeypatch.setattr(mixprod.reference, "alexander_dual", counting)
-        monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+        mixprod.invariants._set_up.cache_clear()
         duals = spy(monkeypatch, "_dual")
         cases = [
             realize_spec(MixedProductSpec(Ambient(n, m), terms))
@@ -518,7 +518,7 @@ class TestOrbitWalk:
         for a in cases:
             duals.clear()
             oracle_report(a, GF2)
-            plan = mixprod.invariants._SET_UP[(a.ambient, a.indicator)][0]
+            plan = mixprod.invariants._set_up(a)[0]
             dual_types = mixprod.invariants._dual_types(plan.classes, plan.types)
             assert duals == [(a.ambient, plan.classes, dual_types)]
             assert mixprod.invariants._dual(*duals[0]) == alexander_dual(a)
@@ -720,10 +720,11 @@ def check_dual_types(a, mp):
     the dual's plan and the dimension checked against a count on each
     generator of the ideal and of Berge's dual; the types are read once,
     off the ideal's indicator."""
-    mp.setattr(mixprod.invariants, "_SET_UP", {})
+    mixprod.invariants._set_up.cache_clear()
     counted = spy(mp, "_indicator_types")
     report = oracle_report(a, GF2)
-    plan, dual, dual_plan, dim = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
+    plan, dual_plan, dim = mixprod.invariants._set_up(a)
+    dual = dual_plan.ideal
     classes = plan.classes
     assert plan.types == tuple(gen_types(a.gen_masks(), classes))
     assert dual == alexander_dual(a)
@@ -762,10 +763,10 @@ class TestDualTypes:
 
 
 @pytest.fixture
-def fresh_set_up(monkeypatch):
+def fresh_set_up():
     """No report set-up for one test, so that its first report on an ideal
-    plans it; the process-wide state is put back afterwards."""
-    monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+    plans it."""
+    mixprod.invariants._set_up.cache_clear()
 
 
 def key_at(w, classes, types):
@@ -1048,7 +1049,7 @@ class TestConeCheck:
         gens = a.gen_masks()
         singletons = tuple(1 << v for v in range(a.ambient.nvars))
         for plan in (
-            mixprod.invariants._plan_of(a),
+            mixprod.invariants._walk_plan(a, *mixprod.invariants._types_of(a)),
             mixprod.invariants._walk_plan(a, singletons, tuple(gen_types(gens, singletons))),
         ):
             keys = {w: key for w, key, _, _ in rows_by_scan(gens, plan.classes)}
@@ -1334,11 +1335,11 @@ class TestWarmMemo:
         with pytest.MonkeyPatch.context() as mp:
             fresh = lru_cache(maxsize=None)(mixprod.homology._homology_of_faces.__wrapped__)
             mp.setattr(mixprod.invariants, "_homology_of_faces", fresh)
-            mp.setattr(mixprod.invariants, "_SET_UP", {})
+            mixprod.invariants._set_up.cache_clear()
             cold = {f: hochster_betti(a, f) for f in fields}
             cold_walks = {f: cold[f].walk for f in fields}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_SET_UP", {})
+            mixprod.invariants._set_up.cache_clear()
             for b in others:
                 for f in fields:
                     oracle_report(b, f)
@@ -1360,7 +1361,7 @@ class TestWarmMemo:
         singletons = tuple(1 << v for v in range(4))
         types = tuple(gen_types(a.gen_masks(), singletons))
         plan = mixprod.invariants._walk_plan(a, singletons, types)
-        swapped = mixprod.invariants._plan_of(a)
+        swapped = mixprod.invariants._walk_plan(a, *mixprod.invariants._types_of(a))
         assert len(swapped.classes) == 2
         (top,) = [key for w, key, _, _ in rows_by_scan(a.gen_masks(), swapped.classes) if w == 0b1111]
         # Gamma_k = {<empty>} gives i = 4 - 1, listed first; two points give i = 2 + 0
@@ -1548,19 +1549,20 @@ class TestSharedWalkState:
         for spec in specs[:50]:
             a = realize_spec(spec)
             oracle_report(a, GF2)
-        key = (a.ambient, a.indicator)
-        assert list(mixprod.invariants._SET_UP) == [key]
-        plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[key]
-        assert dual == alexander_dual(a)
-        assert (plan.ideal, dual_plan.ideal) == (a, dual)
+        info = mixprod.invariants._set_up.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+        plan, dual_plan, _ = mixprod.invariants._set_up(a)
+        # the one entry kept is the last ideal's
+        assert mixprod.invariants._set_up.cache_info().misses == info.misses
+        assert plan.ideal is a and dual_plan.ideal == alexander_dual(a)
         assert realize_spec.cache_info().currsize == 1
         assert realize_spec(specs[49]) is a
 
     def test_three_fields_share_one_set_up(self, fresh_set_up, monkeypatch):
         # reports on one ideal over Q, GF(2) and GF(3) find the classes
         # once and read generator types once, both off the ideal's
-        # indicator, and expand one dual; a self-dual ideal just before
-        # changes none of it
+        # indicator, and build one dual, none for a self-dual ideal; a
+        # self-dual ideal just before changes none of it
         amb = Ambient(3, 0)
         self_dual = MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110))
         assert alexander_dual(self_dual) == self_dual
@@ -1581,7 +1583,7 @@ class TestSharedWalkState:
             t = a.indicator
             assert found == [(t, a.ambient.nvars)]
             assert counted == [(t, a.ambient.nvars, tuple(swap_classes(a)))]
-            assert len(duals) == 1
+            assert len(duals) == (a is not self_dual)
 
     def test_three_fields_build_each_corner_table_once(self, fresh_set_up, monkeypatch):
         # reports on one ideal over Q, GF(2) and GF(3) build the corner
@@ -1603,7 +1605,8 @@ class TestSharedWalkState:
             walks.clear()
             for field in (RATIONALS, GF2, GF3):
                 oracle_report(a, field)
-            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
+            plan, dual_plan, _ = mixprod.invariants._set_up(a)
+            dual = dual_plan.ideal
             assert (dual_plan is plan) == self_dual
             sides = [plan] if self_dual else [plan, dual_plan]
             assert len(read) == sum(len(class_sets(p.classes, p.types)) for p in sides)
@@ -1613,8 +1616,8 @@ class TestSharedWalkState:
     def test_a_report_builds_no_generator(self, monkeypatch):
         # realize_spec builds the ideal's indicator and the set-up holds the
         # dual as classes and types: no SqFreeMonomial is made, no mask is
-        # expanded from types (_sets_of_types) or read (gen_masks), no
-        # indicator is set one mask at a time, and neither the ideal nor
+        # read off an indicator (_masks_of_indicator) or read (gen_masks),
+        # no indicator is set one mask at a time, and neither the ideal nor
         # its dual derives its masks or gens
         def forbidden(*args, **kwargs):
             raise AssertionError("a report built or read a generator")
@@ -1623,27 +1626,30 @@ class TestSharedWalkState:
         assert len(specs) >= 1500
         monkeypatch.setattr(SqFreeMonomial, "__post_init__", forbidden)
         monkeypatch.setattr(MonomialIdeal, "gen_masks", forbidden)
-        monkeypatch.setattr(mixprod.invariants, "_sets_of_types", forbidden)
+        monkeypatch.setattr(mixprod.core, "_masks_of_indicator", forbidden)
+        monkeypatch.setattr(mixprod.invariants, "_masks_of_indicator", forbidden)
         monkeypatch.setattr(mixprod.core, "_indicator_of_masks", forbidden)
         for spec in specs:
             realize_spec.cache_clear()
-            monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+            mixprod.invariants._set_up.cache_clear()
             a = realize_spec(spec)
             for field in (RATIONALS, GF2, GF3):
                 oracle_report(a, field)
-            dual = mixprod.invariants._SET_UP[(a.ambient, a.indicator)][1]
+            dual = mixprod.invariants._set_up(a)[1].ideal
             for b in (a, dual):
                 assert not {"_masks", "gens"} & set(vars(b)), spec
 
     def test_a_self_dual_ideal_is_planned_once(self, fresh_set_up, monkeypatch):
-        # I_2 at three variables is its own dual: its plan serves both walks
+        # I_2 at three variables is its own dual: its plan serves both
+        # walks, and no dual is built
         a = MonomialIdeal.from_masks(Ambient(3, 0), (0b011, 0b101, 0b110))
         assert alexander_dual(a) == a
         planned = spy(monkeypatch, "_walk_plan")
+        duals = spy(monkeypatch, "_dual")
         report = oracle_report(a, GF2)
-        assert len(planned) == 1
-        plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
-        assert dual == a and dual_plan is plan
+        assert len(planned) == 1 and duals == []
+        plan, dual_plan, _ = mixprod.invariants._set_up(a)
+        assert dual_plan is plan and plan.ideal is a
         assert report.reg_of_ideal == 2 and report.pd == 2
         # a dual that is not the ideal takes a plan of its own
         oracle_report(realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 1),))), GF2)
@@ -1663,7 +1669,7 @@ class TestSharedWalkState:
         found = spy(monkeypatch, "_swap_classes")
         oracle_report(a, GF2)
         assert found == [(a.indicator, a.ambient.nvars)]
-        dual_plan = mixprod.invariants._SET_UP[(a.ambient, a.indicator)][2]
+        dual_plan = mixprod.invariants._set_up(a)[1]
         assert dual_plan.classes == expected
         types = {tuple((g & c).bit_count() for c in expected) for g in dual.gen_masks()}
         assert dual_plan.types == tuple(sorted(types))
@@ -1682,13 +1688,13 @@ class TestSharedWalkState:
         ideals = [MonomialIdeal.from_masks(amb, masks) for amb in ambients]
         fresh = {}
         for a in ideals:
-            monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+            mixprod.invariants._set_up.cache_clear()
             fresh[a.ambient] = (oracle_report(a, GF3), hochster_betti(a, GF3))
-        monkeypatch.setattr(mixprod.invariants, "_SET_UP", {})
+        mixprod.invariants._set_up.cache_clear()
         for a in ideals + ideals:
             report = oracle_report(a, GF3)
-            plan, dual, _, _ = mixprod.invariants._set_up(a)
-            assert dual == alexander_dual(a)
+            plan, dual_plan, _ = mixprod.invariants._set_up(a)
+            assert dual_plan.ideal == alexander_dual(a)
             got = hochster_betti(a, GF3, plan)
             assert (report, got) == fresh[a.ambient]
             assert got.ambient == a.ambient
@@ -1708,10 +1714,10 @@ class TestGivenPlan:
     @given(squarefree_ideals(), st.sampled_from([RATIONALS, GF2, GF3]))
     def test_given_plan_gives_the_table_walked_alone(self, a, field):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixprod.invariants, "_SET_UP", {})
+            mixprod.invariants._set_up.cache_clear()
             oracle_report(a, field)
-            plan, dual, dual_plan, _ = mixprod.invariants._SET_UP[(a.ambient, a.indicator)]
-        for b, given_plan in ((a, plan), (dual, dual_plan)):
+            plan, dual_plan, _ = mixprod.invariants._set_up(a)
+        for b, given_plan in ((a, plan), (dual_plan.ideal, dual_plan)):
             got, alone = hochster_betti(b, field, given_plan), hochster_betti(b, field)
             assert got == alone
             assert got.multigraded == alone.multigraded
@@ -1728,7 +1734,8 @@ class TestGivenPlan:
         a = MonomialIdeal.from_masks(Ambient(2, 1), (0b011, 0b110))
         assert alexander_dual(a).gen_masks() == (0b010, 0b101)
         with pytest.raises(ValueError, match="another ideal"):
-            hochster_betti(a, GF2, mixprod.invariants._plan_of(other))
+            plan = mixprod.invariants._walk_plan(other, *mixprod.invariants._types_of(other))
+            hochster_betti(a, GF2, plan)
 
     @pytest.mark.parametrize(
         "n, m, terms, other",
@@ -1746,10 +1753,11 @@ class TestGivenPlan:
         # Berge's dual and the dual by types with the set-up's dual plan
         amb = Ambient(n, m)
         a = realize_spec(MixedProductSpec(amb, terms))
-        plan, dual, dual_plan, _ = mixprod.invariants._set_up(a)
+        plan, dual_plan, _ = mixprod.invariants._set_up(a)
+        dual = dual_plan.ideal
         assert dual_plan is not plan
         b = realize_spec(MixedProductSpec(amb, other))
-        other_dual_plan = mixprod.invariants._set_up(b)[2]
+        other_dual_plan = mixprod.invariants._set_up(b)[1]
         for ideal, wrong in ((a, dual_plan), (dual, plan), (dual, other_dual_plan)):
             with pytest.raises(ValueError, match="another ideal"):
                 hochster_betti(ideal, GF2, wrong)
@@ -1767,13 +1775,17 @@ class TestGivenPlan:
         for same, got in served:
             assert got == hochster_betti(same, GF2)
 
-    def test_a_self_dual_ideal_serves_its_dual_plan(self, fresh_set_up):
-        # the dual of a self-dual ideal is held as types and walked on the
-        # ideal's plan, which holds the ideal
+    def test_a_self_dual_ideal_serves_its_dual_plan(self, fresh_set_up, monkeypatch):
+        # a self-dual ideal's plan, which holds the ideal, serves as its
+        # dual's: the report walks the ideal itself twice on its own plan
         a = MonomialIdeal.from_masks(Ambient(3, 0), (0b011, 0b101, 0b110))
-        plan, dual, dual_plan, _ = mixprod.invariants._set_up(a)
-        assert dual_plan is plan and plan.ideal is a and dual is not a
-        assert hochster_betti(dual, GF2, plan) == hochster_betti(a, GF2, plan)
+        walks = spy(monkeypatch, "hochster_betti")
+        oracle_report(a, GF2)
+        plan, dual_plan, _ = mixprod.invariants._set_up(a)
+        assert dual_plan is plan and plan.ideal is a
+        assert len(walks) == 2
+        for b, field, given_plan in walks:
+            assert b is a and field == GF2 and given_plan is plan
 
     @pytest.mark.parametrize(
         "a",

@@ -3,10 +3,10 @@ step and runnable locally, one at a time:
 
     PYTHONPATH=src python ci/checks.py <name>
 
-with <name> one of rows, swap_classes, antichain, dual_berge and digest.
-Each asserts its counts and prints one line per pass; a failed assert
-exits non-zero. The file lies outside tests/, so Tier-1 does not collect
-it.
+with <name> one of rows, swap_classes, antichain, dual_berge, digest and
+corners. Each asserts its counts and prints one line per pass; a failed
+assert exits non-zero. The file lies outside tests/, so Tier-1 does not
+collect it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from mixprod import (
 from mixprod.core import Ambient, _indicator_of_masks, _minimalize, vars_to_mask
 from mixprod.harness import enumerate_specs
 from mixprod.homology import _canonical_facets, _homology_of_faces
-from mixprod.invariants import _set_up, _swap_classes, dual_by_types, hochster_betti
+from mixprod.invariants import _set_up, _swap_classes, _up_set, dual_by_types, hochster_betti
 from mixprod.reference import _faces
 
 
@@ -194,25 +194,31 @@ def dual_berge() -> None:
 DIGESTS = Path(__file__).with_name("betti_digests.txt")
 
 
+def _cap_ambients():
+    """Each ambient (n, m) with 1 <= n + m <= 16, by n + m then n, with its
+    canonical specs."""
+    for nvars in range(1, 17):
+        for n in range(nvars + 1):
+            amb = Ambient(n, nvars - n)
+            yield amb, [s for s in enumerate_specs(n, nvars - n) if s.ambient == amb]
+
+
 def _digests() -> list[str]:
     """One line "n m sha256" per ambient (n, m) with 1 <= n + m <= 16: the
     hash of every canonical spec's terms with the sorted Betti entries of
     its ideal and of the ideal's Alexander dual, each walked on the plan of
     the report set-up, over Q and over GF(2)."""
     lines = []
-    for nvars in range(1, 17):
-        for n in range(nvars + 1):
-            amb, h = Ambient(n, nvars - n), hashlib.sha256()
-            for spec in enumerate_specs(n, nvars - n):
-                if spec.ambient != amb:
-                    continue
-                a = realize_spec(spec)
-                plan, dual_plan, _ = _set_up(a)
-                h.update(repr(spec.terms).encode())
-                for field in (RATIONALS, GF2):
-                    for b, p in ((a, plan), (dual_plan.ideal, dual_plan)):
-                        h.update(repr(hochster_betti(b, field, p).sorted_entries()).encode())
-            lines.append(f"{n} {nvars - n} {h.hexdigest()}")
+    for amb, specs in _cap_ambients():
+        h = hashlib.sha256()
+        for spec in specs:
+            a = realize_spec(spec)
+            plan, dual_plan, _ = _set_up(a)
+            h.update(repr(spec.terms).encode())
+            for field in (RATIONALS, GF2):
+                for b, p in ((a, plan), (dual_plan.ideal, dual_plan)):
+                    h.update(repr(hochster_betti(b, field, p).sorted_entries()).encode())
+        lines.append(f"{amb.n} {amb.m} {h.hexdigest()}")
     return lines
 
 
@@ -233,7 +239,62 @@ def digest() -> None:
           " match the committed digests")
 
 
-CHECKS = {f.__name__: f for f in (rows, swap_classes, antichain, dual_berge, digest)}
+def _corners_by_staircase(sizes, types):
+    """Reference: the corner table of `types` on the box of `sizes` by a
+    scan of the staircase of their up-closure (_up_set), every k with each
+    k_C >= 1 in the up-closure and k - 1 outside it, each with its Gamma_k
+    read off the U_d of the types d <= k, the cones left out."""
+    up, axes, nonzero = _up_set(sizes, types)
+    points = up & ~up << sum(k for k, _ in axes)
+    for mask in nonzero:
+        points &= mask
+    out = []
+    while points:
+        low = points & -points
+        points ^= low
+        k = [(low.bit_length() - 1) % block // stride for stride, block in axes]
+        facets = {
+            sum(1 << j for j, (x, y) in enumerate(zip(d, k)) if x < y)
+            for d in types
+            if all(map(int.__le__, d, k))
+        }
+        kept, common = [], -1
+        for u in sorted(facets, key=int.bit_count, reverse=True):
+            if all(u & ~v for v in kept):
+                kept.append(u)
+                common &= u
+        if not common:
+            out.append((tuple(x - 1 for x in k), _canonical_facets(tuple(sorted(kept))), sum(k)))
+    return tuple(out)
+
+
+def corners() -> None:
+    """_corners reads its candidate corners off the lcm lattice of the
+    types; every corner table of the plans of every canonical spec with
+    n + m <= 16 and of its dual, as the report set-up builds them, equals
+    the staircase scan of the up-closure on the box of the classes' sizes
+    (169462 tables)."""
+    tables, bad = 0, []
+    for _, specs in _cap_ambients():
+        for spec in specs:
+            plan, dual_plan, _ = _set_up(realize_spec(spec))
+            for p in (plan, dual_plan):
+                for union, table in p.tables.items():
+                    meets = [j for j, c in enumerate(p.classes) if c & union]
+                    inside = [
+                        tuple(d[j] for j in meets)
+                        for d in p.types
+                        if not any(x for j, x in enumerate(d) if j not in meets)
+                    ]
+                    sizes = [p.classes[j].bit_count() for j in meets]
+                    tables += 1
+                    if table != _corners_by_staircase(sizes, inside):
+                        bad.append((spec, union))
+    assert tables == 169462 and not bad, (tables, bad[:3])
+    print(tables, "tables: the corners from the lcm lattice of the types equal the staircase scan")
+
+
+CHECKS = {f.__name__: f for f in (rows, swap_classes, antichain, dual_berge, digest, corners)}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
+from math import prod
 from typing import Iterable
 
 from .errors import (
@@ -200,22 +201,12 @@ def _indicator_of_masks(nvars: int, masks: Iterable[int]) -> int:
     return int.from_bytes(indicator, "little")
 
 
-def _indicator_of_types(
-    classes: Iterable[int], types: Iterable[tuple[int, ...]]
-) -> int:
-    """The indicator (as _indicator_of_masks) of every set of each of these
-    types over the disjoint classes, the sets g with (|g & C|)_C a type.
-
-    V_C(k), the indicator of the k-subsets of class C, is built member by
-    member, V[k] | V[k-1] << 2^p for each member p. The sets of one type
-    are the unions of a t_C-subset of each class, with the indicator
-    prod_C V_C(t_C): the classes are disjoint, so g + h = g | h for any
-    two bits multiplied and no product carries. The indicator is the OR
-    of the types' products."""
-    types = tuple(types)
+def _subset_tables(classes: Iterable[int], tops: Iterable[int]) -> list[list[int]]:
+    """Per class C, with its top t, the indicators V_C(k) of the k-subsets
+    of C for k = 0..t, built member by member, V[k] | V[k-1] << 2^p for
+    each member p."""
     tables = []
-    for j, cls in enumerate(classes):
-        top = max([t[j] for t in types], default=0)  # V_C(k) is built for k <= top only
+    for cls, top in zip(classes, tops):
         v = [1] + [0] * top
         while cls:
             low = cls & -cls  # 2^p for the member p
@@ -223,12 +214,25 @@ def _indicator_of_types(
             for k in range(top, 0, -1):
                 v[k] |= v[k - 1] << low
         tables.append(v)
+    return tables
+
+
+def _indicator_of_types(
+    classes: Iterable[int], types: Iterable[tuple[int, ...]]
+) -> int:
+    """The indicator (as _indicator_of_masks) of every set of each of these
+    types over the disjoint classes, the sets g with (|g & C|)_C a type.
+
+    The sets of one type are the unions of a t_C-subset of each class,
+    with the indicator prod_C V_C(t_C) (_subset_tables, built up to the
+    largest count of each class only): the classes are disjoint, so
+    g + h = g | h for any two bits multiplied and no product carries. The
+    indicator is the OR of the types' products."""
+    types = tuple(types)
+    tables = _subset_tables(classes, map(max, zip(*types)))
     out = 0
     for t in types:
-        term = 1
-        for v, k in zip(tables, t):
-            term *= v[k]
-        out |= term
+        out |= prod(v[k] for v, k in zip(tables, t))
     return out
 
 

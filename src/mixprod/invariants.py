@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import groupby, product
 from math import comb, prod
 from typing import Iterable, Sequence
 
-from .core import MonomialIdeal, Ambient, _indicator_of_types, _masks_of_indicator
+from .core import MonomialIdeal, Ambient, _masks_of_indicator, _subset_tables
 from .errors import TeraiMismatch, UnsupportedIdeal
 from .homology import FieldSpec, _canonical_facets, _homology_of_faces
 
@@ -30,9 +30,10 @@ class BettiTable:
     whose permutations carry W over its orbit, is read off the plan's
     corner tables when `walk` is first read; `multigraded`, the refinement
     (i, vertex-set mask) -> rank kept for diagnostics, is expanded from it
-    when first read, each W's orbit as the sets of W's type, built as an
-    indicator by doubling and read back as masks (core._indicator_of_types,
-    core._masks_of_indicator). A report reads neither."""
+    when first read, each W's orbit as the sets of W's type, the product
+    of the per-class subset indicators (core._subset_tables, built once
+    per call) read back as masks (core._masks_of_indicator), one orbit per
+    W. A report reads neither."""
 
     ambient: Ambient
     entries: dict[tuple[int, int], int]
@@ -72,10 +73,11 @@ class BettiTable:
     @cached_property
     def multigraded(self) -> dict[tuple[int, int], int]:
         classes = self.classes
+        tables = list(zip(classes, _subset_tables(classes, map(int.bit_count, classes))))
         out: dict[tuple[int, int], int] = {}
-        for i, w, r in self.walk:
-            orbit = _indicator_of_types(classes, [tuple([(w & c).bit_count() for c in classes])])
-            out.update(((i, v), r) for v in _masks_of_indicator(orbit))
+        for w, entries in groupby(self.walk, key=lambda entry: entry[1]):  # one run per W
+            orbit = _masks_of_indicator(prod(v[(w & c).bit_count()] for c, v in tables))
+            out.update(((i, v), r) for i, _, r in entries for v in orbit)
         return out
 
 
@@ -257,45 +259,51 @@ _Corners = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 _Sums = tuple[tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]
 
 
-def _corners(sizes: Sequence[int], types: Sequence[tuple[int, ...]]) -> _Corners:
-    """The corners k of the up-closure U of the generator types `types` in
-    the grid prod [0, s_C] over these class sizes, each with the facets of
-    its complex Gamma_k, canonical as _homology_of_faces keys them, and
-    |k|, in ascending order of k, for an ideal whose generator set is fixed
-    by the permutations inside each class. A corner whose Gamma_k is a
-    cone is left out. The plan (_walk_plan) builds one such table per set
-    M of classes, on the box of M's sizes, and sums its corners into the
-    totals; _parts reads beta_{.,W} off it at any W of type c <= s over
-    these classes.
+def _corners(types: Sequence[tuple[int, ...]]) -> _Corners:
+    """The corners k of the type grid of the generator types `types` over a
+    set M of classes, each with the facets of its complex Gamma_k,
+    canonical as _homology_of_faces keys them, and |k|, in ascending order
+    of k, for an ideal whose generator set is fixed by the permutations
+    inside each class. A corner whose Gamma_k is a cone is left out. The
+    plan (_walk_plan) builds one such table per set M of classes and sums
+    its corners into the totals; _parts reads beta_{.,W} off it at any W
+    of type c over these classes.
 
     A set inside W is a face of Delta|_W iff its type lies in the down-set
     R of the t <= c with no generator type d <= t. The augmented chain
     complex of the simplex on W is the tensor product over C of those of
     the simplices on W & C, each split exact: the sum of C(c_C - 1, k_C - 1)
     two-term complexes in sizes k_C and k_C - 1, k_C = 1..c_C. The
-    splitting keeps types, so C~(Delta|_W) is the sum of the cubes of
-    corners k <= c, cut to R. A cube is all in R or all outside it unless
-    k is outside R and k - 1 inside: a corner of U (_up_set) with k <= c,
-    since U meets the box [0, c] in the up-closure of the types inside W.
-    There a vertex k - e, e a set of classes, is outside R iff e lies in
-    U_d = {C : d_C < k_C} for some d <= k, so the cut cube is the full
-    cube, acyclic, modulo the cochains of the complex Gamma_k with the
-    facets U_d: its homology in size |k| - j - 2 has the rank
+    splitting keeps types, so C~(Delta|_W) is the sum of the cubes of the
+    k <= c, cut to R. A cube is all in R or all outside it unless k is
+    outside R and k - 1 inside: a point of the staircase of the up-closure
+    of the types. There a vertex k - e, e a set of classes, is outside R
+    iff e lies in U_d = {C : d_C < k_C} for some d <= k, so the cut cube is
+    the full cube, acyclic, modulo the cochains of the complex Gamma_k with
+    the facets U_d: its homology in size |k| - j - 2 has the rank
     h~_j(Gamma_k), which Hochster's formula puts at i = |W| - |k| + 2 + j;
     a cone Gamma_k is acyclic. Gamma_k depends on k and the types d <= k
     alone, not on W. With singleton classes k = W, and Gamma_k is the
     Alexander dual of Delta|_W inside W, with the facets W - g over the
-    generators g inside W."""
-    up, axes, nonzero = _up_set(sizes, types)
-    corners = up & ~up << sum(k for k, _ in axes)  # k - 1 lies outside up
-    for mask in nonzero:
-        corners &= mask
-    bits = [1 << j for j in range(len(sizes))]
+    generators g inside W.
+
+    Only an lcm of types can carry homology, as Betti multidegrees lie in
+    the lcm lattice of the generators (Gasharov, Peeva and Welker, Math.
+    Res. Lett. 6, 1999; Miller and Sturmfels, Combinatorial Commutative
+    Algebra, GTM 227, ch. 1): at a staircase point k that is no lcm, the
+    lcm b of the types d <= k has b_C < k_C in some class C, so every
+    U_d holds C and Gamma_k is a cone. The candidates are therefore the
+    componentwise maxima of the nonempty sets of types, closed type by
+    type; one with some k_C = 0 meets fewer classes, and one with a U_d
+    holding every class has k - 1 in the up-closure, so both are passed
+    over."""
+    lcms: set[tuple[int, ...]] = set()
+    for d in types:
+        lcms |= {tuple(map(max, k, d)) for k in lcms} | {d}
+    bits = [1 << j for j in range(len(types[0]))] if types else []  # no type: no corner
+    full = sum(bits)
     out = []
-    while corners:
-        low = corners & -corners
-        corners ^= low
-        k = [(low.bit_length() - 1) % block // stride for stride, block in axes]
+    for k in sorted(filter(all, lcms)):
         facets = set()
         for d in types:  # U_d for each d <= k
             u = 0
@@ -306,6 +314,8 @@ def _corners(sizes: Sequence[int], types: Sequence[tuple[int, ...]]) -> _Corners
                     u |= b
             else:
                 facets.add(u)
+        if full in facets:
+            continue
         # the U_d that no other holds, by size, larger first
         kept: list[int] = []
         common = -1
@@ -320,12 +330,12 @@ def _corners(sizes: Sequence[int], types: Sequence[tuple[int, ...]]) -> _Corners
 
 def _parts(c: tuple[int, ...], corners: _Corners) -> _Parts:
     """beta_{.,W}(S/I) at a nonempty W of type c, read off the corners of
-    the type grid over the classes that meet W (_corners) on any box that
-    holds c, as parts (facets, base, multiplicity) merged on (facets,
-    base): beta_{i,W} is the sum of multiplicity * h~_{i-base} of those
-    complexes. Only the corners k <= c count, each with the multiplicity
-    prod_C C(c_C - 1, k_C - 1) and the base |c| + 2 - |k|. No complex on W
-    is built."""
+    the types supported in the classes that meet W (_corners), or of the
+    types inside W, as parts (facets, base, multiplicity) merged on
+    (facets, base): beta_{i,W} is the sum of multiplicity * h~_{i-base}
+    of those complexes. Only the corners k <= c count, each with the
+    multiplicity prod_C C(c_C - 1, k_C - 1) and the base |c| + 2 - |k|.
+    No complex on W is built."""
     base, below = sum(c) + 2, [x - 1 for x in c]
     parts: dict[tuple[tuple[int, ...], int], int] = {}
     for below_k, facets, size in corners:
@@ -400,8 +410,9 @@ def _walk_plan(
     generator. The generator set is a union of type orbits, so at a W
     meeting M the generators inside W cover W, and Delta|_W is no cone,
     only if M's types hit each class of M: every other M is dropped too.
-    Each M left gets the corner table of its types projected onto M, on
-    the box of M's sizes s.
+    Each M left gets the corner table of its types projected onto M,
+    whose corners are lcms of those types (_corners); M's sizes s enter
+    only the polynomials below.
 
     Summed over the W that meet M exactly, beta_{i,W} times W's orbit size
     prod_C C(s_C, c_C) adds, at each corner k of M's table and over the
@@ -428,7 +439,7 @@ def _walk_plan(
         if not all(map(any, zip(*inside))):
             continue
         sizes = [classes[j].bit_count() for j in meets]
-        table = tables[union] = _corners(sizes, inside)
+        table = tables[union] = _corners(inside)
         for below, facets, size in table:
             poly = reduce(_times, [_corner_poly(s, x + 1) for s, x in zip(sizes, below)])
             total = sums.setdefault((facets, size), [0] * degrees)
@@ -451,7 +462,9 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     the classes (_corners): beta_{i,W} is a sum of the homologies of small
     complexes Gamma_k on the classes M that meet W, one per corner k <= c
     of the type grid, c the type of W, times binomial multiplicities, and
-    Gamma_k depends on k and the generator types d <= k alone. Summed over
+    Gamma_k depends on k and the generator types d <= k alone; a corner
+    whose Gamma_k is no cone is an lcm of types, so only the lcm lattice
+    of the types is searched. Summed over
     W, each corner's multiplicities and orbit sizes make one polynomial in
     j, so the totals are, besides beta_{0,0} = 1,
 

@@ -402,6 +402,20 @@ def class_sets(classes, types):
     return out
 
 
+def projected_tables(plan):
+    """(the union of M, its corner table, the sizes of M's classes, the
+    types supported in M) per corner table of a plan: the generator types
+    that vanish off the set M of classes, projected onto M's classes."""
+    for union, table in plan.tables.items():
+        meets = [j for j, c in enumerate(plan.classes) if c & union]
+        inside = [
+            tuple(d[j] for j in meets)
+            for d in plan.types
+            if not any(x for j, x in enumerate(d) if j not in meets)
+        ]
+        yield union, table, [plan.classes[j].bit_count() for j in meets], inside
+
+
 def check_walk(table, gens):
     """The walk of a table lists Betti numbers only at rows, the nonempty
     representatives W that the generators inside W cover (rows_by_scan),
@@ -755,11 +769,14 @@ class TestDualTypes:
 # (_corners, _parts): a sum over the corners k of the type grid of the
 # homology of small complexes Gamma_k on the classes, which with singleton
 # classes is the Alexander dual of Delta|_W inside W. A plan builds the
-# corners once per set of classes M, on the box of M's full sizes, and a
-# W meeting M keeps those below its type. The values are checked against
-# the reference restrict(stanley_reisner(b), W), against that dual inside
-# W, against the independent oracle, and the parts against a reference
-# corner pass on each row's own box (type_cubes_by_box).
+# corners once per set of classes M, from the lcm lattice of the types
+# supported in M, and a W meeting M keeps those below its type. The values
+# are checked against the reference restrict(stanley_reisner(b), W),
+# against that dual inside W, against the independent oracle, the parts
+# against a reference corner pass on each row's own box (type_cubes_by_box),
+# and the corner tables against a scan of the staircase of the up-closure
+# of the types on the box of M's sizes (corners_by_staircase), whose
+# points that are no lcm of types are cones (staircase_points).
 
 
 @pytest.fixture
@@ -779,9 +796,10 @@ def key_at(w, classes, types):
 
 
 def parts_on_own_box(key):
-    """The parts read at a key off the corners of its own box [0, c]."""
+    """The parts read at a key off the corners of the types inside W, all
+    in its own box [0, c]."""
     c, inside = key
-    return mixprod.invariants._parts(c, mixprod.invariants._corners(c, inside))
+    return mixprod.invariants._parts(c, mixprod.invariants._corners(inside))
 
 
 def cubes_at(w, classes, types):
@@ -789,23 +807,24 @@ def cubes_at(w, classes, types):
     return parts_on_own_box(key_at(w, classes, types))
 
 
-def type_cubes_by_box(c, inside):
-    """Reference: beta_{.,W} at a W of type c as parts (facets, base,
-    multiplicity), read row by row off W's own box [0, c] and the types
-    inside W: the up-closure of the inside types, its corners, and each
-    corner's Gamma_k, its cones left out, merged on (facets, base)."""
-    up, axes, nonzero = mixprod.invariants._up_set(c, inside)
-    corners = up & ~up << sum(k for k, _ in axes)
+def staircase_points(sizes, types):
+    """Reference: each point k of the staircase of the up-closure of
+    `types` on the box prod [0, s_C] of `sizes` (_up_set), in ascending
+    order: k in the up-closure, each k_C >= 1 and k - 1 outside it, with
+    the facets of its Gamma_k, the U_d = {C : d_C < k_C} over the types
+    d <= k that no other holds, and their intersection, nonzero iff
+    Gamma_k is a cone."""
+    up, axes, nonzero = mixprod.invariants._up_set(sizes, types)
+    points = up & ~up << sum(k for k, _ in axes)
     for mask in nonzero:
-        corners &= mask
-    base, bits = sum(c) + 2, [1 << j for j in range(len(c))]
-    parts = {}
-    while corners:
-        low = corners & -corners
-        corners ^= low
-        k = [(low.bit_length() - 1) % block // stride for stride, block in axes]
+        points &= mask
+    bits = [1 << j for j in range(len(sizes))]
+    while points:
+        low = points & -points
+        points ^= low
+        k = tuple((low.bit_length() - 1) % block // stride for stride, block in axes)
         facets = set()
-        for d in inside:
+        for d in types:
             if all(map(int.__le__, d, k)):
                 facets.add(sum(b for b, x, y in zip(bits, d, k) if x < y))
         kept = []
@@ -814,9 +833,30 @@ def type_cubes_by_box(c, inside):
             if all(u & ~v for v in kept):
                 kept.append(u)
                 common &= u
+        yield k, tuple(sorted(kept)), common
+
+
+def corners_by_staircase(sizes, types):
+    """Reference: the corner table of `types` (as _corners) read off the
+    staircase on the box of `sizes`, its cones left out."""
+    return tuple(
+        (tuple(x - 1 for x in k), mixprod.homology._canonical_facets(kept), sum(k))
+        for k, kept, common in staircase_points(sizes, types)
+        if not common
+    )
+
+
+def type_cubes_by_box(c, inside):
+    """Reference: beta_{.,W} at a W of type c as parts (facets, base,
+    multiplicity), read row by row off W's own box [0, c] and the types
+    inside W: the staircase of the inside types and each point's Gamma_k,
+    its cones left out, merged on (facets, base)."""
+    base = sum(c) + 2
+    parts = {}
+    for k, kept, common in staircase_points(c, inside):
         if common:
             continue
-        key = (mixprod.homology._canonical_facets(tuple(sorted(kept))), base - sum(k))
+        key = (mixprod.homology._canonical_facets(kept), base - sum(k))
         parts[key] = parts.get(key, 0) + prod(comb(x - 1, y - 1) for x, y in zip(c, k))
     return tuple((*key, mult) for key, mult in parts.items())
 
@@ -923,11 +963,17 @@ class TestDualityInsideW:
                 got = hochster_betti(b, field)
                 plan = got.plan
                 # one corner table per set of classes that is a union of
-                # supports of generator types, on the box of its sizes
+                # supports of generator types, from the types projected
+                # onto its classes
                 built = class_sets(plan.classes, plan.types)
                 assert set(plan.tables) == built and len(read) == len(built)
-                sizes = sorted(sorted(args[0]) for args in read)
-                assert sizes == sorted(sorted(c.bit_count() for c in plan.classes if c & m) for m in built)
+                widths = sorted(len(d) for args in read for d in args[0])
+                assert widths == sorted(
+                    sum(1 for c in plan.classes if c & m)
+                    for m in built
+                    for d in plan.types
+                    if not any(x for x, c in zip(d, plan.classes) if not c & m)
+                )
                 read.clear()
                 assert hochster_betti(b, field, plan) == got
                 assert read == []
@@ -1071,8 +1117,9 @@ class TestConeCheck:
                     homologies = spy(mp, "_homology_of_faces")
                     got = mixprod.invariants._betti_of(parts_on_own_box(keys[w]), GF2.char)
                 assert got == by_restrict(delta, w, GF2) == walked.get(w, {})
-                # the parts on the key's own box read the corners of that box
-                assert read == [keys[w]]
+                # the parts on the key's own box read the corners of the
+                # types inside W
+                assert read == [(keys[w][1],)]
                 meeting = sum(1 for c in plan.classes if c & w)
                 assert all(reduce(or_, facets, 0) >> meeting == 0 for facets, _ in homologies)
 
@@ -1142,15 +1189,8 @@ class TestPlanRows:
             plan = mixprod.invariants._walk_plan(b, classes, types)
             check_walk(hochster_betti(b, GF2, plan), gens)
             assert {meets_of(w, classes) for w, *_ in rows_by_scan(gens, classes)} <= set(plan.tables)
-            for m, corners in plan.tables.items():
-                meets = [j for j, c in enumerate(classes) if c & m]
-                inside = [
-                    tuple(d[j] for j in meets)
-                    for d in types
-                    if not any(x for j, x in enumerate(d) if j not in meets)
-                ]
-                sizes = [classes[j].bit_count() for j in meets]
-                assert corners == mixprod.invariants._corners(sizes, inside), (b, classes, m)
+            for m, corners, _, inside in projected_tables(plan):
+                assert corners == mixprod.invariants._corners(inside), (b, classes, m)
                 if singletons:
                     facets = tuple(sorted(bit_by_bit(m ^ g, m) for g in gens if g & ~m == 0))
                     common = reduce(and_, facets)
@@ -1192,6 +1232,78 @@ class TestCornerTable:
                 assert mixprod.invariants._parts(key[0], table) == expected, (b, classes, w)
                 assert parts_on_own_box(key) == expected
                 assert mixprod.invariants._betti_of(expected, GF2.char) == walked.get(w, {})
+
+
+def is_lcm(k, types):
+    """Whether k is the componentwise maximum of the types d <= k."""
+    below = [d for d in types if all(map(int.__le__, d, k))]
+    return bool(below) and tuple(max(x) for x in zip(*below)) == tuple(k)
+
+
+class TestLcmCorners:
+    # _corners reads its candidates off the lcm lattice of the types, not
+    # off the staircase of their up-closure: every table equals the
+    # staircase scan (corners_by_staircase), and a staircase point that is
+    # no lcm of types is a cone
+    def test_every_table_up_to_six_by_six(self):
+        specs = mixprod.harness.enumerate_specs(6, 6)
+        tables = off = 0
+        for spec in specs:
+            plan, dual_plan, _ = mixprod.invariants._set_up(realize_spec(spec))
+            for p in (plan, dual_plan):
+                for _, table, sizes, inside in projected_tables(p):
+                    tables += 1
+                    assert table == corners_by_staircase(sizes, inside), (spec, sizes, inside)
+                    for k, _, common in staircase_points(sizes, inside):
+                        if not is_lcm(k, inside):
+                            off += 1
+                            assert common, (spec, inside, k)
+        assert (len(specs), tables, off) == (3871, 14642, 28420)
+
+    def test_cones_off_the_lattice_of_one_spec(self):
+        # I_2J_5+I_4J_1 at 6x6: 10 staircase points, 7 of them cones, and
+        # the other 3 the lcms of the types
+        a = realize_spec(MixedProductSpec(Ambient(6, 6), ((2, 5), (4, 1))))
+        ((_, table, sizes, inside),) = projected_tables(mixprod.invariants._set_up(a)[0])
+        points = list(staircase_points(sizes, inside))
+        assert len(points) == 10
+        assert [k for k, _, common in points if not common] == [(2, 5), (4, 1), (4, 5)]
+        assert all(not is_lcm(k, inside) for k, _, common in points if common)
+        assert [tuple(x + 1 for x in below) for below, _, _ in table] == [(2, 5), (4, 1), (4, 5)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(squarefree_ideals(), many_class_ideals().map(lambda case: case[0])))
+    def test_singleton_classes(self, a):
+        # with singleton classes a type is a generator and an lcm a union
+        # of generators; the plan of the ideal and of its dual
+        for b in (a, alexander_dual(a)):
+            gens = b.gen_masks()
+            classes = tuple(1 << v for v in range(b.ambient.nvars))
+            plan = mixprod.invariants._walk_plan(b, classes, tuple(gen_types(gens, classes)))
+            for _, table, sizes, inside in projected_tables(plan):
+                assert table == corners_by_staircase(sizes, inside), (b, inside)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            squarefree_ideals().map(lambda a: (a, None)),
+            many_class_ideals(),
+            canonical_specs().map(lambda spec: (realize_spec(spec), None)),
+        ),
+        st.booleans(),
+    )
+    def test_staircase_points_off_the_lcm_lattice_are_cones(self, case, singletons):
+        a, given = case
+        for b in (a, alexander_dual(a)):
+            gens = b.gen_masks()
+            if singletons:
+                classes = tuple(1 << v for v in range(b.ambient.nvars))
+            else:
+                classes = tuple(swap_classes(b) if given is None else given)
+            plan = mixprod.invariants._walk_plan(b, classes, tuple(gen_types(gens, classes)))
+            for *_, sizes, inside in projected_tables(plan):
+                for k, _, common in staircase_points(sizes, inside):
+                    assert is_lcm(k, inside) or common, (b, classes, k)
 
 
 class TestNoComplexInTheWalk:
@@ -1398,10 +1510,9 @@ class TestWarmMemo:
 class TestBettiMemo:
     def test_misses_rank_only_complexes_on_the_classes(self, fresh_set_up, monkeypatch):
         # the plan reads the types once, into one corner table for the one
-        # set of classes every row meets, both classes, on the box of their
-        # sizes, and the totals rank only complexes Gamma_k on the two
-        # classes, one per complex and |k|, never a complex on W:
-        # I_1J_2+I_2J_1 at 3x3
+        # set of classes every row meets, both classes, and the totals rank
+        # only complexes Gamma_k on the two classes, one per complex and
+        # |k|, never a complex on W: I_1J_2+I_2J_1 at 3x3
         a = realize_spec(MixedProductSpec(Ambient(3, 3), ((1, 2), (2, 1))))
         read = spy(monkeypatch, "_corners")
         homologies = spy(monkeypatch, "_homology_of_faces")
@@ -1410,7 +1521,7 @@ class TestBettiMemo:
         rows = rows_by_scan(a.gen_masks(), plan.classes)
         assert {meets_of(w, plan.classes) for w, *_ in rows} == {0b111111} == set(plan.tables)
         assert len({key for _, key, _, _ in rows}) > 1
-        assert read == [([3, 3], [(1, 2), (2, 1)])]
+        assert read == [([(1, 2), (2, 1)],)]
         assert len(homologies) == len(plan.sums)
         assert homologies and all(reduce(or_, facets, 0) < 0b100 for facets, _ in homologies)
         assert got.entries == brute_hochster(6, supports_of(a))

@@ -3,21 +3,25 @@ step and runnable locally, one at a time:
 
     PYTHONPATH=src python ci/checks.py <name>
 
-with <name> one of rows, swap_classes, antichain, dual_berge, digest and
-corners. Each asserts its counts and prints one line per pass; a failed
-assert exits non-zero. The file lies outside tests/, so Tier-1 does not
-collect it.
+with <name> one of rows, swap_classes, antichain, dual_berge, digest,
+corners and startup. Each asserts its counts and prints one line per
+pass; a failed assert exits non-zero. The file lies outside tests/, so
+Tier-1 does not collect it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import statistics
+import subprocess
 import sys
+import time
 from itertools import combinations, product
 from math import comb, prod
 
 from pathlib import Path
 
+import mixprod
 from mixprod import (
     GF2,
     GF3,
@@ -29,7 +33,7 @@ from mixprod import (
     stanley_reisner,
 )
 from mixprod.core import Ambient, _indicator_of_masks, _minimalize, vars_to_mask
-from mixprod.harness import enumerate_specs
+from mixprod.harness import _ambient_specs, enumerate_specs
 from mixprod.homology import _canonical_facets, _homology_of_faces
 from mixprod.invariants import _set_up, _swap_classes, _up_set, dual_by_types, hochster_betti
 from mixprod.reference import _faces
@@ -200,7 +204,7 @@ def _cap_ambients():
     for nvars in range(1, 17):
         for n in range(nvars + 1):
             amb = Ambient(n, nvars - n)
-            yield amb, [s for s in enumerate_specs(n, nvars - n) if s.ambient == amb]
+            yield amb, _ambient_specs(amb)
 
 
 def _digests() -> list[str]:
@@ -294,7 +298,40 @@ def corners() -> None:
     print(tables, "tables: the corners from the lcm lattice of the types equal the staircase scan")
 
 
-CHECKS = {f.__name__: f for f in (rows, swap_classes, antichain, dual_berge, digest, corners)}
+def _fresh(code: str) -> tuple[float, str]:
+    """Wall time and stdout of one `python -E -S` process that puts the
+    package's source on its path and runs `code`."""
+    src = str(Path(mixprod.__file__).resolve().parent.parent)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return time.perf_counter() - t0, proc.stdout
+
+
+def startup() -> None:
+    """A process that imports the CLI loads neither dataclasses nor typing
+    (no code is generated at import), and the median wall time of 21 fresh
+    processes, each for a bare interpreter, `import mixprod.cli` and the
+    6x6 `invariants` call. No time is asserted: the numbers depend on the
+    host."""
+    _, loaded = _fresh("import mixprod.cli; print(*{'dataclasses', 'typing'} & set(sys.modules))")
+    assert not loaded.split(), loaded
+    print("import mixprod.cli loads neither dataclasses nor typing")
+    invariants = ["invariants", "--n", "6", "--m", "6", "--terms", "1,2+2,1", "--field", "gf2"]
+    for name, code in (
+        ("bare interpreter", "pass"),
+        ("import mixprod.cli", "import mixprod.cli"),
+        ("mixprod " + " ".join(invariants), f"import mixprod.cli; mixprod.cli.main({invariants!r})"),
+    ):
+        ms = statistics.median(_fresh(code)[0] for _ in range(21)) * 1e3
+        print(f"{name}: median {ms:.1f} ms of 21 fresh processes")
+
+
+CHECKS = {
+    f.__name__: f for f in (rows, swap_classes, antichain, dual_berge, digest, corners, startup)
+}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

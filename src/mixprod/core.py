@@ -8,11 +8,11 @@ is radical, so products are taken support-wise; see ideal_product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from math import prod
-from typing import Iterable
 
 from .errors import (
     AmbientMismatch,
@@ -40,22 +40,23 @@ def mask_to_vars(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(namedtuple("Ambient", "n m")):
     """Ring shape: n x-variables followed by m y-variables."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0:
-            raise InvalidAmbient(f"negative block size in ambient ({self.n},{self.m})")
-        if self.nvars < 1:
+    def __new__(cls, n: int, m: int) -> "Ambient":
+        if n < 0 or m < 0:
+            raise InvalidAmbient(f"negative block size in ambient ({n},{m})")
+        if n + m < 1:
             raise InvalidAmbient("ambient needs at least one variable")
-        if self.nvars > AMBIENT_CAP:
-            raise CapExceeded(
-                f"ambient ({self.n},{self.m}) exceeds the {AMBIENT_CAP}-variable cap"
-            )
+        if n + m > AMBIENT_CAP:
+            raise CapExceeded(f"ambient ({n},{m}) exceeds the {AMBIENT_CAP}-variable cap")
+        return tuple.__new__(cls, (n, m))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "Ambient":
+        return cls(*values)  # namedtuple's skips __new__, and _replace goes through it
 
     @property
     def nvars(self) -> int:
@@ -86,16 +87,19 @@ class Ambient:
         return Ambient(self.m, self.n)
 
 
-@dataclass(frozen=True)
-class SqFreeMonomial:
+class SqFreeMonomial(namedtuple("SqFreeMonomial", "ambient mask")):
     """A square-free monomial, identified with its set of variables."""
 
-    ambient: Ambient
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mask & ~self.ambient.full_mask:
+    def __new__(cls, ambient: Ambient, mask: int) -> "SqFreeMonomial":
+        if mask & ~ambient.full_mask:
             raise ValueError("monomial support outside its ambient")
+        return tuple.__new__(cls, (ambient, mask))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "SqFreeMonomial":
+        return cls(*values)
 
     @classmethod
     def from_indices(cls, ambient: Ambient, indices: Iterable[int]) -> "SqFreeMonomial":
@@ -249,7 +253,6 @@ def _masks_of_indicator(t: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class MonomialIdeal:
     """A square-free monomial ideal given by its minimal generators.
 
@@ -264,6 +267,8 @@ class MonomialIdeal:
     report set-up holds the dual as types, so that a report, which reads
     neither masks nor generator objects, builds none. Equality and hashing
     are on the ambient and the generator set, however the ideal was built.
+    An ideal is immutable: its attributes live in its __dict__, written
+    only by the constructors and the cached properties.
     """
 
     ambient: Ambient
@@ -281,17 +286,21 @@ class MonomialIdeal:
         for a, b in combinations(masks, 2):
             if a & ~b == 0 or b & ~a == 0:
                 raise ValueError("generators are not an antichain")
-        object.__setattr__(self, "ambient", ambient)
-        self.__dict__.update(_masks=masks, gens=gens)
+        self.__dict__.update(ambient=ambient, _masks=masks, gens=gens)
 
     @classmethod
     def _made(cls, ambient: Ambient, **form) -> "MonomialIdeal":
         """An ideal of `ambient` holding the given form of its generator
         set (_masks, indicator or _typed), with no check."""
         ideal = object.__new__(cls)
-        object.__setattr__(ideal, "ambient", ambient)
-        ideal.__dict__.update(form)
+        ideal.__dict__.update(form, ambient=ambient)
         return ideal
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a MonomialIdeal is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a MonomialIdeal is immutable")
 
     @classmethod
     def _trusted(cls, ambient: Ambient, masks: Iterable[int]) -> "MonomialIdeal":
@@ -442,8 +451,7 @@ def contains_monomial(a: MonomialIdeal, u: SqFreeMonomial) -> bool:
     return any(g & ~u.mask == 0 for g in a.gen_masks())
 
 
-@dataclass(frozen=True)
-class MixedProductSpec:
+class MixedProductSpec(namedtuple("MixedProductSpec", "ambient terms")):
     """Symbolic sum of mixed products: terms (k, l) stand for I_k J_l.
 
     Canonical form (see canonicalize_spec): no term contained in another,
@@ -451,17 +459,21 @@ class MixedProductSpec:
     user input is representable.
     """
 
-    ambient: Ambient
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __new__(cls, ambient: Ambient, terms: tuple[tuple[int, int], ...]) -> "MixedProductSpec":
+        if not terms:
             raise ValueError("a mixed product description needs at least one term")
-        for k, l in self.terms:
-            if not (0 <= k <= self.ambient.n and 0 <= l <= self.ambient.m):
+        for k, l in terms:
+            if not (0 <= k <= ambient.n and 0 <= l <= ambient.m):
                 raise DegreeOutOfRange(
-                    f"term ({k},{l}) outside ambient ({self.ambient.n},{self.ambient.m})"
+                    f"term ({k},{l}) outside ambient ({ambient.n},{ambient.m})"
                 )
+        return tuple.__new__(cls, (ambient, terms))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "MixedProductSpec":
+        return cls(*values)
 
     @property
     def is_unit(self) -> bool:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .core import AMBIENT_CAP, Ambient, MixedProductSpec, realize_spec
 from .errors import CapExceeded
@@ -23,25 +24,31 @@ from .mixed import (
 COMPARED = ("dim", "depth", "pd", "reg_of_ideal", "reg_of_quotient", "cm")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_n: int = 3
-    max_m: int = 3
-    fields: tuple[FieldSpec, ...] = (RATIONALS,)
-    include_witness_checks: bool = True
+class SweepConfig(namedtuple("SweepConfig", "max_n max_m fields include_witness_checks")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_n < 0 or self.max_m < 0:
+    def __new__(
+        cls,
+        max_n: int = 3,
+        max_m: int = 3,
+        fields: tuple[FieldSpec, ...] = (RATIONALS,),
+        include_witness_checks: bool = True,
+    ) -> "SweepConfig":
+        if max_n < 0 or max_m < 0:
             raise ValueError("sweep bounds must be nonnegative")
-        if self.max_n + self.max_m > AMBIENT_CAP:
+        if max_n + max_m > AMBIENT_CAP:
             raise CapExceeded(
-                f"sweep bounds ({self.max_n},{self.max_m}) exceed the "
-                f"{AMBIENT_CAP}-variable cap"
+                f"sweep bounds ({max_n},{max_m}) exceed the {AMBIENT_CAP}-variable cap"
             )
-        if not self.fields:
+        if not fields:
             raise ValueError("a sweep needs at least one field")
-        if len(set(self.fields)) < len(self.fields):
+        if len(set(fields)) < len(fields):
             raise ValueError("a sweep names each field once")
+        return tuple.__new__(cls, (max_n, max_m, fields, include_witness_checks))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "SweepConfig":
+        return cls(*values)
 
 
 def spec_to_json(spec: MixedProductSpec) -> dict:
@@ -58,12 +65,12 @@ def spec_from_json(entry: dict) -> MixedProductSpec:
     return MixedProductSpec(amb, tuple((k, l) for k, l in entry["ideal"]))
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(namedtuple("Mismatch", "spec field invariant formula_value oracle_value")):
     """One disagreement between the routes. Invariant "error" means a route
     raised: the value of each route that raised is "<Type>: <message>", and
     that of a route that did not is None."""
 
+    __slots__ = ()
     spec: MixedProductSpec
     field: FieldSpec
     invariant: str
@@ -71,14 +78,16 @@ class Mismatch:
     oracle_value: int | bool | str | None
 
 
-@dataclass(frozen=True)
-class WitnessFailure:
+class WitnessFailure(namedtuple("WitnessFailure", "spec kind")):
+    __slots__ = ()
     spec: MixedProductSpec
     kind: str  # "syzygy" | "koszul"
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(
+    namedtuple("SweepReport", "config cases_run mismatches witness_failures elapsed_seconds")
+):
+    __slots__ = ()
     config: SweepConfig
     cases_run: int
     mismatches: tuple[Mismatch, ...]
@@ -152,18 +161,21 @@ def enumerate_specs(max_n: int, max_m: int) -> list[MixedProductSpec]:
     out: list[MixedProductSpec] = []
     for n in range(max_n + 1):
         for m in range(max_m + 1):
-            if n + m == 0:
-                continue
-            amb = Ambient(n, m)
-            for k in range(n + 1):
-                for l in range(m + 1):
-                    if (k, l) != (0, 0):
-                        out.append(MixedProductSpec(amb, ((k, l),)))
-            for s in range(1, n + 1):
-                for q in range(s):
-                    for r in range(1, m + 1):
-                        for t in range(r):
-                            out.append(MixedProductSpec(amb, ((q, r), (s, t))))
+            if n + m:
+                out.extend(_ambient_specs(Ambient(n, m)))
+    return out
+
+
+def _ambient_specs(amb: Ambient) -> list[MixedProductSpec]:
+    """The canonical descriptions over one ambient, in enumerate_specs's
+    order: the single terms, then the two-term sums."""
+    n, m = amb.n, amb.m
+    out = [MixedProductSpec(amb, ((k, l),)) for k in range(n + 1) for l in range(m + 1) if k or l]
+    for s in range(1, n + 1):
+        for q in range(s):
+            for r in range(1, m + 1):
+                for t in range(r):
+                    out.append(MixedProductSpec(amb, ((q, r), (s, t))))
     return out
 
 

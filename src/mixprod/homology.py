@@ -23,9 +23,9 @@ survives; over Q only a pivot entry other than +-1 makes a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 
 def _is_prime(p: int) -> bool:
@@ -39,16 +39,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "char")):
     """Coefficient field: characteristic 0 means the rationals, a prime p
     means GF(p)."""
 
-    char: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.char != 0 and not _is_prime(self.char):
-            raise ValueError(f"{self.char} is not prime")
+    def __new__(cls, char: int = 0) -> "FieldSpec":
+        if char != 0 and not _is_prime(char):
+            raise ValueError(f"{char} is not prime")
+        return tuple.__new__(cls, (char,))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "FieldSpec":
+        return cls(*values)
 
     @classmethod
     def rationals(cls) -> "FieldSpec":

@@ -8,19 +8,18 @@ Depth is defined here through Auslander-Buchsbaum as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby, product
 from math import comb, prod
-from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, Ambient, _masks_of_indicator, _subset_tables
 from .errors import TeraiMismatch, UnsupportedIdeal
 from .homology import FieldSpec, _canonical_facets, _homology_of_faces
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(namedtuple("BettiTable", "ambient entries plan char")):
     """Sparse graded Betti numbers of S/I over the field of characteristic
     `char`: (homological degree i, total degree j) -> rank, summed off the
     plan `plan` of the ideal (hochster_betti).
@@ -33,12 +32,23 @@ class BettiTable:
     when first read, each W's orbit as the sets of W's type, the product
     of the per-class subset indicators (core._subset_tables, built once
     per call) read back as masks (core._masks_of_indicator), one orbit per
-    W. A report reads neither."""
+    W. A report reads neither. The repr leaves out the plan and the
+    characteristic; the table is immutable, and only the cached
+    properties write to its __dict__."""
 
     ambient: Ambient
     entries: dict[tuple[int, int], int]
-    plan: _WalkPlan = dataclass_field(repr=False)
-    char: int = dataclass_field(repr=False)
+    plan: _WalkPlan
+    char: int
+
+    def __repr__(self) -> str:
+        return f"BettiTable(ambient={self.ambient!r}, entries={self.entries!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a BettiTable is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a BettiTable is immutable")
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -378,8 +388,7 @@ def _times(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class _WalkPlan:
+class _WalkPlan(namedtuple("_WalkPlan", "ideal classes types tables sums")):
     """The field-independent part of hochster_betti on the ideal `ideal`,
     read off its generator set alone: classes of interchangeable
     variables, the distinct count vectors (types) of the generators over
@@ -388,6 +397,7 @@ class _WalkPlan:
     M's classes, and `sums`, the corners of all tables summed into
     polynomials (_walk_plan) from which each field's totals are read."""
 
+    __slots__ = ()
     ideal: MonomialIdeal
     classes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
@@ -510,10 +520,16 @@ def betti_stats(b: BettiTable) -> tuple[int, int]:
     return pd, reg_quotient
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(
+    namedtuple(
+        "InvariantReport",
+        "dim depth pd reg_of_ideal reg_of_quotient cm height method field",
+        defaults=(None,),
+    )
+):
     """One bundle of invariants of S/I, produced by either route."""
 
+    __slots__ = ()
     dim: int
     depth: int
     pd: int
@@ -522,7 +538,7 @@ class InvariantReport:
     cm: bool
     height: int
     method: str  # "formula" | "oracle"
-    field: FieldSpec | None = None
+    field: FieldSpec | None
 
 
 @lru_cache(maxsize=1)

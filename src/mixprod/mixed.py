@@ -19,9 +19,8 @@ handled by swapping the blocks and reading the (q,r)+(s,0) row.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .core import (
     Ambient,
@@ -44,12 +43,7 @@ class CmCase(str, enum.Enum):
     TWO_PRODUCTS = "two_products"  # I_qJ_r + I_sJ_t, q,t >= 1
 
 
-class _ClosedForms(NamedTuple):
-    dim: int
-    depth: int
-    reg: int
-    cm: bool
-    case: CmCase
+_ClosedForms = namedtuple("_ClosedForms", "dim depth reg cm case")
 
 
 def _closed_forms(spec: MixedProductSpec) -> _ClosedForms:
@@ -126,12 +120,14 @@ def formula_report(spec: MixedProductSpec) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class SyzygyWitness:
+class SyzygyWitness(
+    namedtuple("SyzygyWitness", "u v cofactor_u cofactor_v internal_degree")
+):
     """A first syzygy between one generator of each term, certifying the
     top internal degree r+s of the resolution's first step (so the
     regularity contribution r+s-1)."""
 
+    __slots__ = ()
     u: SqFreeMonomial
     v: SqFreeMonomial
     cofactor_u: SqFreeMonomial
@@ -173,18 +169,15 @@ def verify_syzygy_witness(w: SyzygyWitness) -> bool:
     return w.internal_degree == lcm.bit_count()
 
 
-class KoszulSummand(NamedTuple):
-    sign: int
-    coefficient: SqFreeMonomial
-    omitted_y_index: int
+KoszulSummand = namedtuple("KoszulSummand", "sign coefficient omitted_y_index")
 
 
-@dataclass(frozen=True)
-class KoszulCycleWitness:
+class KoszulCycleWitness(namedtuple("KoszulCycleWitness", "ambient summands")):
     """The explicit degree-(n+m-1) cycle in the Koszul complex of the
     variables, taken modulo I_1 J_1: summand k carries coefficient y_k,
     sign (-1)^(k+1), and omits the k-th y-slot from the wedge."""
 
+    __slots__ = ()
     ambient: Ambient
     summands: tuple[KoszulSummand, ...]
 

@@ -13,8 +13,8 @@ kernel (mixprod.homology).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .core import MonomialIdeal, SqFreeMonomial, _minimalize, mask_to_vars, vars_to_mask
 from .errors import (
@@ -91,37 +91,37 @@ def krull_dim(a: MonomialIdeal) -> int:
     return a.ambient.nvars - min(len(p) for p in minimal_primes(a))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(namedtuple("SimplicialComplex", "vertices facets")):
     """Vertex set plus facets (maximal faces), both as variable bitmasks.
 
     An empty facet tuple is the void complex; the facet tuple (0,) is the
     complex whose only face is the empty set.
     """
 
-    vertices: int
-    facets: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.facets != tuple(sorted(set(self.facets))):
+    def __new__(cls, vertices: int, facets: tuple[int, ...]) -> "SimplicialComplex":
+        if facets != tuple(sorted(set(facets))):
             raise ValueError("facets must be sorted and duplicate-free")
-        for f in self.facets:
-            if f & ~self.vertices:
+        for f in facets:
+            if f & ~vertices:
                 raise ValueError("facet outside the vertex set")
-        for f in self.facets:
-            for g in self.facets:
+        for f in facets:
+            for g in facets:
                 if f != g and f & ~g == 0:
                     raise ValueError("facets are not an antichain")
+        return tuple.__new__(cls, (vertices, facets))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "SimplicialComplex":
+        return cls(*values)
 
     @classmethod
     def _trusted(cls, vertices: int, facets: tuple[int, ...]) -> "SimplicialComplex":
         """Build from facets the package has just made into a sorted,
         duplicate-free antichain inside `vertices`, skipping the quadratic
-        checks of __post_init__."""
-        complex_ = object.__new__(cls)
-        object.__setattr__(complex_, "vertices", vertices)
-        object.__setattr__(complex_, "facets", facets)
-        return complex_
+        checks of __new__."""
+        return tuple.__new__(cls, (vertices, facets))
 
     @property
     def is_void(self) -> bool:

@@ -407,3 +407,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--fields" in captured.err and "twice" in captured.err
+
+
+class TestStartUp:
+    def test_import_generates_no_code(self):
+        # the records are named tuples: a fresh process that imports the CLI,
+        # with no site packages and no environment, loads neither
+        # dataclasses nor typing
+        src = str(Path(mixprod.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import mixprod.cli; "
+            "print(*sorted({'dataclasses', 'typing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

@@ -35,7 +35,9 @@ from mixprod import (
 from mixprod.core import Ambient, _indicator_of_masks, _minimalize, vars_to_mask
 from mixprod.harness import _ambient_specs, enumerate_specs
 from mixprod.homology import _canonical_facets, _homology_of_faces
-from mixprod.invariants import _set_up, _swap_classes, _up_set, dual_by_types, hochster_betti
+from mixprod.invariants import (
+    _corners, _set_up, _swap_classes, _up_set, dual_by_types, hochster_betti,
+)
 from mixprod.reference import _faces
 
 
@@ -277,8 +279,12 @@ def corners() -> None:
     types; every corner table of the plans of every canonical spec with
     n + m <= 16 and of its dual, as the report set-up builds them, equals
     the staircase scan of the up-closure on the box of the classes' sizes
-    (169462 tables)."""
-    tables, bad = 0, []
+    (169462 tables). _corners is a process-wide memo keyed on the
+    projected types: cleared first, it ends holding one table per distinct
+    tuple of projected types visited (4984), each built once."""
+    _corners.cache_clear()
+    _set_up.cache_clear()
+    tables, bad, seen = 0, [], set()
     for _, specs in _cap_ambients():
         for spec in specs:
             plan, dual_plan, _ = _set_up(realize_spec(spec))
@@ -292,10 +298,14 @@ def corners() -> None:
                     ]
                     sizes = [p.classes[j].bit_count() for j in meets]
                     tables += 1
+                    seen.add(tuple(inside))
                     if table != _corners_by_staircase(sizes, inside):
                         bad.append((spec, union))
     assert tables == 169462 and not bad, (tables, bad[:3])
     print(tables, "tables: the corners from the lcm lattice of the types equal the staircase scan")
+    info = _corners.cache_info()
+    assert info.currsize == info.misses == len(seen) == 4984, (info, len(seen))
+    print(f"_corners memo: {info.hits} hits, {info.misses} misses, {info.currsize} tables")
 
 
 def _fresh(code: str) -> tuple[float, str]:

@@ -221,6 +221,18 @@ class TestBettiStats:
         c = veronese_ideal(Ambient(1, 0), "x", 1)
         assert betti_stats(hochster_betti(c, RATIONALS)) == (1, 0)
 
+    def test_reductions_match_the_generator_definition(self):
+        # pd is the largest i and the regularity the largest j - i over the
+        # keys (i, j), on every table up to 5x5, of the ideal and of its
+        # dual, over Q, GF(2) and GF(3)
+        for spec in mixprod.harness.enumerate_specs(5, 5):
+            plan, dual_plan, _ = mixprod.invariants._set_up(realize_spec(spec))
+            for p in (plan, dual_plan):
+                for field in (RATIONALS, GF2, GF3):
+                    b = hochster_betti(p.ideal, field, p)
+                    expected = (max(i for i, _ in b.entries), max(j - i for i, j in b.entries))
+                    assert betti_stats(b) == expected, (spec, field)
+
 
 class TestOracleReport:
     def test_principal_mixed(self):
@@ -1190,7 +1202,7 @@ class TestPlanRows:
             check_walk(hochster_betti(b, GF2, plan), gens)
             assert {meets_of(w, classes) for w, *_ in rows_by_scan(gens, classes)} <= set(plan.tables)
             for m, corners, _, inside in projected_tables(plan):
-                assert corners == mixprod.invariants._corners(inside), (b, classes, m)
+                assert corners == mixprod.invariants._corners(tuple(inside)), (b, classes, m)
                 if singletons:
                     facets = tuple(sorted(bit_by_bit(m ^ g, m) for g in gens if g & ~m == 0))
                     common = reduce(and_, facets)
@@ -1304,6 +1316,62 @@ class TestLcmCorners:
             for *_, sizes, inside in projected_tables(plan):
                 for k, _, common in staircase_points(sizes, inside):
                     assert is_lcm(k, inside) or common, (b, classes, k)
+
+
+def one_class_poly(s, k):
+    """P_{s,k}(x) = sum_{c=k..s} C(s, c) C(c - 1, k - 1) x^c, coefficients
+    from x^0 up to x^s."""
+    return [comb(s, c) * comb(c - 1, k - 1) if c >= k else 0 for c in range(s + 1)]
+
+
+class TestCornerMemo:
+    # the corner tables and the products of the corner polynomials are
+    # process-wide memos, keyed on what each depends on alone: the types
+    # projected onto a set of classes, and the sorted pairs (s_C, k_C) of
+    # a corner
+    def test_every_table_up_to_six_by_six_is_the_uncached_pass(self):
+        for spec in mixprod.harness.enumerate_specs(6, 6):
+            plan, dual_plan, _ = mixprod.invariants._set_up(realize_spec(spec))
+            for p in (plan, dual_plan):
+                for _, table, _, inside in projected_tables(p):
+                    inside = tuple(inside)
+                    assert table == mixprod.invariants._corners.__wrapped__(inside), (spec, inside)
+
+    def test_one_table_per_distinct_projected_types(self, fresh_set_up):
+        # a 4x4 sweep builds each table once: the memo holds one entry per
+        # distinct tuple of projected types over the plans of every spec
+        # and its dual, and every other call is a hit
+        corners = mixprod.invariants._corners
+        corners.cache_clear()
+        cfg = mixprod.harness.SweepConfig(4, 4, (RATIONALS, GF2, GF3), False)
+        assert not mixprod.harness.run_sweep(cfg).mismatches
+        info = corners.cache_info()
+        seen = set()
+        for spec in mixprod.harness.enumerate_specs(4, 4):
+            plan, dual_plan, _ = mixprod.invariants._set_up(realize_spec(spec))
+            for p in (plan, dual_plan):
+                seen.update(tuple(inside) for *_, inside in projected_tables(p))
+        assert info.currsize == info.misses == len(seen), (info, len(seen))
+        assert info.hits > info.misses
+
+    def test_pair_products_in_every_order(self):
+        # the product of the one-class polynomials, whatever the order of
+        # the pairs, for sizes up to 8: every one- and two-class product,
+        # and the three-class ones with sizes up to 4
+        pairs = [(s, k) for s in range(1, 9) for k in range(1, s + 1)]
+        small = [(s, k) for s, k in pairs if s <= 4]
+        keys = [(p,) for p in pairs] + list(product(pairs, repeat=2)) + list(product(small, repeat=3))
+        for key in keys:
+            expected = [1]
+            for s, k in key:
+                p = one_class_poly(s, k)
+                out = [0] * (len(expected) + len(p) - 1)
+                for a, x in enumerate(expected):
+                    for b, y in enumerate(p):
+                        out[a + b] += x * y
+                expected = out
+            assert list(mixprod.invariants._corner_poly(key)) == expected, key
+            assert mixprod.invariants._corner_poly(tuple(sorted(key))) == tuple(expected), key
 
 
 class TestNoComplexInTheWalk:
@@ -1521,7 +1589,7 @@ class TestBettiMemo:
         rows = rows_by_scan(a.gen_masks(), plan.classes)
         assert {meets_of(w, plan.classes) for w, *_ in rows} == {0b111111} == set(plan.tables)
         assert len({key for _, key, _, _ in rows}) > 1
-        assert read == [([(1, 2), (2, 1)],)]
+        assert read == [(((1, 2), (2, 1)),)]
         assert len(homologies) == len(plan.sums)
         assert homologies and all(reduce(or_, facets, 0) < 0b100 for facets, _ in homologies)
         assert got.entries == brute_hochster(6, supports_of(a))
@@ -1624,7 +1692,7 @@ class TestCornerSums:
         for s in range(1, 17):
             for k in range(1, s + 1):
                 expected = [sizes[s][c] * holding_lowest[c][k] for c in range(s + 1)]
-                assert list(mixprod.invariants._corner_poly(s, k)) == expected, (s, k)
+                assert list(mixprod.invariants._corner_poly(((s, k),))) == expected, (s, k)
 
 
 # --- the report set-up -------------------------------------------------------

@@ -9,10 +9,10 @@ is radical, so products are taken support-wise; see ideal_product.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
-from math import prod
+from math import comb, prod
 
 from .errors import (
     AmbientMismatch,
@@ -240,6 +240,55 @@ def _indicator_of_types(
     return out
 
 
+def _interchangeable(
+    types: frozenset[tuple[int, ...]], sizes: list[int], i: int, j: int
+) -> bool:
+    """Whether the variables of classes i and j, of these sizes, are
+    interchangeable in the set of every set of one of these types: a
+    transposition (u v), u in class i and v in class j, maps a set of type
+    t that holds u and not v onto one of type t - e_i + e_j, so it fixes
+    the set iff that is a type wherever t_i >= 1 and t_j < s_j, and the
+    same with i and j exchanged (an injective map of a finite set into
+    itself is onto)."""
+    for src, dst in ((i, j), (j, i)):
+        for t in types:
+            if t[src] and t[dst] < sizes[dst]:
+                u = list(t)
+                u[src] -= 1
+                u[dst] += 1
+                if tuple(u) not in types:
+                    return False
+    return True
+
+
+def _swap_classes_of_types(
+    classes: Sequence[int], types: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The classes of interchangeable variables of the set of every set of
+    one of these types over these classes, which partition the variables
+    and are each fixed by their own permutations, with the sorted types
+    over them: the empty classes dropped, and the classes that are
+    interchangeable (_interchangeable) merged, the types summed over each
+    merged group. A swap class is a union of the given classes, and the
+    relation is transitive, so each class, taken by its lowest variable,
+    is tested against the first class of each group found so far; the
+    groups, and so the swap classes, come ordered by their lowest
+    variable."""
+    types = frozenset(types)
+    sizes = [c.bit_count() for c in classes]
+    groups: list[list[int]] = []
+    for _, j in sorted([(c & -c, j) for j, c in enumerate(classes) if c]):
+        for group in groups:
+            if _interchangeable(types, sizes, group[0], j):
+                group.append(j)
+                break
+        else:
+            groups.append([j])
+    if groups != [[j] for j in range(len(classes))]:  # a class dropped, merged or moved
+        types = {tuple([sum([t[j] for j in group]) for group in groups]) for t in types}
+    return tuple([sum([classes[j] for j in group]) for group in groups]), tuple(sorted(types))
+
+
 def _masks_of_indicator(t: int) -> tuple[int, ...]:
     """The masks g with bit g set in the indicator `t`, ascending, read off
     its bytes: a zero byte is passed over at once."""
@@ -260,19 +309,21 @@ class MonomialIdeal:
     generator is the unit ideal. An ideal holds its ambient and one of
     three exact forms of its generator set (_made): the ascending
     generator masks, the indicator (one 2^N-bit integer, bit g set iff g
-    is a generator mask), or classes that partition the variables with
-    the sorted types over them, every set of those types being a
-    generator. Each other form, and `gens`, one SqFreeMonomial per mask,
-    is derived when first read: realize_spec builds the indicator and the
-    report set-up holds the dual as types, so that a report, which reads
-    neither masks nor generator objects, builds none. Equality and hashing
-    are on the ambient and the generator set, however the ideal was built.
-    An ideal is immutable: its attributes live in its __dict__, written
-    only by the constructors and the cached properties.
+    is a generator mask), or the typed form (_from_types): the swap
+    classes of the generator set, which partition the variables, ordered
+    by their lowest variable, with the sorted types over them, every set
+    of those types being a generator. Each other form, and `gens`, one
+    SqFreeMonomial per mask, is derived when first read: realize_spec and
+    the report set-up's dual hold the typed form, so that a report, which
+    reads neither masks, nor an indicator, nor generator objects, builds
+    none. Equality and hashing are on the ambient and the generator set,
+    however the ideal was built. An ideal is immutable: its attributes
+    live in its __dict__, written only by the constructors and the cached
+    properties.
     """
 
     ambient: Ambient
-    # (classes, types) of an ideal built from them, else None
+    # the typed form (swap classes, types) of an ideal built from types, else None
     _typed = None
 
     def __init__(self, ambient: Ambient, gens: Iterable[SqFreeMonomial]) -> None:
@@ -296,6 +347,20 @@ class MonomialIdeal:
         ideal.__dict__.update(form, ambient=ambient)
         return ideal
 
+    @classmethod
+    def _from_types(
+        cls, ambient: Ambient, classes: Sequence[int], types: Iterable[tuple[int, ...]]
+    ) -> "MonomialIdeal":
+        """The ideal of `ambient` generated by every set of one of these
+        types over these classes, which partition its variables, with no
+        set expanded and no check that the sets form an antichain. It holds
+        the typed form: the swap classes of the set, the given classes with
+        the empty ones dropped and the interchangeable ones merged, and the
+        types over them (_swap_classes_of_types). This is the one
+        constructor of a typed ideal, so two typed ideals with one
+        generator set hold one typed form."""
+        return cls._made(ambient, _typed=_swap_classes_of_types(classes, types))
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r}: a MonomialIdeal is immutable")
 
@@ -315,7 +380,8 @@ class MonomialIdeal:
         """The generator set as one 2^N-bit integer, N the number of
         variables: bit g set iff g is a generator mask. Derived when first
         read, by doubling from the types (_indicator_of_types) or from
-        the masks one at a time, unless the ideal was built from it."""
+        the masks one at a time, unless the ideal was built from it; no
+        report reads it."""
         if self._typed is not None:
             return _indicator_of_types(*self._typed)
         return _indicator_of_masks(self.ambient.nvars, self._masks)
@@ -329,18 +395,35 @@ class MonomialIdeal:
         """The minimal generators, ascending, built when first read."""
         return tuple(SqFreeMonomial(self.ambient, m) for m in self._masks)
 
+    @cached_property
+    def _count(self) -> int:
+        """The number of generators, counted off the form the ideal holds:
+        sum_t prod_C C(|C|, t_C) over its types, the bits of its
+        indicator, or its masks."""
+        if self._typed is not None:
+            classes, types = self._typed
+            sizes = [c.bit_count() for c in classes]
+            return sum(prod(map(comb, sizes, t)) for t in types)
+        if "indicator" in vars(self):
+            return self.indicator.bit_count()
+        return len(self._masks)
+
     def __eq__(self, other: object) -> bool:
+        """Same ambient and generator set. Two typed ideals compare their
+        typed forms alone, which are equal iff their generator sets are
+        (_from_types); any other pair compares indicators."""
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         if self.ambient != other.ambient:
             return False
-        # built from the same classes and types: no indicator is derived
-        return self._typed is not None and self._typed == other._typed or (
-            self.indicator == other.indicator
-        )
+        if self._typed is not None and other._typed is not None:
+            return self._typed == other._typed
+        return self.indicator == other.indicator
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.indicator))
+        """The ambient and the generator count (_count): equal ideals hash
+        alike whatever form each holds, and no form is derived."""
+        return hash((self.ambient, self._count))
 
     @classmethod
     def from_monomials(
@@ -370,13 +453,17 @@ class MonomialIdeal:
         return cls(ambient, (SqFreeMonomial(ambient, 0),))
 
     # an antichain that holds the empty mask holds nothing else, so the
-    # indicator of the unit ideal is 1
+    # indicator of the unit ideal is 1, and a typed unit ideal has the one
+    # type zero
     @property
     def is_zero(self) -> bool:
-        return self.indicator == 0
+        return self._count == 0
 
     @property
     def is_unit(self) -> bool:
+        if self._typed is not None:
+            classes, types = self._typed
+            return types == ((0,) * len(classes),)
         return self.indicator == 1
 
     @property
@@ -520,13 +607,15 @@ def realize_spec(spec: MixedProductSpec) -> MonomialIdeal:
     incomparable, so a generator of one term has another type than those
     of the others and lies inside none of them: the union of the terms'
     generators is the minimal generating set as it stands. The ideal holds
-    its indicator, built from the blocks and the terms by doubling
-    (_indicator_of_types); its masks and generators are derived when
-    first read. The ideal of the last spec is kept: a sweep realizes each
-    spec once per field, one field after the other."""
+    it in the typed form, the terms as types over the two blocks, an empty
+    block dropped and the blocks merged when they are interchangeable
+    (MonomialIdeal._from_types), with no set expanded; its indicator,
+    masks and generators are derived when first read, which no report
+    does. The ideal of the last spec is kept: a sweep realizes each spec
+    once per field, one field after the other."""
     amb = spec.ambient
     terms = canonicalize_spec(spec).terms
-    return MonomialIdeal._made(amb, indicator=_indicator_of_types((amb.x_mask, amb.y_mask), terms))
+    return MonomialIdeal._from_types(amb, (amb.x_mask, amb.y_mask), terms)
 
 
 def swap_blocks(spec: MixedProductSpec) -> MixedProductSpec:

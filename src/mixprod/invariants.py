@@ -233,18 +233,26 @@ def _dual(
     ambient: Ambient, classes: Sequence[int], dual_types: Iterable[tuple[int, ...]]
 ) -> MonomialIdeal:
     """The ideal of `ambient` generated by every set of the sorted types
-    `dual_types` over `classes`, which partition its variables, held as
-    those classes and types with no set expanded: the Alexander dual of an
-    ideal when they are the minimal transversal types of its generator
-    types (_dual_types)."""
-    return MonomialIdeal._made(ambient, _typed=(tuple(classes), tuple(dual_types)))
+    `dual_types` over `classes`, which partition its variables, held in
+    the typed form (MonomialIdeal._from_types) with no set expanded: the
+    Alexander dual of an ideal when they are the minimal transversal types
+    of its generator types (_dual_types). Over the ideal's swap classes,
+    as the set-up passes them, that form is the classes and types as
+    given: a permutation fixes an ideal iff it fixes its dual, so the
+    dual's swap classes are the ideal's, and no class merges."""
+    return MonomialIdeal._from_types(ambient, classes, dual_types)
 
 
 def _types_of(a: MonomialIdeal) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The swap classes of `a` and its sorted generator types over them,
-    both read off the indicator of its generator set
-    (MonomialIdeal.indicator, _swap_classes, _indicator_types): no mask,
-    no generator object and no count per generator."""
+    """The swap classes of `a` and its sorted generator types over them.
+    An ideal held in the typed form, as realize_spec's ideal and the
+    set-up's dual are, holds exactly these (MonomialIdeal._from_types),
+    and they are returned as they are. Any other ideal has both read off
+    the indicator of its generator set (MonomialIdeal.indicator,
+    _swap_classes, _indicator_types), by delta-swaps on its 2^N bits: no
+    mask, no generator object and no count per generator."""
+    if a._typed is not None:
+        return a._typed
     t, nvars = a.indicator, a.ambient.nvars
     classes = tuple(_swap_classes(t, nvars))
     return classes, _indicator_types(t, nvars, classes)
@@ -506,8 +514,8 @@ def hochster_betti(a: MonomialIdeal, field: FieldSpec, plan: _WalkPlan | None = 
     generator set (ValueError otherwise): it is when it holds `a` itself,
     as the set-up's plans hold the ideal and its dual, or the ideal twice
     when it is self-dual (_set_up); any other ideal is compared with the
-    plan's by its classes and types when both were built from them, and
-    by one indicator comparison otherwise. No W is visited: the table's
+    plan's by their typed forms when both hold one, and by one indicator
+    comparison otherwise. No W is visited: the table's
     `walk` and `multigraded` are read off the plan only when first asked
     for.
     """
@@ -569,8 +577,11 @@ def _set_up(a: MonomialIdeal) -> tuple[_WalkPlan, _WalkPlan, int]:
     of a dual type. Both generator sets are unions of type orbits over
     those classes, so an ideal is self-dual iff its dual types are its
     types, and then its own plan, which holds the ideal itself, serves as
-    its dual's and no dual is built. All of it reads the ideal's indicator
-    and the types: no mask and no generator object is built."""
+    its dual's and no dual is built. All of it reads the types alone, which
+    an ideal of realize_spec holds (_types_of): no mask, no indicator and
+    no generator object is built. The set-up is kept under the ideal's
+    hash, its ambient and generator count, and its equality, which on two
+    typed ideals compares their typed forms."""
     plan = _walk_plan(a, *_types_of(a))
     dual_types = _dual_types(plan.classes, plan.types)
     if dual_types == plan.types:  # self-dual: the same plan
@@ -616,12 +627,15 @@ def oracle_report(a: MonomialIdeal, field: FieldSpec) -> InvariantReport:
 
 
 def has_linear_resolution(a: MonomialIdeal, field: FieldSpec) -> bool:
-    """True iff all minimal generators share one degree d and reg(a) = d."""
+    """True iff all minimal generators share one degree d and reg(a) = d.
+    The degrees are the sums of the generator types of one plan, which
+    hochster_betti then takes: no mask is expanded."""
     if not a.is_proper_nonzero:
         raise UnsupportedIdeal("linear resolutions concern proper nonzero ideals")
-    degrees = {g.bit_count() for g in a.gen_masks()}
+    plan = _walk_plan(a, *_types_of(a))
+    degrees = set(map(sum, plan.types))
     if len(degrees) != 1:
         return False
     (d,) = degrees
-    _, reg_quotient = betti_stats(hochster_betti(a, field))
+    _, reg_quotient = betti_stats(hochster_betti(a, field, plan))
     return reg_quotient + 1 == d

@@ -1,7 +1,7 @@
 """Monomial / ideal arithmetic, Alexander duality, canonicalization."""
 
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +34,7 @@ from mixprod import (
     swap_blocks,
     veronese_ideal,
 )
-from mixprod.core import _minimalize, vars_to_mask
+from mixprod.core import _masks_of_indicator, _minimalize, vars_to_mask
 
 
 def ideal(ambient, *monomials):
@@ -621,6 +621,57 @@ class TestOneGeneratorSet:
         a = check_realized(spec)
         assert a.is_unit == ((0, 0) in spec.terms)
         assert not a.is_zero
+
+    def test_three_forms_are_equal_and_hash_alike(self):
+        # the ideal and its set-up dual of every spec up to 5x5, each held
+        # in the typed form, as masks and as an indicator: all three forms
+        # of one generator set are equal and hash alike, and two typed
+        # ideals compare and hash with no indicator derived
+        from mixprod.harness import enumerate_specs
+        from mixprod.invariants import _set_up, dual_by_types
+
+        for spec in enumerate_specs(5, 5):
+            realize_spec.cache_clear()
+            _set_up.cache_clear()
+            a = realize_spec(spec)
+            dual = _set_up(a)[1].ideal
+            for typed in (a, dual):
+                twin = MonomialIdeal._from_types(typed.ambient, *typed._typed)
+                assert typed == twin and hash(typed) == hash(twin), spec
+                assert "indicator" not in vars(typed), spec
+            for typed in (a, dual):
+                amb, indicator = typed.ambient, typed.indicator
+                forms = (
+                    typed,
+                    MonomialIdeal._made(amb, _masks=_masks_of_indicator(indicator)),
+                    MonomialIdeal._made(amb, indicator=indicator),
+                )
+                for b, c in product(forms, repeat=2):
+                    assert b == c and hash(b) == hash(c), spec
+            assert dual_by_types(a) == dual
+
+    def test_equal_counts_are_not_equal_ideals(self):
+        # I_2 and J_2 at 2x2 have one generator each, and I_1J_1 and the
+        # sets of the same type over the classes {x1, y1}, {x2, y2} four
+        # each: each pair hashes alike and compares unequal in every pair
+        # of forms, typed pairs with the same types included
+        amb = Ambient(2, 2)
+        pairs = [
+            [realize_spec(MixedProductSpec(amb, (t,))) for t in ((2, 0), (0, 2))],
+            [
+                MonomialIdeal._from_types(amb, classes, ((1, 1),))
+                for classes in ((0b0011, 0b1100), (0b0101, 0b1010))
+            ],
+        ]
+        for pair in pairs:
+            assert hash(pair[0]) == hash(pair[1])
+            forms = [
+                [b, MonomialIdeal.from_masks(amb, b.gen_masks()),
+                 MonomialIdeal._made(amb, indicator=b.indicator)]
+                for b in pair
+            ]
+            for b, c in product(*forms):
+                assert b != c and c != b
 
     def test_the_set_up_dual_up_to_five_by_five(self):
         # the report set-up's dual, held as classes and types (or the ideal

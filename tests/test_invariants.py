@@ -277,6 +277,39 @@ class TestLinearResolution:
         a = ideal(Ambient(2, 2), "x1y1", "x2y2")
         assert not has_linear_resolution(a, RATIONALS)
 
+    def test_typed_ideal_expands_no_mask(self, monkeypatch):
+        # the degrees are the sums of the types of one plan, which
+        # hochster_betti takes: a realized ideal expands no mask and no
+        # indicator, and is planned once; the same generator set built
+        # from masks gives the same answer
+        specs = [
+            MixedProductSpec(Ambient(3, 3), terms)
+            for terms in (
+                ((2, 2),), ((1, 2), (2, 1)), ((0, 2), (2, 0)), ((1, 1), (2, 0)), ((0, 2), (3, 0))
+            )
+        ]
+        expected = []
+        for spec in specs:
+            masked = MonomialIdeal.from_masks(spec.ambient, realize_spec(spec).gen_masks())
+            expected.append(has_linear_resolution(masked, GF2))
+        # I_2 + J_2 is equigenerated, with reg 3; I_3 + J_2 is not
+        assert expected == [True, True, False, True, False]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a mask was expanded")
+
+        monkeypatch.setattr(MonomialIdeal, "gen_masks", forbidden)
+        monkeypatch.setattr(mixprod.core, "_masks_of_indicator", forbidden)
+        monkeypatch.setattr(mixprod.core, "_indicator_of_types", forbidden)
+        planned = spy(monkeypatch, "_walk_plan")
+        for spec, linear in zip(specs, expected):
+            realize_spec.cache_clear()
+            a = realize_spec(spec)
+            planned.clear()
+            assert has_linear_resolution(a, GF2) == linear
+            assert len(planned) == 1
+            assert not {"_masks", "gens", "indicator"} & set(vars(a))
+
 
 class TestDualitySuite:
     SPECS = [
@@ -735,6 +768,146 @@ class TestSwapClasses:
             )
 
 
+# --- the typed form -------------------------------------------------------------
+# realize_spec's ideal and the set-up's dual hold the typed form, the swap
+# classes with the types over them (MonomialIdeal._from_types, which drops
+# empty blocks and merges interchangeable ones), and _types_of returns it
+# as it is. The delta-swap route on the same generator set, held as an
+# indicator alone, is the reference.
+
+
+def delta_swap_types(b):
+    """The classes and types the delta-swap route reads off the indicator
+    of the generator set of `b`."""
+    return mixprod.invariants._types_of(MonomialIdeal._made(b.ambient, indicator=b.indicator))
+
+
+@st.composite
+def typed_cases(draw):
+    """(ambient, blocks, types, masks): blocks that partition at most 8
+    variables and types over them, for MonomialIdeal._from_types, with the
+    masks of every set of those types. The nonzero types, an antichain
+    (the zero ideal and the unit ideal are left to explicit cases), are drawn
+    over a coarse partition whose classes are then cut into blocks, each
+    type spread over a class's blocks in every way, so that the blocks of
+    one class merge back; up to two empty blocks are put in, and the
+    blocks come in a random order."""
+    nvars = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+    coarse = [sum(1 << v for v, k in enumerate(labels) if k == lab) for lab in sorted(set(labels))]
+    count = st.tuples(*(st.integers(0, c.bit_count()) for c in coarse)).filter(any)
+    drawn = set(draw(st.lists(count, min_size=1, max_size=5)))
+    # the minimal ones: the sets of these types are then an antichain
+    types = {t for t in drawn if not any(d != t and all(map(int.__le__, d, t)) for d in drawn)}
+    blocks, spreads = [], []
+    for c in coarse:
+        members = [1 << v for v in range(c.bit_length()) if c >> v & 1]
+        cuts = draw(st.lists(st.booleans(), min_size=len(members) - 1, max_size=len(members) - 1))
+        parts = [members[0]]
+        for member, cut in zip(members[1:], cuts):
+            if cut:
+                parts.append(member)
+            else:
+                parts[-1] |= member
+        blocks.extend(parts)
+        # per count x, the ways to spread x variables over these parts
+        ways = list(product(*(range(p.bit_count() + 1) for p in parts)))
+        spreads.append({x: [w for w in ways if sum(w) == x] for x in range(len(members) + 1)})
+    fine = [
+        sum(spread, ())
+        for t in types
+        for spread in product(*(by_count[x] for by_count, x in zip(spreads, t)))
+    ]
+    empty = draw(st.integers(0, 2))
+    blocks += [0] * empty
+    order = draw(st.permutations(range(len(blocks))))
+    blocks = [blocks[i] for i in order]
+    fine = [tuple((t + (0,) * empty)[i] for i in order) for t in fine]
+    masks = [
+        g for g in range(1 << nvars) if tuple((g & c).bit_count() for c in coarse) in types
+    ]
+    n = draw(st.integers(0, nvars))
+    return Ambient(n, nvars - n), blocks, fine, masks
+
+
+class TestTypedForm:
+    def test_every_spec_up_to_eight_by_eight(self):
+        # realize_spec's ideal and its set-up dual hold the classes and
+        # types the delta-swap route reads off their indicators, and the
+        # dual holds the ideal's classes with the dual types as the set-up
+        # passed them: the typed dual is already the coarsest form, as a
+        # permutation fixes an ideal iff it fixes its dual
+        specs = mixprod.harness.enumerate_specs(8, 8)
+        assert len(specs) == 16344
+        merged = 0
+        for spec in specs:
+            a = realize_spec(spec)
+            plan, dual_plan, _ = mixprod.invariants._set_up(a)
+            dual_types = mixprod.invariants._dual_types(plan.classes, plan.types)
+            assert dual_plan.ideal._typed == (plan.classes, dual_types), spec
+            for b in (a, dual_plan.ideal):
+                assert mixprod.invariants._types_of(b) is b._typed
+                assert b._typed == delta_swap_types(b), (spec, b)
+            amb = spec.ambient
+            merged += len(a._typed[0]) < (amb.n > 0) + (amb.m > 0)
+        # the specs whose two blocks are one swap class, I_1J_1 at 1x1 among them
+        assert merged == 233
+
+    @pytest.mark.parametrize(
+        "n, m, terms, typed",
+        [
+            (1, 1, ((1, 1),), ((0b11,), ((2,),))),  # I_1J_1: x1 and y1 swap
+            (2, 2, ((0, 1), (1, 0)), ((0b1111,), ((1,),))),  # J_1 + I_1
+            (2, 2, ((0, 2), (2, 0)), ((0b0011, 0b1100), ((0, 2), (2, 0)))),  # J_2 + I_2
+            (3, 0, ((2, 0),), ((0b111,), ((2,),))),  # no y-block
+            (0, 3, ((0, 1),), ((0b111,), ((1,),))),  # no x-block
+            (2, 2, ((0, 0),), ((0b1111,), ((0,),))),  # the unit ideal
+            (3, 2, ((1, 1), (2, 0)), ((0b00111, 0b11000), ((1, 1), (2, 0)))),
+        ],
+    )
+    def test_empty_blocks_drop_and_interchangeable_blocks_merge(self, n, m, terms, typed):
+        a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
+        assert a._typed == typed == delta_swap_types(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(typed_cases())
+    def test_random_blocks_and_types(self, case):
+        # over blocks that may be empty or interchangeable, in any order,
+        # the typed form is the one the delta-swap route reads off the
+        # generator set built from masks, and the two ideals are equal
+        amb, blocks, types, masks = case
+        typed = MonomialIdeal._from_types(amb, blocks, types)
+        masked = MonomialIdeal.from_masks(amb, masks)
+        assert typed._typed == mixprod.invariants._types_of(masked)
+        assert typed == masked and masked == typed and hash(typed) == hash(masked)
+        assert typed.gen_masks() == masked.gen_masks()
+        # the typed form is a fixed point of the constructor
+        assert MonomialIdeal._from_types(amb, *typed._typed)._typed == typed._typed
+
+    @pytest.mark.parametrize("blocks", [(0b011, 0b100), (0b001, 0, 0b110)])
+    def test_the_zero_ideal(self, blocks):
+        # no type: every block merges into one class, as the delta-swap
+        # route finds on the empty generator set
+        amb = Ambient(1, 2)
+        typed = MonomialIdeal._from_types(amb, blocks, ())
+        zero = MonomialIdeal.zero(amb)
+        assert typed._typed == ((0b111,), ()) == mixprod.invariants._types_of(zero)
+        assert typed.is_zero and not typed.is_unit and not typed.is_proper_nonzero
+        assert typed == zero and hash(typed) == hash(zero)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(squarefree_ideals(), stable_ideals().map(lambda case: case[0])))
+    def test_the_dual_keeps_the_ideal_classes(self, a):
+        # over the swap classes of any ideal, the constructor keeps the
+        # classes and the dual types as they are given
+        assume(a.is_proper_nonzero)
+        classes, types = mixprod.invariants._types_of(a)
+        dual_types = mixprod.invariants._dual_types(classes, types)
+        dual = mixprod.invariants._dual(a.ambient, classes, dual_types)
+        assert dual._typed == (classes, dual_types)
+        assert dual == alexander_dual(a)
+
+
 # --- the dual's generator types ------------------------------------------------
 # The dual's plan takes the minimal transversal types that _dual expands,
 # and the report's dimension reads them; generator types are read off the
@@ -745,10 +918,14 @@ def check_dual_types(a, mp):
     """One report on an empty set-up, with the ideal's types, the dual,
     the dual's plan and the dimension checked against a count on each
     generator of the ideal and of Berge's dual; the types are read once,
-    off the ideal's indicator."""
+    off the ideal's indicator, for an ideal built from masks, and a typed
+    ideal (realize_spec's) is planned on the typed form it holds, with no
+    indicator built or read."""
     mixprod.invariants._set_up.cache_clear()
-    counted = spy(mp, "_indicator_types")
+    typed = a._typed
+    found, counted, built = indicator_route(mp)
     report = oracle_report(a, GF2)
+    route = (list(found), list(counted), list(built))
     plan, dual_plan, dim = mixprod.invariants._set_up(a)
     dual = dual_plan.ideal
     classes = plan.classes
@@ -758,7 +935,12 @@ def check_dual_types(a, mp):
     assert dual_plan.types == tuple(gen_types(dual.gen_masks(), classes))
     assert dual_plan.classes == classes
     assert report.dim == dim == a.ambient.nvars - min(g.degree for g in dual.gens)
-    assert counted == [(a.indicator, a.ambient.nvars, classes)]
+    if typed is None:
+        assert counted == [(a.indicator, a.ambient.nvars, classes)]
+    else:
+        assert route == ([], [], [])
+        assert (plan.classes, plan.types) == typed
+        assert classes == tuple(swap_classes(a))
 
 
 class TestDualTypes:
@@ -921,17 +1103,28 @@ def representatives(classes):
     return [sum(parts) for parts in product(*prefixes)]
 
 
-def spy(monkeypatch, name):
-    """Record the calls hochster_betti makes to invariants.<name>."""
+def spy(monkeypatch, name, module=mixprod.invariants):
+    """Record the calls made to <module>.<name>, invariants by default."""
     calls = []
-    fn = getattr(mixprod.invariants, name)
+    fn = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(mixprod.invariants, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def indicator_route(monkeypatch):
+    """Spies on the delta-swap route, which reads the swap classes and the
+    types off an indicator (_swap_classes, _indicator_types), and on the
+    indicator of a typed ideal (core._indicator_of_types)."""
+    return (
+        spy(monkeypatch, "_swap_classes"),
+        spy(monkeypatch, "_indicator_types"),
+        spy(monkeypatch, "_indicator_of_types", mixprod.core),
+    )
 
 
 def stanley_reisner_ideal(ambient, facets):
@@ -1741,7 +1934,9 @@ class TestSharedWalkState:
         # reports on one ideal over Q, GF(2) and GF(3) find the classes
         # once and read generator types once, both off the ideal's
         # indicator, and build one dual, none for a self-dual ideal; a
-        # self-dual ideal just before changes none of it
+        # self-dual ideal just before changes none of it. A typed ideal
+        # (realize_spec's) holds its classes and types: its reports find
+        # no class, read no type and build no indicator
         amb = Ambient(3, 0)
         self_dual = MonomialIdeal.from_masks(amb, (0b011, 0b101, 0b110))
         assert alexander_dual(self_dual) == self_dual
@@ -1751,18 +1946,20 @@ class TestSharedWalkState:
             realize_spec(MixedProductSpec(Ambient(4, 4), ((2, 2),))),
             ideal(Ambient(2, 2), "x1x2", "x2y1", "y1y2"),
         ]
-        found = spy(monkeypatch, "_swap_classes")
-        counted = spy(monkeypatch, "_indicator_types")
+        found, counted, built = indicator_route(monkeypatch)
         duals = spy(monkeypatch, "_dual")
         for a in cases:
-            for calls in (found, counted, duals):
+            for calls in (found, counted, built, duals):
                 calls.clear()
             for field in (RATIONALS, GF2, GF3):
                 oracle_report(a, field)
+            assert len(duals) == (a is not self_dual)
+            if a._typed is not None:
+                assert found == counted == built == []
+                continue
             t = a.indicator
             assert found == [(t, a.ambient.nvars)]
             assert counted == [(t, a.ambient.nvars, tuple(swap_classes(a)))]
-            assert len(duals) == (a is not self_dual)
 
     def test_three_fields_build_each_corner_table_once(self, fresh_set_up, monkeypatch):
         # reports on one ideal over Q, GF(2) and GF(3) build the corner
@@ -1793,13 +1990,14 @@ class TestSharedWalkState:
             assert [args[0] for args in walks] == [a, dual] * 3
 
     def test_a_report_builds_no_generator(self, monkeypatch):
-        # realize_spec builds the ideal's indicator and the set-up holds the
-        # dual as classes and types: no SqFreeMonomial is made, no mask is
-        # read off an indicator (_masks_of_indicator) or read (gen_masks),
-        # no indicator is set one mask at a time, and neither the ideal nor
-        # its dual derives its masks or gens
+        # realize_spec holds the ideal and the set-up holds the dual as
+        # classes and types: no SqFreeMonomial is made, no mask is read off
+        # an indicator (_masks_of_indicator) or read (gen_masks), no
+        # indicator is built, by doubling or one mask at a time, nor read
+        # by the delta-swap route, and neither the ideal nor its dual
+        # derives its masks, its gens or its indicator
         def forbidden(*args, **kwargs):
-            raise AssertionError("a report built or read a generator")
+            raise AssertionError("a report built or read a generator or an indicator")
 
         specs = [s for s in mixprod.harness.enumerate_specs(5, 5) if s.ambient.nvars >= 2]
         assert len(specs) >= 1500
@@ -1808,6 +2006,9 @@ class TestSharedWalkState:
         monkeypatch.setattr(mixprod.core, "_masks_of_indicator", forbidden)
         monkeypatch.setattr(mixprod.invariants, "_masks_of_indicator", forbidden)
         monkeypatch.setattr(mixprod.core, "_indicator_of_masks", forbidden)
+        monkeypatch.setattr(mixprod.core, "_indicator_of_types", forbidden)
+        for name in ("_swap_classes", "_indicator_types", "_bit_planes"):
+            monkeypatch.setattr(mixprod.invariants, name, forbidden)
         for spec in specs:
             realize_spec.cache_clear()
             mixprod.invariants._set_up.cache_clear()
@@ -1816,7 +2017,7 @@ class TestSharedWalkState:
                 oracle_report(a, field)
             dual = mixprod.invariants._set_up(a)[1].ideal
             for b in (a, dual):
-                assert not {"_masks", "gens"} & set(vars(b)), spec
+                assert not {"_masks", "gens", "indicator"} & set(vars(b)), spec
 
     def test_a_self_dual_ideal_is_planned_once(self, fresh_set_up, monkeypatch):
         # I_2 at three variables is its own dual: its plan serves both
@@ -1840,18 +2041,28 @@ class TestSharedWalkState:
     def test_the_dual_plan_takes_the_ideal_classes(self, fresh_set_up, monkeypatch, n, m, terms):
         # a permutation fixes an ideal exactly when it fixes its dual, so
         # a report finds the classes once, for the ideal's plan, and the
-        # dual's plan holds the types of Berge's dual over them
+        # dual's plan holds the types of Berge's dual over them: the
+        # realized ideal holds its classes, so its report finds none and
+        # builds no indicator, and the same generator set built from masks
+        # has them found once off its indicator
         a = realize_spec(MixedProductSpec(Ambient(n, m), terms))
         dual = alexander_dual(a)
         expected = tuple(swap_classes(dual))
         assert expected == tuple(swap_classes(a))
-        found = spy(monkeypatch, "_swap_classes")
+        found, counted, built = indicator_route(monkeypatch)
         oracle_report(a, GF2)
-        assert found == [(a.indicator, a.ambient.nvars)]
+        assert found == counted == built == []
         dual_plan = mixprod.invariants._set_up(a)[1]
-        assert dual_plan.classes == expected
+        assert dual_plan.classes == expected == a._typed[0]
         types = {tuple((g & c).bit_count() for c in expected) for g in dual.gen_masks()}
         assert dual_plan.types == tuple(sorted(types))
+        b = MonomialIdeal.from_masks(a.ambient, a.gen_masks())
+        # b equals a, so it would find a's set-up
+        mixprod.invariants._set_up.cache_clear()
+        found.clear()
+        oracle_report(b, GF2)
+        assert found == [(b.indicator, b.ambient.nvars)]
+        assert mixprod.invariants._set_up(b)[1].classes == expected
 
     @pytest.mark.parametrize(
         "ambients, masks",
